@@ -19,23 +19,15 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .coeffexpr import Coefficient, load_coefficient
 from .fracops import as_alpha
-from .hypotheses import (
-    lemma1_profile,
-    lemma2_constants,
-    thm1_constants,
-    thm2_constants,
-    thm3_constants,
-)
 from .meshfun import GradedGrid, GridFunction, make_graded_grid
-from .solver import SOLVE_CASES, SolveSpec, solve
-from .verify import asymptotic_fit, boundary_limits, prop1_certify, residual
+from .solver import CHAINS, SOLVE_CASES, SolveSpec, gate, solve
+from .verify import asymptotic_fit, boundary_limits, residual
 
 __all__ = ["main", "RunConfig"]
 
@@ -45,7 +37,6 @@ EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_VERIFY = 4
 
-_OP_CASE = {"thm1": 1, "thm2": 2, "thm3": 3, "lemma2": 1}
 _SWEEP_PARAMS = ("alpha", "amp", "T")
 
 
@@ -110,7 +101,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
+_CONFIG_KEYS = set(_CONFIG_DEFAULTS)
+
+
+def _config_type_ok(key: str, val) -> bool:
+    """A config value must have its field's type: floats take JSON integers,
+    optional strings take null, the sweep takes a list of strings."""
+    want = type(_CONFIG_DEFAULTS[key])
+    if want is tuple:
+        return isinstance(val, list) and all(isinstance(v, str) for v in val)
+    if want is float:
+        want = (int, float)
+    elif want is type(None):
+        want = (str, type(None))
+    return isinstance(val, want) and isinstance(val, bool) == (want is bool)
 
 
 def _load_config(ns: argparse.Namespace) -> RunConfig:
@@ -123,6 +128,9 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        mistyped = sorted(k for k, v in raw.items() if not _config_type_ok(k, v))
+        if mistyped:
+            raise ValueError(f"config values of the wrong type: {mistyped}")
         merged.update(raw)
     for key in ("coeff", "alpha", "case", "a", "b", "T", "tmax", "nodes",
                 "grading", "out", "sweep"):
@@ -158,56 +166,39 @@ def _write_meta(cfg: RunConfig) -> None:
     _write_json(os.path.join(cfg.out, "run_meta.json"), meta)
 
 
-def _case_constants(case: str, coeff: Coefficient, cfg: RunConfig, grid=None):
-    """(report dict, contraction constant, passed) for one case."""
-    al = cfg.alpha
-    if case == "thm1":
-        rep = thm1_constants(coeff, al, cfg.T, t_max=cfg.tmax)
-        return rep.to_json_dict(), rep.k, rep.passed
-    if case == "thm2":
-        rep = thm2_constants(coeff, al, cfg.T, t_max=cfg.tmax)
-        return rep.to_json_dict(), rep.k4, rep.passed
-    if case == "thm3":
-        rep = thm3_constants(coeff, al, t_max=cfg.tmax)
-        return rep.to_json_dict(), rep.k3, rep.passed
-    profile = lemma1_profile(coeff, al, grid=grid if grid is not None else _grid(cfg))
-    rep = lemma2_constants(profile)
-    d = rep.to_json_dict()
-    d["mean_zero"] = bool(profile.mean_zero)
-    return d, float(rep.k1), bool(rep.pass_k1)
-
-
 def cmd_check(cfg: RunConfig, coeff: Coefficient) -> int:
     cases = (cfg.case,) if cfg.case else SOLVE_CASES
     grid = _grid(cfg)
     all_pass = True
-    for case in cases:
+    for name in cases:
         try:
-            payload, _, passed = _case_constants(case, coeff, cfg, grid=grid)
-            payload["passed"] = passed
+            g = gate(name, coeff, cfg.alpha, cfg.T, grid)
+            passed = g.passed
+            payload = {**CHAINS[name].payload(g), "passed": passed}
         except ValueError as e:
             payload, passed = {"error": str(e), "passed": False}, False
-        _write_json(os.path.join(cfg.out, f"check_{case}.json"), payload)
+        _write_json(os.path.join(cfg.out, f"check_{name}.json"), payload)
         all_pass = all_pass and passed
     return EXIT_OK if all_pass else EXIT_HYPOTHESIS
 
 
-def cmd_solve(cfg: RunConfig, coeff: Coefficient) -> int:
-    if cfg.case is None:
-        print("error: solve needs --case", file=sys.stderr)
-        return EXIT_INPUT
-    spec = SolveSpec(
+def _solve_spec(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> SolveSpec:
+    return SolveSpec(
         case=cfg.case,
         alpha=cfg.alpha,
         a=cfg.a,
         b=cfg.b,
         coefficient=coeff,
-        grid=_grid(cfg),
+        grid=grid,
         split=cfg.T,
         max_iterations=cfg.max_iterations,
         tolerance=cfg.tolerance,
         attempt_anyway=cfg.override_hypotheses,
     )
+
+
+def cmd_solve(cfg: RunConfig, coeff: Coefficient) -> int:
+    spec = _solve_spec(cfg, coeff, _grid(cfg))
     try:
         result = solve(spec)
     except ValueError as e:
@@ -219,7 +210,7 @@ def cmd_solve(cfg: RunConfig, coeff: Coefficient) -> int:
         return EXIT_HYPOTHESIS
     _write_json(os.path.join(cfg.out, f"solve_{cfg.case}.json"), result.to_json_dict())
     result.fixed_point.to_csv(os.path.join(cfg.out, f"fixed_point_{cfg.case}.csv"))
-    if cfg.case in ("thm3", "lemma2"):
+    if result.solution is not result.fixed_point:
         result.solution.to_csv(os.path.join(cfg.out, f"solution_{cfg.case}.csv"))
     if not result.converged:
         print(
@@ -254,19 +245,7 @@ def _read_artifact_csv(path: str, grid: GradedGrid) -> np.ndarray:
     return v
 
 
-_VERIFY_HEAD = {
-    # head exponent of the stored solution and the reference-head builder
-    "thm1": (0.0, lambda t, al, a, b: a + b * t**al),
-    "thm2": (None, lambda t, al, a, b: b * t**al),
-    "thm3": (None, lambda t, al, a, b: b * t),
-    "lemma2": (0.0, lambda t, al, a, b: np.ones_like(t)),
-}
-
-
 def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
-    if cfg.case is None:
-        print("error: verify needs --case", file=sys.stderr)
-        return EXIT_INPUT
     case = cfg.case
     grid = _grid(cfg)
     sol_path = os.path.join(cfg.out, f"solution_{case}.csv")
@@ -282,35 +261,28 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
         return EXIT_INPUT
 
     al = cfg.alpha
-    head_e, head_fn = _VERIFY_HEAD[case]
-    if head_e is None:
-        head_e = al - 1.0
+    chain = CHAINS[case]
+    head_e = chain.stored_head(al)
     x = GridFunction(grid, v, head_exponent=head_e if v[0] != 0.0 else 0.0)
 
-    res = residual(x, _OP_CASE[case], coeff, al)
+    res = residual(x, chain.operator, coeff, al)
     _write_json(os.path.join(cfg.out, f"residual_{case}.json"), res.to_json_dict())
     res.to_csv(os.path.join(cfg.out, f"residual_{case}.csv"))
 
-    fit_case = case if case != "lemma2" else "thm1"
-    a_true, b_true = cfg.a, cfg.b
-    if case == "lemma2":
-        a_true, b_true = 1.0, 0.0
+    fit_case, a_true, b_true = chain.verify_as or (case, cfg.a, cfg.b)
     rep = asymptotic_fit(x, fit_case, al, a_true=a_true, b_true=b_true)
     _write_json(os.path.join(cfg.out, f"asymptotic_{case}.json"), rep.to_json_dict())
 
     bl = boundary_limits(x, case, al)
     _write_json(os.path.join(cfg.out, f"boundary_{case}.json"), bl.to_json_dict())
 
-    if case == "lemma2":
-        fp_path = os.path.join(cfg.out, "fixed_point_lemma2.csv")
-        if os.path.exists(fp_path):
-            y = GridFunction(grid, _read_artifact_csv(fp_path, grid))
-            _write_json(
-                os.path.join(cfg.out, "certificate_lemma2.json"), prop1_certify(y)
-            )
+    fp_path = os.path.join(cfg.out, f"fixed_point_{case}.csv")
+    if chain.certify is not None and os.path.exists(fp_path):
+        y = GridFunction(grid, _read_artifact_csv(fp_path, grid))
+        _write_json(os.path.join(cfg.out, f"certificate_{case}.json"), chain.certify(y))
 
     t = grid.nodes[1:]
-    head_vals = head_fn(t, al, a_true, b_true)
+    head_vals = CHAINS[fit_case].head(t, al, a_true, b_true)
     weighted = t ** (1.0 - al) * np.abs(v[1:] - head_vals)
     with open(os.path.join(cfg.out, f"verify_{case}.csv"), "w", newline="\n") as fh:
         fh.write("t,x,head,weighted_remainder\n")
@@ -362,9 +334,6 @@ def _scaled_coefficient(coeff: Coefficient, lam: float) -> Coefficient:
 
 
 def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
-    if cfg.case is None:
-        print("error: sweep needs --case", file=sys.stderr)
-        return EXIT_INPUT
     try:
         axes = _parse_sweep_ranges(cfg)
     except ValueError as e:
@@ -378,39 +347,23 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
     ]
     header = ["alpha", "amp", "T", "k", "passed", "observed_ratio", "error"]
     out_path = os.path.join(cfg.out, f"sweep_{cfg.case}.csv")
+    grid = _grid(cfg)
 
     def cell_row(cell: tuple[float, float, float]) -> list:
         al, amp, T = (float(c) for c in cell)
-        cell_cfg = replace(cfg, alpha=al, T=T)
+        cell_cfg = replace(cfg, alpha=al, T=T, override_hypotheses=True)
         try:
             scaled = _scaled_coefficient(coeff, amp)
-            _, k, passed = _case_constants(cfg.case, scaled, cell_cfg)
+            g = gate(cfg.case, scaled, al, T, grid)
             ratio = ""
             if cfg.sweep_ratios:
-                spec = SolveSpec(
-                    case=cfg.case,
-                    alpha=al,
-                    a=cfg.a,
-                    b=cfg.b,
-                    coefficient=scaled,
-                    grid=_grid(cell_cfg),
-                    split=T,
-                    max_iterations=cfg.max_iterations,
-                    tolerance=cfg.tolerance,
-                    attempt_anyway=True,
-                )
-                ratio = repr(solve(spec).observed_ratio)
-            return [repr(al), repr(amp), repr(T), repr(float(k)),
-                    str(passed), ratio, ""]
+                ratio = repr(solve(_solve_spec(cell_cfg, scaled, grid)).observed_ratio)
+            return [repr(al), repr(amp), repr(T), repr(g.k),
+                    str(g.passed), ratio, ""]
         except ValueError as e:
             return [repr(al), repr(amp), repr(T), "", "False", "", str(e)]
 
-    if cells:
-        workers = min(8, len(cells))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(cell_row, cells))
-    else:
-        rows = []
+    rows = [cell_row(cell) for cell in cells]
     with open(out_path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -434,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     _write_meta(cfg)
+    if cfg.command != "check" and cfg.case is None:
+        print(f"error: {cfg.command} needs --case", file=sys.stderr)
+        return EXIT_INPUT
 
     try:
         if cfg.command == "check":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +30,14 @@ from scipy.special import roots_jacobi
 
 from .coeffexpr import Coefficient
 from .fracops import Alpha, _assemble, _conv_power_kernel, as_alpha, conv_C
-from .meshfun import GradedGrid, GridFunction, TailModel, make_graded_grid
+from .meshfun import (
+    GradedGrid,
+    GridFunction,
+    TailModel,
+    _right_cumtrapz,
+    json_scalars,
+    make_graded_grid,
+)
 from .specialfn import gamma
 
 __all__ = [
@@ -217,13 +224,7 @@ def _classify(k: float) -> str:
 
 class _JsonReport:
     def to_json_dict(self) -> dict:
-        out = {}
-        for key, val in asdict(self).items():
-            if isinstance(val, float) and math.isinf(val):
-                out[key] = "inf"
-            else:
-                out[key] = val
-        return out
+        return json_scalars(asdict(self))
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
@@ -329,31 +330,12 @@ class Lemma1Profile:
     T0: float
 
     def to_json_dict(self) -> dict:
-        scalars = {
-            "alpha": self.alpha,
-            "t_max": self.grid.t_max,
-            "n": self.grid.n,
-            "grading": self.grid.grading,
-            "c_l1": self.c_l1,
-            "c_l2": self.c_l2,
-            "c_sup": self.c_sup,
-            "c_star_l1": self.c_star_l1,
-            "e_l1": self.e_l1,
-            "b_l1": self.b_l1,
-            "b_l2": self.b_l2,
-            "b_sup": self.b_sup,
-            "intermed1": self.intermed1,
-            "intermed0": self.intermed0,
-            "intermed2": self.intermed2,
-            "mean_value": self.mean_value,
-            "mean_tail_bound": self.mean_tail_bound,
-            "mean_zero": self.mean_zero,
-            "n_zeros": self.n_zeros,
-            "t0": self.t0,
-            "T0": self.T0,
-        }
-        return {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-                for k, v in scalars.items()}
+        """Every scalar field plus the grid layout; grid functions stay out."""
+        scalars = {f.name: getattr(self, f.name) for f in fields(self)
+                   if not isinstance(getattr(self, f.name), (GradedGrid, GridFunction))}
+        grid = self.grid
+        scalars.update(t_max=grid.t_max, n=grid.n, grading=grid.grading)
+        return json_scalars(scalars)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
@@ -563,14 +545,6 @@ def thm3_constants(a: Coefficient, alpha: Alpha | float,
 def _running_max_from_right(values: np.ndarray, floor: float) -> np.ndarray:
     out = np.maximum(values, floor)
     return np.maximum.accumulate(out[::-1])[::-1]
-
-
-def _right_cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """r[j] = integral_{t_j}^{t_max} y dt by trapezoids."""
-    seg = 0.5 * np.diff(t) * (y[:-1] + y[1:])
-    out = np.zeros_like(y)
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
-    return out
 
 
 def lemma1_profile(a: Coefficient, alpha: Alpha | float,

@@ -38,7 +38,24 @@ __all__ = [
     "integrate",
 ]
 
-_trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+
+def json_number(v: float):
+    """v itself when finite, else its repr ("inf", "-inf", "nan"): strict
+    JSON has no non-finite numbers, so every artifact writes them as strings."""
+    return v if math.isfinite(v) else repr(float(v))
+
+
+def json_scalars(d: dict) -> dict:
+    """d with every float value passed through json_number."""
+    return {k: json_number(v) if isinstance(v, float) else v for k, v in d.items()}
+
+
+def _right_cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[j] = trapezoid of y over [t_j, t_max]."""
+    panels = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
+    out = np.zeros_like(y)
+    out[:-1] = np.cumsum(panels[::-1])[::-1]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,12 +387,12 @@ def _l1_norm_grid(f: GridFunction) -> float:
     c = f.values[0]
     e = f.head_exponent
     if c == 0.0 or e == 0.0:
-        return float(_trapz(np.abs(f.values), t))
+        return float(np.trapezoid(np.abs(f.values), t))
     # a genuine power head: bound |f| <= |r| + |c| t^e, with the head's
     # L1 mass over [0, t_max] in closed form (exact near the singularity,
     # where sampling cannot resolve it).
     r = f.regular_part()
-    out = float(_trapz(np.abs(r), t))
+    out = float(np.trapezoid(np.abs(r), t))
     out += abs(c) * f.grid.t_max ** (1.0 + e) / (1.0 + e)
     return out
 
@@ -404,7 +421,7 @@ def integrate(f: GridFunction, a: float, b: float) -> float:
         if hi_i > lo_i:
             seg_t = t[lo_i : hi_i + 1]
             seg_r = r[lo_i : hi_i + 1]
-            total += float(_trapz(seg_r, seg_t))
+            total += float(np.trapezoid(seg_r, seg_t))
         # partial panels at both ends, remainder interpolated linearly
         def r_at(x: float) -> float:
             j = max(1, min(f.grid.n, int(np.searchsorted(t, x, side="right"))))

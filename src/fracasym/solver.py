@@ -29,12 +29,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
 from .coeffexpr import Coefficient, coefficient_to_json_dict
 from .fracops import _conv_power_kernel, as_alpha, trusted_slice
 from .hypotheses import (
+    Lemma1Profile,
     lemma1_profile,
     lemma2_constants,
     thm1_constants,
@@ -46,13 +48,19 @@ from .meshfun import (
     GridFunction,
     TailModel,
     WeightedMetric,
+    _right_cumtrapz,
     integrate,
+    json_number,
+    json_scalars,
     make_graded_grid,
     metric_distance,
 )
 from .specialfn import gamma
 
 __all__ = [
+    "CHAINS",
+    "Chain",
+    "Gate",
     "SOLVE_CASES",
     "SolveSpec",
     "SolveResult",
@@ -64,9 +72,9 @@ __all__ = [
     "reconstruct_thm3",
     "reconstruct_prop1",
     "x_to_y",
+    "gate",
+    "prop1_certify",
 ]
-
-SOLVE_CASES = ("thm1", "thm2", "thm3", "lemma2")
 
 
 @dataclass(frozen=True)
@@ -85,15 +93,14 @@ class SolveSpec:
     attempt_anyway: bool = False
 
     def __post_init__(self) -> None:
-        if self.case not in SOLVE_CASES:
+        if self.case not in CHAINS:
             raise ValueError(f"case must be one of {SOLVE_CASES}, got {self.case!r}")
         object.__setattr__(self, "alpha", as_alpha(self.alpha))
         if self.grid is None:
             object.__setattr__(self, "grid", make_graded_grid())
-        if self.case in ("thm1", "thm2") and not self.a**2 + self.b**2 > 0.0:
-            raise ValueError("the scalar pair (a, b) must not both vanish")
-        if self.case == "thm3" and self.b == 0.0:
-            raise ValueError("the linear-growth case needs b != 0")
+        scalars_ok, why = CHAINS[self.case].requires
+        if not scalars_ok(self.a, self.b):
+            raise ValueError(why)
         if not 0.0 < self.split < self.grid.t_max:
             raise ValueError(
                 f"split time must lie inside (0, {self.grid.t_max!r}), got {self.split!r}"
@@ -145,22 +152,18 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def num(v: float):
-            return v if math.isfinite(v) else repr(float(v)).strip("()")
-
         return {
             "case": self.case,
             "spec": self.spec_echo,
             "iterations": self.iterations,
-            "distances": [num(d) for d in self.distances],
-            "observed_ratio": num(self.observed_ratio),
-            "predicted_k": num(self.predicted_k),
+            "distances": [json_number(d) for d in self.distances],
+            "observed_ratio": json_number(self.observed_ratio),
+            "predicted_k": json_number(self.predicted_k),
             "hypotheses_pass": self.hypotheses_pass,
             "converged": self.converged,
             "ratio_exceeded": self.ratio_exceeded,
-            "tail_budget": num(self.tail_budget),
-            "diagnostics": {k: num(v) if isinstance(v, float) else v
-                            for k, v in self.diagnostics.items()},
+            "tail_budget": json_number(self.tail_budget),
+            "diagnostics": json_scalars(self.diagnostics),
         }
 
     def to_json(self) -> str:
@@ -266,14 +269,6 @@ def step_thm2(x: GridFunction, spec: SolveSpec) -> GridFunction:
 # --------------------------------------------------------------------------
 # tail-coupled steps (thm3, lemma2)
 # --------------------------------------------------------------------------
-
-def _right_cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """out[j] = trapezoid of y over [t_j, t_max]."""
-    panels = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-    out = np.zeros_like(y)
-    out[:-1] = np.cumsum(panels[::-1])[::-1]
-    return out
-
 
 def _inverse_square_sweep(y: GridFunction) -> np.ndarray:
     """R[j] = int_{t_j}^inf y(u) / u^2 du at nodes j >= 1 (R[0] is not finite
@@ -433,27 +428,27 @@ def reconstruct_prop1(y: GridFunction) -> tuple[GridFunction, dict]:
     return x, diag
 
 
-# --------------------------------------------------------------------------
-# the driver
-# --------------------------------------------------------------------------
+def prop1_certify(y: GridFunction) -> dict:
+    """Certificate numbers for the bounded-solution construction.
 
-def _gate(spec: SolveSpec):
-    """(report, predicted k, passes, lemma1 profile or None) for the case."""
-    c, al = spec.coefficient, spec.alpha
-    t_max = spec.grid.t_max
-    if spec.case == "thm1":
-        rep = thm1_constants(c, al, spec.split, t_max=t_max)
-        return rep, rep.k, rep.passed, None
-    if spec.case == "thm2":
-        rep = thm2_constants(c, al, spec.split, t_max=t_max)
-        return rep, rep.k4, rep.passed, None
-    if spec.case == "thm3":
-        rep = thm3_constants(c, al, t_max=t_max)
-        return rep, rep.k3, rep.passed, None
-    profile = lemma1_profile(c, al, grid=spec.grid)
-    rep = lemma2_constants(profile)
-    return rep, rep.k1, rep.pass_k1, profile
+    All four entries must come out finite: the absolute value of y at the
+    origin (reported, never assumed to vanish), the two norms of x' = y,
+    and how far x strays from its limit over the outer half of the range.
+    """
+    x, diag = reconstruct_prop1(y)
+    t = y.grid.nodes
+    half = t >= y.grid.t_max / 2.0
+    return {
+        "y_at_origin": abs(diag["y_at_origin"]),
+        "xprime_l1": diag["xprime_l1"],
+        "xprime_sup": diag["xprime_sup"],
+        "tail_sup_deviation": float(np.max(np.abs(x.values[half] - 1.0))),
+    }
 
+
+# --------------------------------------------------------------------------
+# tail budgets
+# --------------------------------------------------------------------------
 
 def _thm3_budget(spec: SolveSpec, y: GridFunction) -> float:
     env = spec.coefficient.envelope
@@ -472,15 +467,169 @@ def _thm3_budget(spec: SolveSpec, y: GridFunction) -> float:
     return (abs(spec.b) * moment_tail + w_tail) / gamma(al)
 
 
-def _lemma2_budget(spec: SolveSpec, profile, gamma_scale: float) -> float:
+def _lemma2_budget(spec: SolveSpec, g: Gate) -> float:
+    """Budget on the rescaled kernel; the comparison scale gamma falls back
+    to 2 when the gate raised before reporting it."""
     if spec.coefficient.envelope.amplitude == 0.0:
         return 0.0
     q = spec.coefficient.envelope.exponent - spec.alpha
     if q <= 1.0:
         return math.inf
-    star_tail = float(profile.C_star.values[-1]) * spec.grid.t_max / (q - 1.0)
-    return gamma_scale * star_tail * (1.0 + profile.c_sup)
+    gamma_scale = g.report.gamma if g.report is not None else 2.0
+    star_tail = float(g.profile.C_star.values[-1]) * spec.grid.t_max / (q - 1.0)
+    return gamma_scale * star_tail * (1.0 + g.profile.c_sup) / gamma(spec.alpha)
 
+
+# --------------------------------------------------------------------------
+# the chain table
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Gate:
+    """Constants report, contraction constant k and pass flag of a chain,
+    plus the integrability profile the mean-zero chain iterates on."""
+
+    report: Any
+    k: float
+    passed: bool
+    profile: Lemma1Profile | None = None
+
+
+@dataclass(frozen=True)
+class Chain:
+    """One contraction chain, from its gate to the head verify checks.
+
+    The gate reads k_field and pass_field off the constants report;
+    requires is the (a, b) predicate with its error message; operand is
+    the step map's second argument; verify_as, when set, names
+    the (chain, a, b) whose fit and reference head check the solution.
+    Entries call traced layers (constants, steps, reconstructions) by
+    module-global name at call time and never hold those functions, so
+    instrumentation that rebinds the names reaches every call.
+    """
+
+    constants: Callable[[Coefficient, float, float, GradedGrid, Any], Any]
+    k_field: str
+    seed: Callable[[SolveSpec, Any], GridFunction]
+    step: Callable[[GridFunction, Any], GridFunction]
+    metric: str
+    budget: Callable[[SolveSpec, GridFunction, Gate], float]
+    operator: int
+    stored_head: Callable[[float], float]
+    pass_field: str = "passed"
+    profile: Callable[[Coefficient, float, GradedGrid], Any] = lambda c, al, grid: None
+    payload: Callable[[Gate], dict] = lambda g: g.report.to_json_dict()
+    requires: tuple[Callable[[float, float], bool], str] = (lambda a, b: True, "")
+    operand: Callable[[SolveSpec, Gate], Any] = lambda spec, g: spec
+    reconstruct: Callable[[SolveSpec, GridFunction], tuple] = lambda spec, y: (y, {})
+    basis: Callable[[np.ndarray, float], list] | None = None
+    head: Callable[[np.ndarray, float, float, float], np.ndarray] | None = None
+    verify_as: tuple[str, float, float] | None = None
+    certify: Callable[[GridFunction], dict] | None = None
+
+
+_NONZERO_PAIR = (lambda a, b: a**2 + b**2 > 0.0,
+                 "the scalar pair (a, b) must not both vanish")
+
+
+def _singular_seed(spec: SolveSpec, _) -> GridFunction:
+    al, t = spec.alpha, spec.grid.nodes
+    vals = np.empty(spec.grid.n + 1)
+    vals[1:] = spec.a * t[1:] ** (al - 1.0) + spec.b * t[1:] ** al
+    vals[0] = spec.a
+    return GridFunction(spec.grid, vals, head_exponent=al - 1.0)
+
+
+def _prop1_solution(spec: SolveSpec, y: GridFunction) -> tuple[GridFunction, dict]:
+    x, diag = reconstruct_prop1(y)
+    return x, {"kernel_rescale": 1.0 / gamma(spec.alpha), **diag}
+
+
+CHAINS: dict[str, Chain] = {
+    "thm1": Chain(
+        constants=lambda c, al, T, grid, _: thm1_constants(c, al, T, t_max=grid.t_max),
+        k_field="k",
+        requires=_NONZERO_PAIR,
+        seed=lambda spec, _: GridFunction(
+            spec.grid, spec.a + spec.b * spec.grid.nodes**spec.alpha),
+        step=lambda x, spec: step_thm1(x, spec),
+        metric="sup_over_t_alpha_after_T",
+        budget=lambda spec, x, g: _split_budget(spec, x),
+        operator=1,
+        stored_head=lambda al: 0.0,
+        basis=lambda t, al: [np.ones_like(t), t**al],
+        head=lambda t, al, a, b: a + b * t**al,
+    ),
+    "thm2": Chain(
+        constants=lambda c, al, T, grid, _: thm2_constants(c, al, T, t_max=grid.t_max),
+        k_field="k4",
+        requires=_NONZERO_PAIR,
+        seed=_singular_seed,
+        step=lambda x, spec: step_thm2(x, spec),
+        metric="sup_over_t_alpha_after_T",
+        budget=lambda spec, x, g: _split_budget(spec, x),
+        operator=2,
+        stored_head=lambda al: al - 1.0,
+        basis=lambda t, al: [t ** (al - 1.0), t**al],
+        head=lambda t, al, a, b: b * t**al,
+    ),
+    "thm3": Chain(
+        constants=lambda c, al, T, grid, _: thm3_constants(c, al, t_max=grid.t_max),
+        k_field="k3",
+        requires=(lambda a, b: b != 0.0, "the linear-growth case needs b != 0"),
+        seed=lambda spec, _: GridFunction(
+            spec.grid, np.zeros(spec.grid.n + 1), head_exponent=spec.alpha - 1.0),
+        step=lambda y, spec: step_thm3(y, spec),
+        metric="sup_t_one_minus_alpha",
+        reconstruct=lambda spec, y: (reconstruct_thm3(y, spec.b), {}),
+        budget=lambda spec, y, g: _thm3_budget(spec, y),
+        operator=3,
+        stored_head=lambda al: al - 1.0,
+        basis=lambda t, al: [t ** (al - 1.0), t],
+        head=lambda t, al, a, b: b * t,
+    ),
+    "lemma2": Chain(
+        profile=lambda c, al, grid: lemma1_profile(c, al, grid=grid),
+        constants=lambda c, al, T, grid, profile: lemma2_constants(profile),
+        k_field="k1",
+        pass_field="pass_k1",
+        payload=lambda g: {**g.report.to_json_dict(),
+                           "mean_zero": bool(g.profile.mean_zero)},
+        # The reported constants (k1, gamma, C*) describe the raw kernel;
+        # the iteration runs on the kernel divided by Gamma(alpha), which
+        # is what makes the reconstructed antiderivative solve the
+        # differential equation with the input coefficient. The division
+        # only shrinks the contraction factor, so the raw-kernel gate is
+        # sufficient, and the gamma C* ball holds with room to spare.
+        operand=lambda spec, g: g.profile.C.scaled(1.0 / gamma(spec.alpha)),
+        seed=lambda spec, cfun: GridFunction(spec.grid, -cfun.pointwise_values()),
+        step=lambda y, cfun: step_lemma2(y, cfun),
+        metric="max_sup_and_L1",
+        reconstruct=_prop1_solution,
+        budget=lambda spec, y, g: _lemma2_budget(spec, g),
+        operator=1,
+        stored_head=lambda al: 0.0,
+        verify_as=("thm1", 1.0, 0.0),
+        certify=lambda y: prop1_certify(y),
+    ),
+}
+
+SOLVE_CASES = tuple(CHAINS)
+
+
+def gate(case: str, coefficient: Coefficient, alpha: float, split: float,
+         grid: GradedGrid) -> Gate:
+    """Evaluate one chain's gate; ValueError when its constants are undefined."""
+    chain = CHAINS[case]
+    profile = chain.profile(coefficient, alpha, grid)
+    report = chain.constants(coefficient, alpha, split, grid, profile)
+    return Gate(report, float(getattr(report, chain.k_field)),
+                bool(getattr(report, chain.pass_field)), profile)
+
+
+# --------------------------------------------------------------------------
+# iteration to the fixed point
+# --------------------------------------------------------------------------
 
 def solve(spec: SolveSpec) -> SolveResult:
     """Iterate the case's step map from its affine seed to the fixed point.
@@ -490,59 +639,28 @@ def solve(spec: SolveSpec) -> SolveResult:
     Non-convergence at the iteration cap does not raise: the trace comes
     back with converged=False and the ratio comparison filled in.
     """
-    al = spec.alpha
-    grid = spec.grid
-    profile = None
+    chain = CHAINS[spec.case]
     try:
-        report, k_pred, hyp_pass, profile = _gate(spec)
-        k_pred, hyp_pass = float(k_pred), bool(hyp_pass)
+        g = gate(spec.case, spec.coefficient, spec.alpha, spec.split, spec.grid)
     except ValueError:
         if not spec.attempt_anyway:
             raise
-        report, k_pred, hyp_pass = None, math.nan, False
-        if spec.case == "lemma2":
-            profile = lemma1_profile(spec.coefficient, al, grid=grid)
-    if not hyp_pass and not spec.attempt_anyway:
+        profile = chain.profile(spec.coefficient, spec.alpha, spec.grid)
+        g = Gate(None, math.nan, False, profile)
+    if not g.passed and not spec.attempt_anyway:
         raise ValueError(
-            f"hypothesis constants do not certify contraction (k={k_pred!r}); "
+            f"hypothesis constants do not certify contraction (k={g.k!r}); "
             "set attempt_anyway=True to iterate regardless"
         )
 
-    t = grid.nodes
-    diagnostics: dict = {}
-    if spec.case == "thm1":
-        current = GridFunction(grid, spec.a + spec.b * t**al)
-        step = lambda u: step_thm1(u, spec)
-        metric = WeightedMetric("sup_over_t_alpha_after_T", split=spec.split, alpha=al)
-    elif spec.case == "thm2":
-        vals = np.empty(grid.n + 1)
-        vals[1:] = spec.a * t[1:] ** (al - 1.0) + spec.b * t[1:] ** al
-        vals[0] = spec.a
-        current = GridFunction(grid, vals, head_exponent=al - 1.0)
-        step = lambda u: step_thm2(u, spec)
-        metric = WeightedMetric("sup_over_t_alpha_after_T", split=spec.split, alpha=al)
-    elif spec.case == "thm3":
-        current = GridFunction(grid, np.zeros(grid.n + 1), head_exponent=al - 1.0)
-        step = lambda u: step_thm3(u, spec)
-        metric = WeightedMetric("sup_t_one_minus_alpha", alpha=al)
-    else:
-        # The reported constants (k1, gamma, C*) describe the raw kernel;
-        # the iteration runs on the kernel divided by Gamma(alpha), which
-        # is what makes the reconstructed antiderivative solve the
-        # differential equation with the input coefficient. The division
-        # only shrinks the contraction factor, so the raw-kernel gate is
-        # sufficient, and the gamma C* ball holds with room to spare.
-        cfun = profile.C.scaled(1.0 / gamma(al))
-        current = GridFunction(grid, -cfun.pointwise_values())
-        step = lambda u: step_lemma2(u, cfun)
-        metric = WeightedMetric("max_sup_and_L1")
-        diagnostics["kernel_rescale"] = 1.0 / gamma(al)
-
+    operand = chain.operand(spec, g)
+    current = chain.seed(spec, operand)
+    metric = WeightedMetric(chain.metric, split=spec.split, alpha=spec.alpha)
     distances: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, spec.max_iterations + 1):
-        nxt = step(current)
+        nxt = chain.step(current, operand)
         d = metric_distance(metric, nxt, current)
         distances.append(d)
         current = nxt
@@ -556,20 +674,9 @@ def solve(spec: SolveSpec) -> SolveResult:
         if distances[i - 1] > 0.0
     ]
     observed = float(max(quotients)) if quotients else 0.0
-    ratio_exceeded = bool(math.isfinite(k_pred) and observed > k_pred + 0.05)
+    ratio_exceeded = bool(math.isfinite(g.k) and observed > g.k + 0.05)
 
-    if spec.case == "thm1" or spec.case == "thm2":
-        solution = current
-        budget = _split_budget(spec, current)
-    elif spec.case == "thm3":
-        solution = reconstruct_thm3(current, spec.b)
-        budget = _thm3_budget(spec, current)
-    else:
-        gamma_scale = report.gamma if report is not None else 2.0
-        solution, recon_diag = reconstruct_prop1(current)
-        diagnostics.update(recon_diag)
-        budget = _lemma2_budget(spec, profile, gamma_scale) / gamma(al)
-
+    solution, diagnostics = chain.reconstruct(spec, current)
     return SolveResult(
         case=spec.case,
         fixed_point=current,
@@ -577,11 +684,11 @@ def solve(spec: SolveSpec) -> SolveResult:
         iterations=iterations,
         distances=tuple(distances),
         observed_ratio=observed,
-        predicted_k=k_pred,
-        hypotheses_pass=hyp_pass,
+        predicted_k=g.k,
+        hypotheses_pass=g.passed,
         converged=converged,
         ratio_exceeded=ratio_exceeded,
-        tail_budget=budget,
+        tail_budget=chain.budget(spec, current, g),
         spec_echo=spec.echo(),
         diagnostics=diagnostics,
     )

@@ -1,12 +1,10 @@
 """Gamma and beta functions for positive real arguments.
 
 Everything downstream (kernel normalizations, contraction constants,
-closed-form moments of power heads) funnels through these two functions,
-so they are implemented locally with the Lanczos approximation (g = 7,
-9 coefficients) rather than pulled from a library. Arguments stay within
-(0, 3] in this package: operator orders live in [0.05, 0.95] and the
-beta arguments are sums of such orders. No reflection formula is needed
-for that range; we assert positivity instead.
+closed-form moments of power heads) funnels through these two functions.
+Gamma is the standard library's, which is accurate to a few ulps on the
+(0, 3] range this package uses: operator orders live in [0.05, 0.95] and
+the beta arguments are sums of such orders.
 """
 
 from __future__ import annotations
@@ -15,38 +13,17 @@ import math
 
 __all__ = ["gamma", "beta"]
 
-# Lanczos g = 7, truncated at 9 terms. Classical double-precision set.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
-    """Gamma(x) for real x > 0, relative accuracy ~1e-14.
+    """Gamma(x) for real x > 0.
 
-    For x < 0.5 the recurrence Gamma(x) = Gamma(x+1)/x keeps the Lanczos
-    kernel inside its well-conditioned range; no reflection is used.
+    math.gamma also accepts negative non-integers, so positivity is
+    checked here: a non-positive order is always an upstream error.
     """
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma requires a positive argument, got {x!r}")
-    if x < 0.5:
-        return gamma(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def beta(q: float, r: float) -> float:

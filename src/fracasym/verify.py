@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracops import apply_operator, as_alpha, rl_derivative, trusted_slice
-from .meshfun import GridFunction
-from .solver import reconstruct_prop1
+from .meshfun import GridFunction, json_number
+from .solver import CHAINS, prop1_certify
 
 __all__ = [
     "ResidualReport",
@@ -31,18 +31,12 @@ __all__ = [
     "prop1_certify",
 ]
 
-FIT_CASES = ("thm1", "thm2", "thm3")
-
 
 def _csv_write(path: str, header: str, columns: list[np.ndarray]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in zip(*columns):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _num(v: float):
-    return v if math.isfinite(v) else repr(float(v)).strip("()")
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ class ResidualReport:
         return {
             "case": self.case,
             "alpha": self.alpha,
-            "sup_residual": _num(self.sup_residual),
+            "sup_residual": json_number(self.sup_residual),
             "window": list(self.window),
         }
 
@@ -89,9 +83,9 @@ class AsymptoticReport:
         return {
             "case": self.case,
             "alpha": self.alpha,
-            "a_hat": _num(self.a_hat),
-            "b_hat": _num(self.b_hat),
-            "weighted_remainder_sup": _num(self.weighted_remainder_sup),
+            "a_hat": json_number(self.a_hat),
+            "b_hat": json_number(self.b_hat),
+            "weighted_remainder_sup": json_number(self.weighted_remainder_sup),
             "bounded": self.bounded,
             "window": list(self.window),
         }
@@ -120,9 +114,9 @@ class BoundaryLimits:
 
     def to_json_dict(self) -> dict:
         return {
-            "origin_limit": _num(self.origin_limit),
+            "origin_limit": json_number(self.origin_limit),
             "origin_converged": self.origin_converged,
-            "derivative_at_horizon": _num(self.derivative_at_horizon),
+            "derivative_at_horizon": json_number(self.derivative_at_horizon),
             "horizon_node": self.horizon_node,
         }
 
@@ -173,8 +167,10 @@ def asymptotic_fit(
     t^(alpha-1) term shares its decay with the remainder, so it is left
     out of the reference and shows up as a level in the weighted curve.
     """
-    if case not in FIT_CASES:
-        raise ValueError(f"case must be one of {FIT_CASES}, got {case!r}")
+    chain = CHAINS.get(case)
+    if chain is None or chain.basis is None:
+        fit_cases = tuple(k for k, c in CHAINS.items() if c.basis is not None)
+        raise ValueError(f"case must be one of {fit_cases}, got {case!r}")
     al = as_alpha(alpha)
     grid = x.grid
     lo = grid.t_max / 10.0
@@ -187,24 +183,13 @@ def asymptotic_fit(
         )
     xv = x.values[sl]
 
-    if case == "thm1":
-        cols = [np.ones_like(t), t**al]
-    elif case == "thm2":
-        cols = [t ** (al - 1.0), t**al]
-    else:
-        cols = [t ** (al - 1.0), t]
-    A = np.column_stack(cols)
+    A = np.column_stack(chain.basis(t, al))
     sol, *_ = np.linalg.lstsq(A, xv, rcond=None)
     a_hat, b_hat = float(sol[0]), float(sol[1])
 
     a_ref = a_true if a_true is not None else a_hat
     b_ref = b_true if b_true is not None else b_hat
-    if case == "thm1":
-        head = a_ref + b_ref * t**al
-    elif case == "thm2":
-        head = b_ref * t**al
-    else:
-        head = b_ref * t
+    head = chain.head(t, al, a_ref, b_ref)
     weighted = t ** (1.0 - al) * np.abs(xv - head)
 
     sup_r = float(np.max(weighted))
@@ -258,21 +243,3 @@ def boundary_limits(x: GridFunction, case: str, alpha) -> BoundaryLimits:
         derivative_at_horizon=float(d.values[j_last]),
         horizon_node=float(t[j_last]),
     )
-
-
-def prop1_certify(y: GridFunction) -> dict:
-    """Certificate numbers for the bounded-solution construction.
-
-    All four entries must come out finite: the absolute value of y at the
-    origin (reported, never assumed to vanish), the two norms of x' = y,
-    and how far x strays from its limit over the outer half of the range.
-    """
-    x, diag = reconstruct_prop1(y)
-    t = y.grid.nodes
-    half = t >= y.grid.t_max / 2.0
-    return {
-        "y_at_origin": abs(diag["y_at_origin"]),
-        "xprime_l1": diag["xprime_l1"],
-        "xprime_sup": diag["xprime_sup"],
-        "tail_sup_deviation": float(np.max(np.abs(x.values[half] - 1.0))),
-    }
