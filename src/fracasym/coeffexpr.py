@@ -36,7 +36,6 @@ __all__ = [
     "print_expr",
     "eval_expr",
     "Coefficient",
-    "eval_coefficient",
     "check_envelope",
     "load_coefficient",
     "save_coefficient",
@@ -396,10 +395,6 @@ def _reject_vanishing_denominators(
         raise ValueError(
             f"denominator {print_expr(node.right)!r} vanishes on [0, {guard_t_max}]"
         )
-
-
-def eval_coefficient(coeff: Coefficient, t: np.ndarray) -> np.ndarray:
-    return coeff(t)
 
 
 def check_envelope(coeff: Coefficient, grid: GradedGrid) -> tuple[bool, float]:

@@ -7,13 +7,27 @@ wherever a power weight s^m (m > -1) or (t-s)^(alpha-1) touches an endpoint.
 Panels are always split at the sign changes of a so the |a| factor stays
 smooth inside each panel.
 
+Quadratures are evaluated in batches.  A rule holds the nodes of every
+panel of one or more integrals, their weights with the known kernel
+factors such as s^(alpha-1) and (t-s)^(alpha-1) folded in, and the row
+(integral) each node belongs to.  The panel edges of a chunk of scan
+points t are built together, row by row, the coefficient is called once
+on all their nodes, and np.bincount reduces the weighted values per row.
+A coefficient call walks the whole expression tree and allocates one
+temporary per tree node.  Called per 24-node panel, that overhead
+dominates; called on every node of a full sup scan (~600k nodes), the
+temporaries of the whole scan are alive at once.  So scans run in chunks
+of _CHUNK points (~7.5k nodes), and no call receives more than _NODE_CAP
+nodes; larger chunks run faster but hold more memory at the peak.
+
 Integrals over [horizon, infinity) are never chased numerically: they are
 closed under the coefficient's declared power envelope A*t^(-p).  A missing
 or violated envelope is therefore a hard error, not a warning, because the
 reported constants would silently drop their tails otherwise.
 
 Suprema over t > 0 run a 128-points-per-decade logarithmic scan followed by
-golden-section refinement around the leading candidates.  Pass/fail flags
+golden-section refinement around the three leading candidates, which step
+in lockstep so each step is one batched evaluation.  Pass/fail flags
 use a one-sided margin: a constant within 1e-9 of the threshold is reported
 as "inconclusive" rather than rounded to either side.
 """
@@ -66,6 +80,12 @@ _SCAN_FLOOR = 1e-4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
+# most nodes one coefficient call receives
+_NODE_CAP = 8192
+# scan points whose panels are built together; 8 points of a coefficient
+# without sign changes carry ~7.5k nodes, one call's worth
+_CHUNK = 8
+
 
 @lru_cache(maxsize=32)
 def _gj_rule(exponent: float) -> tuple[np.ndarray, np.ndarray]:
@@ -74,66 +94,107 @@ def _gj_rule(exponent: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gl_panel(fn, lo: float, hi: float) -> float:
+# A rule is (nodes, weights, rows): integral i of a batch is the sum of
+# weights * f(nodes) over the entries with rows == i.
+
+def _gl_nodes(edges: np.ndarray, rows: np.ndarray):
+    """Composite GL-24 on the panels between consecutive edges of one row."""
+    inner = rows[1:] == rows[:-1]
+    lo, hi = edges[:-1][inner, None], edges[1:][inner, None]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * float(np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
+    return ((mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel(),
+            np.repeat(rows[1:][inner], _GL_NODES.size))
 
 
-def _gj_left_panel(fn, lo: float, hi: float, exponent: float) -> float:
-    """integral of (s-lo)^exponent * fn(s) over [lo, hi], fn smooth."""
+def _gj_left_nodes(lo, hi, exponent: float):
+    """Rule for integral of (s-lo)^exponent * f(s) over each [lo_i, hi_i]."""
     x, w = _gj_rule(exponent)
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
     half = 0.5 * (hi - lo)
-    s = lo + half * (x + 1.0)
-    return half ** (exponent + 1.0) * float(np.dot(w, fn(s)))
+    return ((lo[:, None] + half[:, None] * (x + 1.0)).ravel(),
+            (half[:, None] ** (exponent + 1.0) * w).ravel(),
+            np.repeat(np.arange(lo.size), x.size))
 
 
-def _gj_right_panel(fn, lo: float, hi: float, exponent: float) -> float:
-    """integral of (hi-s)^exponent * fn(s) over [lo, hi], fn smooth."""
+def _gj_right_nodes(lo, hi, exponent: float):
+    """Rule for integral of (hi-s)^exponent * f(s) over each [lo_i, hi_i]."""
     x, w = _gj_rule(exponent)
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
     half = 0.5 * (hi - lo)
-    s = hi - half * (x + 1.0)
-    return half ** (exponent + 1.0) * float(np.dot(w, fn(s)))
+    return ((hi[:, None] - half[:, None] * (x + 1.0)).ravel(),
+            (half[:, None] ** (exponent + 1.0) * w).ravel(),
+            np.repeat(np.arange(lo.size), x.size))
 
 
-def _edges(lo: float, hi: float, breakpoints=(), panels_per_decade: int = 6,
-           min_panels: int = 8) -> np.ndarray:
-    """Geometric panel edges over [lo, hi] with breakpoints inserted."""
-    if hi <= lo:
-        return np.array([lo, hi])
-    anchor = max(lo, hi * 1e-12)
-    if lo <= 0.0:
-        base = [0.0]
-    else:
-        base = []
-        anchor = lo
-    decades = math.log10(hi / anchor) if hi > anchor else 0.0
-    count = max(min_panels, int(math.ceil(decades * panels_per_decade))) + 1
-    base.extend(np.geomspace(anchor, hi, count))
-    cuts = [b for b in breakpoints if lo < b < hi]
-    edges = np.unique(np.concatenate([base, cuts, [lo, hi]]))
-    return edges[(edges >= lo) & (edges <= hi)]
+def _edges(lo, hi, breakpoints=(), panels_per_decade: int = 6,
+           min_panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric panel edges over each [lo_i, hi_i] with breakpoints inserted.
+
+    lo and hi are scalars or arrays of intervals; breakpoints is one list
+    for every interval or one row per interval, NaN entries ignored.
+    Returns the edges of all intervals in order and the interval (row) of
+    each edge.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    anchor = np.where(lo <= 0.0, np.maximum(lo, hi * 1e-12), lo)
+    decades = np.array([math.log10(h / a) if h > a else 0.0
+                        for a, h in zip(anchor, hi)])
+    count = np.maximum(min_panels, np.ceil(decades * panels_per_decade).astype(int)) + 1
+    cuts = np.atleast_2d(np.asarray(breakpoints, dtype=float))
+    width = count.max()
+    table = np.full((lo.size, width + cuts.shape[1] + 3), np.nan)
+    for c in np.unique(count):
+        sel = count == c
+        table[sel, :c] = np.geomspace(anchor[sel], hi[sel], c, axis=1)
+    table[:, width:-3] = cuts
+    table[:, -3] = lo
+    table[:, -2] = hi
+    table[:, -1] = np.where(lo <= 0.0, 0.0, np.nan)
+    table[~((table >= lo[:, None]) & (table <= hi[:, None]))] = np.nan
+    table.sort(axis=1)
+    keep = ~np.isnan(table)
+    keep[:, 1:] &= table[:, 1:] != table[:, :-1]
+    return table[keep], np.nonzero(keep)[0]
+
+
+def _call(fn, s: np.ndarray) -> np.ndarray:
+    """fn(s), at most _NODE_CAP nodes per call."""
+    if s.size <= _NODE_CAP:
+        return fn(s)
+    return np.concatenate([fn(s[i:i + _NODE_CAP]) for i in range(0, s.size, _NODE_CAP)])
+
+
+def _row_sums(fn, rules, xs: np.ndarray) -> np.ndarray:
+    """Per-row integrals of the rules(chunk) rule, for xs in chunks of _CHUNK."""
+    out = []
+    for i in range(0, xs.size, _CHUNK):
+        chunk = xs[i:i + _CHUNK]
+        s, w, rows = rules(chunk)
+        out.append(np.bincount(rows, weights=w * _call(fn, s), minlength=chunk.size))
+    return np.concatenate(out)
 
 
 def _integral(fn, lo: float, hi: float, breakpoints=(),
               panels_per_decade: int = 6, min_panels: int = 8) -> float:
     """Composite GL-24 integral of a piecewise-smooth integrand."""
-    edges = _edges(lo, hi, breakpoints, panels_per_decade, min_panels)
-    return float(sum(_gl_panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:])))
+    s, w, _ = _gl_nodes(*_edges(lo, hi, breakpoints, panels_per_decade, min_panels))
+    return float(np.dot(w, _call(fn, s)))
 
 
 def _weighted_moment(fn, m: float, lo: float, hi: float, breakpoints=()) -> float:
     """integral of fn(s) * s^m over [lo, hi]; handles m in (-1, 0) at lo=0."""
     if hi <= lo:
         return 0.0
+    edges, rows = _edges(lo, hi, breakpoints)
     if m >= 0.0 or lo > 0.0:
-        return _integral(lambda s: fn(s) * s ** m, lo, hi, breakpoints)
-    edges = _edges(lo, hi, breakpoints)
-    first_hi = edges[1]
-    head = _gj_left_panel(fn, 0.0, first_hi, m)
-    rest = float(sum(_gl_panel(lambda s: fn(s) * s ** m, a, b)
-                     for a, b in zip(edges[1:-1], edges[2:])))
-    return head + rest
+        s, w, _ = _gl_nodes(edges, rows)
+        return float(np.dot(w * s ** m, _call(fn, s)))
+    head_s, head_w, _ = _gj_left_nodes(0.0, edges[1], m)
+    s, w, _ = _gl_nodes(edges[1:], rows[1:])
+    return float(np.dot(np.concatenate([head_w, w * s ** m]),
+                        _call(fn, np.concatenate([head_s, s]))))
 
 
 def envelope_tail_integral(envelope: TailModel, m: float, lo: float) -> float:
@@ -156,7 +217,7 @@ def _require_envelope(a: Coefficient, what: str) -> TailModel:
     return env
 
 
-def _breakpoints(a: Coefficient, lo: float, hi: float) -> list[float]:
+def _breakpoints(a: Coefficient, lo: float, hi: float) -> np.ndarray:
     """Panel cuts where |a| loses smoothness: sign changes and sample kinks."""
     cuts = set(a.zeros(lo, hi))
     if getattr(a, "samples", None) is not None:
@@ -166,46 +227,49 @@ def _breakpoints(a: Coefficient, lo: float, hi: float) -> list[float]:
         # degenerate root sets (identically-zero stretches) would flood the
         # panelization; thin them, the quadrature only needs a cut density
         out = out[:: (len(out) + 511) // 512]
-    return out
+    return np.array(out, dtype=float)
 
 
 # --------------------------------------------------------------------------
 # sup over t > 0: log scan + golden-section polish
 # --------------------------------------------------------------------------
 
-def _golden_refine(fn, lo: float, hi: float, iters: int = 40) -> float:
+def _golden_refine(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 40) -> np.ndarray:
+    """Golden-section maximum of a vectorized fn on each bracket [lo_i, hi_i].
+
+    The brackets step in lockstep: each step evaluates fn once, on one
+    new point per bracket.
+    """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = fn(d)
-    return max(fc, fd)
+        left = fc > fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - inv * (b - a), a + inv * (b - a))
+        fx = fn(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    return np.maximum(fc, fd)
 
 
 def _sup_scan(fn, lo: float, hi: float) -> tuple[float, float]:
-    """(sup, argmax) of fn over [lo, hi] by log scan + refinement."""
+    """(sup, argmax) of a vectorized fn over [lo, hi] by log scan + refinement."""
     decades = math.log10(hi / lo)
     npts = max(16, int(math.ceil(decades * _SCAN_PER_DECADE))) + 1
     ts = np.geomspace(lo, hi, npts)
-    vals = np.array([fn(t) for t in ts])
+    vals = fn(ts)
     best = float(vals.max())
     arg = float(ts[int(vals.argmax())])
     order = np.argsort(vals)[::-1][:3]
-    for i in order:
-        a = ts[max(0, i - 1)]
-        b = ts[min(npts - 1, i + 1)]
-        refined = _golden_refine(fn, a, b)
-        if refined > best:
-            best = refined
+    refined = _golden_refine(fn, ts[np.maximum(order - 1, 0)],
+                             ts[np.minimum(order + 1, npts - 1)])
+    for i, value in zip(order, refined):
+        if value > best:
+            best = float(value)
             arg = float(ts[i])
     return best, arg
 
@@ -450,35 +514,45 @@ def thm2_constants(a: Coefficient, alpha: Alpha | float, T: float,
 # linear-growth contraction: chi and k3
 # --------------------------------------------------------------------------
 
-def _chi_point(a, alpha: float, t: float, zeros) -> float:
-    """t^(1-alpha) * integral_0^t |a(s)| s^(alpha-1) (t-s)^(alpha-1) ds.
+def _chi_rules(ts: np.ndarray, e: float, zeros: np.ndarray):
+    """Rule for integral_0^t f(s) s^e (t-s)^e ds, f smooth, one row per t.
 
     Both endpoints are algebraically singular; each gets a short
     Gauss-Jacobi panel (the smooth factor is nearly constant there) and
     the bulk runs on geometric Gauss-Legendre panels.
     """
-    e = alpha - 1.0
-    half = 0.5 * t
-    afun = lambda s: np.abs(a(s))
+    half = 0.5 * ts
     sliver = 1e-3 * half
+    z, h, t = zeros[None, :], half[:, None], ts[:, None]
 
-    head_hi = min([sliver] + [z for z in zeros if 0.0 < z < half])
-    left = _gj_left_panel(lambda s: afun(s) * (t - s) ** e, 0.0, head_hi, e)
-    left += _integral(lambda s: afun(s) * s ** e * (t - s) ** e,
-                      head_hi, half, zeros)
+    head_hi = np.minimum(sliver, np.where((z > 0.0) & (z < h), z, np.inf)
+                         .min(axis=1, initial=np.inf))
+    s1, w1, r1 = _gj_left_nodes(0.0, head_hi, e)
+    s2, w2, r2 = _gl_nodes(*_edges(head_hi, half, zeros))
 
     # right half in the reflected variable u = t - s so the geometric
     # panels refine toward the kernel singularity at s = t
-    tail_lo = max([t - sliver] + [z for z in zeros if half < z < t])
-    right = _gj_right_panel(lambda s: afun(s) * s ** e, tail_lo, t, e)
-    right += _integral(lambda u: afun(t - u) * (t - u) ** e * u ** e,
-                       t - tail_lo, half,
-                       [t - z for z in zeros if half < z < tail_lo])
-    return t ** (1.0 - alpha) * (left + right)
+    tail_lo = np.maximum(ts - sliver, np.where((z > h) & (z < t), z, -np.inf)
+                         .max(axis=1, initial=-np.inf))
+    s3, w3, r3 = _gj_right_nodes(tail_lo, ts, e)
+    right_cuts = np.where((z > h) & (z < tail_lo[:, None]), t - z, np.nan)
+    u, w4, r4 = _gl_nodes(*_edges(ts - tail_lo, half, right_cuts))
+    s4 = ts[r4] - u
+    return (np.concatenate([s1, s2, s3, s4]),
+            np.concatenate([w1 * (ts[r1] - s1) ** e,
+                            w2 * s2 ** e * (ts[r2] - s2) ** e,
+                            w3 * s3 ** e, w4 * s4 ** e * u ** e]),
+            np.concatenate([r1, r2, r3, r4]))
 
 
-def _chi_sup(a, alpha: float, t_max: float, zeros) -> tuple[float, float]:
-    return _sup_scan(lambda t: _chi_point(a, alpha, t, zeros),
+def _chi_values(afun, alpha: float, ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """t^(1-alpha) * integral_0^t afun(s) s^(alpha-1) (t-s)^(alpha-1) ds at each t."""
+    rules = lambda chunk: _chi_rules(chunk, alpha - 1.0, zeros)
+    return ts ** (1.0 - alpha) * _row_sums(afun, rules, ts)
+
+
+def _chi_sup(afun, alpha: float, t_max: float, zeros) -> tuple[float, float]:
+    return _sup_scan(lambda ts: _chi_values(afun, alpha, ts, zeros),
                      _SCAN_FLOOR, t_max)
 
 
@@ -504,7 +578,7 @@ def thm3_constants(a: Coefficient, alpha: Alpha | float,
 
     weighted_l1 = (_weighted_moment(afun, al - 1.0, 0.0, t_max, zs)
                    + envelope_tail_integral(env, al - 1.0, t_max))
-    chi, chi_arg = _chi_sup(a, al, t_max, zs)
+    chi, chi_arg = _chi_sup(afun, al, t_max, zs)
     k3 = (weighted_l1 + chi) / gamma(al)
 
     first_moment = (_weighted_moment(afun, 1.0, 0.0, t_max, zs)
@@ -515,9 +589,8 @@ def thm3_constants(a: Coefficient, alpha: Alpha | float,
     # t^(2-alpha) a(t); its certificate is the L_inf/L1/amplitude chain,
     # which needs |pushed| <= amp/t^alpha past 1, i.e. envelope decay
     # beyond t^-(3-alpha)
-    pushed = lambda s: np.asarray(s) ** (2.0 - al) * a(s)
-    sup_value, _ = _chi_sup(pushed, al, t_max, zs)
-    pushed_abs = lambda s: np.abs(pushed(s))
+    pushed_abs = lambda s: np.abs(s ** (2.0 - al) * a(s))
+    sup_value, _ = _chi_sup(pushed_abs, al, t_max, zs)
     if env.exponent > 3.0 - al:
         chain_amp = env.amplitude * max(1.0, env.valid_from) ** (2.0 - env.exponent)
         sup_chain = (_sup_scan(pushed_abs, _SCAN_FLOOR, 1.0)[0] / al
@@ -701,18 +774,19 @@ def lemma2_constants(profile: Lemma1Profile) -> Lemma2Report:
 # divergence demonstration: the F integral has no L1 bound
 # --------------------------------------------------------------------------
 
-def _f_point(a, alpha: float, tau: float, zeros) -> float:
-    """F(tau) = integral_0^tau |a(u)| (tau-u)^(alpha-1) du."""
-    e = alpha - 1.0
-    half = 0.5 * tau
-    afun = lambda u: np.abs(a(u))
-    cut = max([tau * (1.0 - 1e-3)] + [z for z in zeros if half < z < tau])
-    head = _integral(lambda u: afun(u) * (tau - u) ** e, 0.0, half, zeros,
-                     panels_per_decade=2)
-    head += _integral(lambda v: afun(tau - v) * v ** e,
-                      tau - cut, half,
-                      [tau - z for z in zeros if half < z < cut])
-    return head + _gj_right_panel(afun, cut, tau, e)
+def _f_rules(taus: np.ndarray, e: float, zeros: np.ndarray):
+    """Rule for F(tau) = integral_0^tau f(u) (tau-u)^e du, f smooth, one row per tau."""
+    half = 0.5 * taus
+    z, h, tau = zeros[None, :], half[:, None], taus[:, None]
+    cut = np.maximum(taus * (1.0 - 1e-3), np.where((z > h) & (z < tau), z, -np.inf)
+                     .max(axis=1, initial=-np.inf))
+    s1, w1, r1 = _gl_nodes(*_edges(0.0, half, zeros, panels_per_decade=2))
+    right_cuts = np.where((z > h) & (z < cut[:, None]), tau - z, np.nan)
+    v, w2, r2 = _gl_nodes(*_edges(taus - cut, half, right_cuts))
+    s3, w3, r3 = _gj_right_nodes(cut, taus, e)
+    return (np.concatenate([s1, taus[r2] - v, s3]),
+            np.concatenate([w1 * (taus[r1] - s1) ** e, w2 * v ** e, w3]),
+            np.concatenate([r1, r2, r3]))
 
 
 def f_l1_divergence(a: Coefficient, alpha: Alpha | float, T: float,
@@ -729,8 +803,8 @@ def f_l1_divergence(a: Coefficient, alpha: Alpha | float, T: float,
     if not ts or ts[0] < T:
         raise ValueError("samples must be >= the anchor time T")
     zs = _breakpoints(a, 0.0, 2.0 * max(ts))
-    window_mass = _weighted_moment(lambda s: np.abs(a(s)), 0.0,
-                                   0.5 * T, 2.0 * T, zs)
+    afun = lambda u: np.abs(a(u))
+    window_mass = _weighted_moment(afun, 0.0, 0.5 * T, 2.0 * T, zs)
     if window_mass <= 0.0:
         probe = np.geomspace(1e-9, 2.0 * max(ts), 512)
         if float(np.max(np.abs(a(probe)))) == 0.0:
@@ -742,9 +816,8 @@ def f_l1_divergence(a: Coefficient, alpha: Alpha | float, T: float,
             "the divergence bound is vacuous there"
         )
 
-    def f2(s):
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.array([_f_point(a, al, 2.0 * si, zs) for si in arr])
+    # the F(2s) rules of a chunk of outer nodes share one coefficient call
+    f2 = lambda s: _row_sums(afun, lambda chunk: _f_rules(2.0 * chunk, al - 1.0, zs), s)
 
     rows = []
     running = 0.0

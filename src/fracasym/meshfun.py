@@ -21,7 +21,6 @@ linearly across the origin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -283,16 +282,6 @@ class GridFunction:
             tail=tail,
             head_exponent=d["head_exponent"],
         )
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
-
-    @staticmethod
-    def from_json(path: str) -> "GridFunction":
-        with open(path) as fh:
-            return GridFunction.from_json_dict(json.load(fh))
 
     def to_csv(self, path: str) -> None:
         """Two columns t,value; the first row carries the head coefficient."""

@@ -622,6 +622,12 @@ def gate(case: str, coefficient: Coefficient, alpha: float, split: float,
     """Evaluate one chain's gate; ValueError when its constants are undefined."""
     chain = CHAINS[case]
     profile = chain.profile(coefficient, alpha, grid)
+    return _gate_on(chain, profile, coefficient, alpha, split, grid)
+
+
+def _gate_on(chain: Chain, profile, coefficient: Coefficient, alpha: float,
+             split: float, grid: GradedGrid) -> Gate:
+    """The gate of chain on an integrability profile already built."""
     report = chain.constants(coefficient, alpha, split, grid, profile)
     return Gate(report, float(getattr(report, chain.k_field)),
                 bool(getattr(report, chain.pass_field)), profile)
@@ -640,12 +646,13 @@ def solve(spec: SolveSpec) -> SolveResult:
     back with converged=False and the ratio comparison filled in.
     """
     chain = CHAINS[spec.case]
+    profile = chain.profile(spec.coefficient, spec.alpha, spec.grid)
     try:
-        g = gate(spec.case, spec.coefficient, spec.alpha, spec.split, spec.grid)
+        g = _gate_on(chain, profile, spec.coefficient, spec.alpha, spec.split,
+                     spec.grid)
     except ValueError:
         if not spec.attempt_anyway:
             raise
-        profile = chain.profile(spec.coefficient, spec.alpha, spec.grid)
         g = Gate(None, math.nan, False, profile)
     if not g.passed and not spec.attempt_anyway:
         raise ValueError(

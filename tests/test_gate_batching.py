@@ -1,0 +1,164 @@
+"""Batched gate quadrature against the per-panel loop it replaces.
+
+The per-panel chi below evaluates the coefficient once per 24-node panel,
+on the same panels, nodes and weights as the batched rules; only the
+summation order differs, so the two agree to a few ulps.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracasym import hypotheses as hyp
+from fracasym import solver
+from fracasym.coeffexpr import Coefficient
+from fracasym.meshfun import make_graded_grid
+from fracasym.solver import SolveSpec, solve
+
+from conftest import ALPHA, make_power_coefficient
+
+# --------------------------------------------------------------------------
+# per-panel reference: one coefficient call per panel
+# --------------------------------------------------------------------------
+
+_X, _W = np.polynomial.legendre.leggauss(24)
+
+
+def _ref_gl_panel(fn, lo, hi):
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return half * float(np.dot(_W, fn(mid + half * _X)))
+
+
+def _ref_gj_panel(fn, lo, hi, exponent, right):
+    x, w = hyp._gj_rule(exponent)
+    half = 0.5 * (hi - lo)
+    s = hi - half * (x + 1.0) if right else lo + half * (x + 1.0)
+    return half ** (exponent + 1.0) * float(np.dot(w, fn(s)))
+
+
+def _ref_edges(lo, hi, breakpoints=(), panels_per_decade=6, min_panels=8):
+    if hi <= lo:
+        return np.array([lo, hi])
+    anchor = max(lo, hi * 1e-12)
+    if lo <= 0.0:
+        base = [0.0]
+    else:
+        base = []
+        anchor = lo
+    decades = math.log10(hi / anchor) if hi > anchor else 0.0
+    count = max(min_panels, int(math.ceil(decades * panels_per_decade))) + 1
+    base.extend(np.geomspace(anchor, hi, count))
+    cuts = [b for b in breakpoints if lo < b < hi]
+    edges = np.unique(np.concatenate([base, cuts, [lo, hi]]))
+    return edges[(edges >= lo) & (edges <= hi)]
+
+
+def _ref_integral(fn, lo, hi, breakpoints=()):
+    edges = _ref_edges(lo, hi, breakpoints)
+    return sum(_ref_gl_panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _ref_chi_point(afun, alpha, t, zeros):
+    e = alpha - 1.0
+    half = 0.5 * t
+    sliver = 1e-3 * half
+    head_hi = min([sliver] + [z for z in zeros if 0.0 < z < half])
+    left = _ref_gj_panel(lambda s: afun(s) * (t - s) ** e, 0.0, head_hi, e, False)
+    left += _ref_integral(lambda s: afun(s) * s ** e * (t - s) ** e,
+                          head_hi, half, zeros)
+    tail_lo = max([t - sliver] + [z for z in zeros if half < z < t])
+    right = _ref_gj_panel(lambda s: afun(s) * s ** e, tail_lo, t, e, True)
+    right += _ref_integral(lambda u: afun(t - u) * (t - u) ** e * u ** e,
+                           t - tail_lo, half,
+                           [t - z for z in zeros if half < z < tail_lo])
+    return t ** (1.0 - alpha) * (left + right)
+
+
+# --------------------------------------------------------------------------
+# chi: batched rules against the per-panel loop
+# --------------------------------------------------------------------------
+
+_CHI_TS = np.concatenate([np.geomspace(1e-4, 100.0, 10), [1.5, 3.0]])
+
+
+@pytest.fixture(scope="module")
+def zero_coeff():
+    return make_power_coefficient("0", 0.0, 4.0)
+
+
+@pytest.mark.parametrize("name, cuts_from", [
+    ("slow_decay_coeff", None),
+    ("origin_quadratic_coeff", None),
+    ("heavy_tail_coeff", None),
+    ("sign_change_coeff", None),
+    ("zero_coeff", None),
+    # a nonzero integrand on the zero coefficient's 512 thinned cuts, the
+    # densest panelization the module builds
+    ("heavy_tail_coeff", "zero_coeff"),
+])
+def test_batched_chi_matches_per_panel_loop(request, name, cuts_from):
+    coeff = request.getfixturevalue(name)
+    zs = hyp._breakpoints(request.getfixturevalue(cuts_from or name), 0.0, 100.0)
+    afun = lambda s: np.abs(coeff(s))
+    batched = hyp._chi_values(afun, ALPHA, _CHI_TS, zs)
+    ref = np.array([_ref_chi_point(afun, ALPHA, t, list(zs)) for t in _CHI_TS])
+    np.testing.assert_allclose(batched, ref, rtol=1e-13, atol=0.0)
+
+
+def test_thm3_gate_calls_the_coefficient_in_batches(heavy_tail_coeff, monkeypatch):
+    sizes = []
+    call = Coefficient.__call__
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return call(self, t)
+
+    monkeypatch.setattr(Coefficient, "__call__", counted)
+    hyp.thm3_constants(heavy_tail_coeff, ALPHA)
+    assert len(sizes) <= 1000
+    assert max(sizes) <= hyp._NODE_CAP
+
+
+# --------------------------------------------------------------------------
+# composite GL-24 is exact on polynomials of degree <= 47
+# --------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48),
+       width=st.floats(1e-3, 50.0),
+       offset=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_batched_integral_is_exact_on_polynomials(coeffs, width, offset, cuts):
+    # lo <= width keeps the rounding of the nodes, relative to the width,
+    # near one ulp, so the polynomial is evaluated to full precision
+    lo = offset * width
+    hi = lo + width
+    p = np.polynomial.Polynomial(coeffs, domain=[lo, hi], window=[0.0, 1.0])
+    exact = width * sum(c / (k + 1) for k, c in enumerate(coeffs))
+    scale = width * sum(abs(c) for c in coeffs)
+    got = hyp._integral(p, lo, hi, [lo + c * width for c in cuts])
+    assert abs(got - exact) <= 1e-12 * scale
+
+
+# --------------------------------------------------------------------------
+# the overridden mean-zero gate builds its profile once
+# --------------------------------------------------------------------------
+
+def test_overridden_lemma2_gate_builds_one_profile(monkeypatch):
+    calls = []
+    build = solver.lemma1_profile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "lemma1_profile", counted)
+    hot = make_power_coefficient("0.5 * (1 - t) * exp(-t)", 350.0, 6.0)
+    res = solve(SolveSpec("lemma2", ALPHA, 0.0, 0.0, hot,
+                          grid=make_graded_grid(n=256), max_iterations=3,
+                          attempt_anyway=True))
+    assert math.isnan(res.predicted_k)
+    assert len(calls) == 1
