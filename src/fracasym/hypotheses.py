@@ -234,11 +234,13 @@ def _breakpoints(a: Coefficient, lo: float, hi: float) -> np.ndarray:
 # sup over t > 0: log scan + golden-section polish
 # --------------------------------------------------------------------------
 
-def _golden_refine(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 40) -> np.ndarray:
+def _golden_refine(fn, lo: np.ndarray, hi: np.ndarray,
+                   iters: int = 40) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section maximum of a vectorized fn on each bracket [lo_i, hi_i].
 
-    The brackets step in lockstep: each step evaluates fn once, on one
-    new point per bracket.
+    Returns the maximum and the point that attains it, per bracket. The
+    brackets step in lockstep: each step evaluates fn once, on one new
+    point per bracket.
     """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -253,25 +255,28 @@ def _golden_refine(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 40) -> np.nd
         fx = fn(x)
         c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
                         np.where(left, fx, fd), np.where(left, fc, fx))
-    return np.maximum(fc, fd)
+    at_c = fc >= fd  # c < d, so a tie keeps the smaller point
+    return np.where(at_c, fc, fd), np.where(at_c, c, d)
 
 
 def _sup_scan(fn, lo: float, hi: float) -> tuple[float, float]:
-    """(sup, argmax) of a vectorized fn over [lo, hi] by log scan + refinement."""
+    """(sup, argmax) of a vectorized fn over [lo, hi] by log scan + refinement.
+
+    The argmax is the point where the reported sup was evaluated; exact
+    ties between scan points and refined brackets go to the smaller t.
+    """
     decades = math.log10(hi / lo)
     npts = max(16, int(math.ceil(decades * _SCAN_PER_DECADE))) + 1
     ts = np.geomspace(lo, hi, npts)
     vals = fn(ts)
-    best = float(vals.max())
-    arg = float(ts[int(vals.argmax())])
     order = np.argsort(vals)[::-1][:3]
-    refined = _golden_refine(fn, ts[np.maximum(order - 1, 0)],
-                             ts[np.minimum(order + 1, npts - 1)])
-    for i, value in zip(order, refined):
-        if value > best:
-            best = float(value)
-            arg = float(ts[i])
-    return best, arg
+    peaks, peak_at = _golden_refine(fn, ts[np.maximum(order - 1, 0)],
+                                    ts[np.minimum(order + 1, npts - 1)])
+    values = np.concatenate([vals, peaks])
+    points = np.concatenate([ts, peak_at])
+    best = float(values.max())
+    hit = values == best
+    return best, float(points[hit].min()) if hit.any() else math.nan
 
 
 # --------------------------------------------------------------------------

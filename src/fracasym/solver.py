@@ -29,6 +29,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -77,6 +78,12 @@ __all__ = [
 ]
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """values, made read-only: every step of a solve shares them."""
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class SolveSpec:
     """One fixed-point problem: case, scalars, coefficient, mesh, stopping."""
@@ -109,6 +116,30 @@ class SolveSpec:
             raise ValueError("stop tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+
+    # What a step reads of the coefficient does not change from one
+    # iterate to the next; each is sampled, and for thm3 convolved, once.
+    @cached_property
+    def a_nodes(self) -> np.ndarray:
+        """a(t_j) at the positive nodes j >= 1."""
+        return _frozen(self.coefficient(self.grid.nodes[1:]))
+
+    @cached_property
+    def a_origin(self) -> float:
+        """a(0), read only when the iterate's origin node holds a value."""
+        return float(self.coefficient(0.0))
+
+    @cached_property
+    def thm3_source(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """s a(s) at the nodes, its integral over the window and its
+        convolution with (t-s)^(alpha-1): the iterate-free part of step_thm3."""
+        grid = self.grid
+        sa = np.empty(grid.n + 1)
+        sa[0] = 0.0
+        sa[1:] = grid.nodes[1:] * self.a_nodes
+        sa_fun = GridFunction(grid, sa)
+        conv = _conv_values(sa_fun, self.alpha - 1.0)
+        return _frozen(sa), integrate(sa_fun, 0.0, grid.t_max), _frozen(conv)
 
     def echo(self) -> dict:
         return {
@@ -213,11 +244,10 @@ def _coefficient_times(spec: SolveSpec, x: GridFunction) -> GridFunction:
     whose quadrature weight is negligible on the graded mesh, so node 0
     carries the limit 0.
     """
-    t = x.grid.nodes
     gv = np.empty_like(x.values)
-    gv[1:] = spec.coefficient(t[1:]) * x.values[1:]
+    gv[1:] = spec.a_nodes * x.values[1:]
     if x.head_exponent == 0.0:
-        gv[0] = float(spec.coefficient(0.0)) * x.values[0]
+        gv[0] = spec.a_origin * x.values[0]
     else:
         gv[0] = 0.0
     return GridFunction(x.grid, gv, tail=_product_tail(spec, x))
@@ -314,20 +344,13 @@ def step_thm3(y: GridFunction, spec: SolveSpec) -> GridFunction:
     grid = y.grid
     t = grid.nodes
     ga = gamma(al)
-    a_at = spec.coefficient
-
-    sa = np.empty(grid.n + 1)
-    sa[0] = 0.0
-    sa[1:] = t[1:] * a_at(t[1:])
-    sa_fun = GridFunction(grid, sa)
-    moment1 = integrate(sa_fun, 0.0, grid.t_max)
-    conv_sa = _conv_values(sa_fun, al - 1.0)
+    sa, moment1, conv_sa = spec.thm3_source
 
     R = _inverse_square_sweep(y)
     w = np.empty(grid.n + 1)
     w[1:] = sa[1:] * R[1:]
     c_y = y.head_coefficient if y.head_exponent == al - 1.0 else 0.0
-    c_w = float(a_at(0.0)) * c_y / (2.0 - al)
+    c_w = spec.a_origin * c_y / (2.0 - al)
     w[0] = c_w
     w_fun = GridFunction(grid, w, head_exponent=al - 1.0 if c_w != 0.0 else 0.0)
     coupling_mass = integrate(w_fun, 0.0, grid.t_max)

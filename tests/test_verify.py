@@ -59,7 +59,10 @@ class TestResidual:
 
     def test_solved_bounded_case(self, solved_thm1, slow_decay_coeff):
         rep = residual(solved_thm1.solution, 1, slow_decay_coeff, ALPHA)
-        assert rep.sup_residual == pytest.approx(5.687871170688419e-7, rel=1e-5)
+        # the sup is a double numerical derivative of the solution: scaling
+        # the solution node-wise by 1 + 1e-14 N(0,1) moves it by up to 2.8e-4
+        # relative (8 draws), so a closer pin than 1e-3 pins rounding noise
+        assert rep.sup_residual == pytest.approx(5.687871170688419e-7, rel=1e-3)
         assert rep.sup_residual <= 5e-3
 
     def test_solved_singular_head_case(self, solved_thm2, origin_quadratic_coeff):
