@@ -236,6 +236,12 @@ def _product_tail(spec: SolveSpec, x: GridFunction) -> TailModel:
     return TailModel("power", env.amplitude * growth, q, lo)
 
 
+def _check_grid(x: GridFunction, spec: SolveSpec) -> None:
+    """The cached samples of spec belong to spec.grid: refuse other grids."""
+    if not x.grid.same_layout(spec.grid):
+        raise ValueError("iterate and problem live on different grids")
+
+
 def _coefficient_times(spec: SolveSpec, x: GridFunction) -> GridFunction:
     """The product a(t) * x(t) as a plain grid function.
 
@@ -244,6 +250,7 @@ def _coefficient_times(spec: SolveSpec, x: GridFunction) -> GridFunction:
     whose quadrature weight is negligible on the graded mesh, so node 0
     carries the limit 0.
     """
+    _check_grid(x, spec)
     gv = np.empty_like(x.values)
     gv[1:] = spec.a_nodes * x.values[1:]
     if x.head_exponent == 0.0:
@@ -340,6 +347,7 @@ def step_thm3(y: GridFunction, spec: SolveSpec) -> GridFunction:
     convolution of s a(s), and the inverse-square tail coupling entering
     once globally (through the head) and once under the convolution.
     """
+    _check_grid(y, spec)
     al = spec.alpha
     grid = y.grid
     t = grid.nodes

@@ -140,9 +140,7 @@ def test_batched_integral_is_exact_on_polynomials(coeffs, width, offset, cuts):
     exact = width * sum(c / (k + 1) for k, c in enumerate(coeffs))
     scale = width * sum(abs(c) for c in coeffs)
     got = hyp._integral(p, lo, hi, [lo + c * width for c in cuts])
-    # below the normal range (subnormal coefficients) rounding is absolute,
-    # a few multiples of the smallest subnormal per operation
-    assert abs(got - exact) <= 1e-12 * scale + np.finfo(float).tiny
+    assert abs(got - exact) <= 1e-12 * scale
 
 
 # --------------------------------------------------------------------------

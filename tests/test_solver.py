@@ -135,6 +135,22 @@ class TestTrivialSteps:
         zero_y = GridFunction(grid, np.zeros(grid.n + 1))
         assert np.allclose(step_lemma2(zero_y, cfun).values, -cvals, rtol=1e-15)
 
+    @pytest.mark.parametrize("step", [step_thm1, step_thm2, step_thm3])
+    @pytest.mark.parametrize("other", [
+        make_graded_grid(t_max=60.0, n=64),
+        make_graded_grid(t_max=50.0, n=64, grading=1.5),
+        make_graded_grid(t_max=50.0, n=128),
+    ], ids=["t_max", "grading", "n"])
+    def test_steps_refuse_an_iterate_off_the_problem_grid(self, step, other,
+                                                          slow_decay_coeff):
+        # the coefficient samples a step reads are cached on the spec's grid
+        case = step.__name__.removeprefix("step_")
+        spec = SolveSpec(case, ALPHA, 1.0, 1.0, slow_decay_coeff,
+                         grid=make_graded_grid(t_max=50.0, n=64))
+        x = GridFunction(other, np.ones(other.n + 1))
+        with pytest.raises(ValueError, match="different grids"):
+            step(x, spec)
+
     def test_solution_map_is_linear_in_the_scalars(self, slow_decay_coeff, solved_thm1):
         doubled = solve(SolveSpec("thm1", ALPHA, 2.0, 2.0, slow_decay_coeff))
         gap = np.max(np.abs(doubled.solution.values - 2.0 * solved_thm1.solution.values))
