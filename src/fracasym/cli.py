@@ -1,11 +1,11 @@
 """Command-line front end: check hypotheses, solve, verify, sweep.
 
 Configuration comes from an optional JSON file (--config) whose keys match
-the flag names; explicit flags win. All data files are deterministic:
-floats are written with repr (shortest round-trip, at most 17 significant
-digits), JSON keys are sorted, and nothing carries a timestamp. Run
-provenance lives in a separate run_meta.json sidecar so byte-identical
-reruns stay byte-identical.
+the flag names; explicit flags win. All data files are deterministic and
+encoded by meshfun.write_json and meshfun.write_csv: floats in repr
+(shortest round-trip), JSON keys sorted, non-finite numbers as strings,
+and nothing carries a timestamp. Run provenance lives in a separate
+run_meta.json sidecar so byte-identical reruns stay byte-identical.
 
 Exit codes: 0 success, 1 hypothesis failure, 2 input or config error,
 3 non-convergence, 4 verification failure.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffexpr import Coefficient, load_coefficient
 from .fracops import as_alpha
-from .meshfun import GradedGrid, GridFunction, make_graded_grid
+from .meshfun import GradedGrid, GridFunction, make_graded_grid, write_csv, write_json
 from .solver import CHAINS, SOLVE_CASES, SolveSpec, gate, solve
 from .verify import asymptotic_fit, boundary_limits, residual
 
@@ -61,6 +61,10 @@ class RunConfig:
     sweep_ratios: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.case is not None and self.case not in SOLVE_CASES:
             raise ValueError(f"case must be one of {SOLVE_CASES}, got {self.case!r}")
         as_alpha(self.alpha)
@@ -148,12 +152,6 @@ def _grid(cfg: RunConfig) -> GradedGrid:
     return make_graded_grid(cfg.tmax, cfg.nodes, cfg.grading)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_meta(cfg: RunConfig) -> None:
     meta = {
         "tool": "fracasym",
@@ -162,8 +160,7 @@ def _write_meta(cfg: RunConfig) -> None:
         "numpy": np.__version__,
         "python": sys.version.split()[0],
     }
-    meta["config"]["sweep"] = list(cfg.sweep)
-    _write_json(os.path.join(cfg.out, "run_meta.json"), meta)
+    write_json(os.path.join(cfg.out, "run_meta.json"), meta)
 
 
 def cmd_check(cfg: RunConfig, coeff: Coefficient) -> int:
@@ -177,7 +174,7 @@ def cmd_check(cfg: RunConfig, coeff: Coefficient) -> int:
             payload = {**CHAINS[name].payload(g), "passed": passed}
         except ValueError as e:
             payload, passed = {"error": str(e), "passed": False}, False
-        _write_json(os.path.join(cfg.out, f"check_{name}.json"), payload)
+        write_json(os.path.join(cfg.out, f"check_{name}.json"), payload)
         all_pass = all_pass and passed
     return EXIT_OK if all_pass else EXIT_HYPOTHESIS
 
@@ -202,13 +199,13 @@ def cmd_solve(cfg: RunConfig, coeff: Coefficient) -> int:
     try:
         result = solve(spec)
     except ValueError as e:
-        _write_json(
+        write_json(
             os.path.join(cfg.out, f"solve_{cfg.case}.json"),
             {"error": str(e), "converged": False},
         )
         print(f"hypothesis gate: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    _write_json(os.path.join(cfg.out, f"solve_{cfg.case}.json"), result.to_json_dict())
+    write_json(os.path.join(cfg.out, f"solve_{cfg.case}.json"), result)
     result.fixed_point.to_csv(os.path.join(cfg.out, f"fixed_point_{cfg.case}.csv"))
     if result.solution is not result.fixed_point:
         result.solution.to_csv(os.path.join(cfg.out, f"solution_{cfg.case}.csv"))
@@ -266,28 +263,26 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
     x = GridFunction(grid, v, head_exponent=head_e if v[0] != 0.0 else 0.0)
 
     res = residual(x, chain.operator, coeff, al)
-    _write_json(os.path.join(cfg.out, f"residual_{case}.json"), res.to_json_dict())
+    write_json(os.path.join(cfg.out, f"residual_{case}.json"), res)
     res.to_csv(os.path.join(cfg.out, f"residual_{case}.csv"))
 
     fit_case, a_true, b_true = chain.verify_as or (case, cfg.a, cfg.b)
     rep = asymptotic_fit(x, fit_case, al, a_true=a_true, b_true=b_true)
-    _write_json(os.path.join(cfg.out, f"asymptotic_{case}.json"), rep.to_json_dict())
+    write_json(os.path.join(cfg.out, f"asymptotic_{case}.json"), rep)
 
     bl = boundary_limits(x, case, al)
-    _write_json(os.path.join(cfg.out, f"boundary_{case}.json"), bl.to_json_dict())
+    write_json(os.path.join(cfg.out, f"boundary_{case}.json"), bl)
 
     fp_path = os.path.join(cfg.out, f"fixed_point_{case}.csv")
     if chain.certify is not None and os.path.exists(fp_path):
         y = GridFunction(grid, _read_artifact_csv(fp_path, grid))
-        _write_json(os.path.join(cfg.out, f"certificate_{case}.json"), chain.certify(y))
+        write_json(os.path.join(cfg.out, f"certificate_{case}.json"), chain.certify(y))
 
     t = grid.nodes[1:]
     head_vals = CHAINS[fit_case].head(t, al, a_true, b_true)
     weighted = t ** (1.0 - al) * np.abs(v[1:] - head_vals)
-    with open(os.path.join(cfg.out, f"verify_{case}.csv"), "w", newline="\n") as fh:
-        fh.write("t,x,head,weighted_remainder\n")
-        for row in zip(t, v[1:], head_vals, weighted):
-            fh.write(",".join(repr(float(u)) for u in row) + "\n")
+    write_csv(os.path.join(cfg.out, f"verify_{case}.csv"), "t,x,head,weighted_remainder",
+              [t, v[1:], head_vals, weighted])
 
     if res.sup_residual > cfg.residual_tolerance:
         print(

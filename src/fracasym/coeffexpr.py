@@ -437,8 +437,10 @@ def coefficient_from_json_dict(d: dict) -> Coefficient:
     env = d.get("envelope")
     if env is None:
         raise ValueError("coefficient JSON needs an 'envelope' object")
-    tail = TailModel(kind="power", amplitude=float(env["A"]), exponent=float(env["p"]),
-                     valid_from=float(env.get("valid_from", 0.0)))
+    A, p, valid_from = float(env["A"]), float(env["p"]), float(env.get("valid_from", 0.0))
+    if not all(map(math.isfinite, (A, p, valid_from))):
+        raise ValueError(f"envelope A, p and valid_from must be finite, got {env!r}")
+    tail = TailModel(kind="power", amplitude=A, exponent=p, valid_from=valid_from)
     ctx = d.get("alpha-context")
     if "expr" in d:
         return Coefficient.from_expression(d["expr"], tail, alpha_context=ctx)

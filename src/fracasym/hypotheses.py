@@ -34,9 +34,8 @@ as "inconclusive" rather than rounded to either side.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,9 +46,9 @@ from .fracops import Alpha, _assemble, _conv_power_kernel, as_alpha, conv_C
 from .meshfun import (
     GradedGrid,
     GridFunction,
+    JsonReport,
     TailModel,
     _right_cumtrapz,
-    json_scalars,
     make_graded_grid,
 )
 from .specialfn import gamma
@@ -291,16 +290,8 @@ def _classify(k: float) -> str:
     return "fail"
 
 
-class _JsonReport:
-    def to_json_dict(self) -> dict:
-        return json_scalars(asdict(self))
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
-
 @dataclass(frozen=True)
-class Thm1Report(_JsonReport):
+class Thm1Report(JsonReport):
     """Smallness data for the bounded-solution contraction with split time T."""
 
     alpha: float
@@ -315,7 +306,7 @@ class Thm1Report(_JsonReport):
 
 
 @dataclass(frozen=True)
-class Thm2Report(_JsonReport):
+class Thm2Report(JsonReport):
     """Smallness data for the contraction built on the s^(-1-alpha) weight."""
 
     alpha: float
@@ -329,7 +320,7 @@ class Thm2Report(_JsonReport):
 
 
 @dataclass(frozen=True)
-class Thm3Report(_JsonReport):
+class Thm3Report(JsonReport):
     """Smallness data for the linear-growth contraction: chi and k3."""
 
     alpha: float
@@ -348,7 +339,7 @@ class Thm3Report(_JsonReport):
 
 
 @dataclass(frozen=True)
-class Lemma2Report(_JsonReport):
+class Lemma2Report(JsonReport):
     """Contraction constants read off a Lemma-1 style integrability profile."""
 
     k1: float
@@ -361,7 +352,7 @@ class Lemma2Report(_JsonReport):
 
 
 @dataclass(frozen=True)
-class Lemma1Profile:
+class Lemma1Profile(JsonReport):
     """Integrability profile of a mean-zero coefficient on a graded grid.
 
     Grid functions: B (weighted running sup of |a|), C (power-kernel
@@ -400,14 +391,8 @@ class Lemma1Profile:
 
     def to_json_dict(self) -> dict:
         """Every scalar field plus the grid layout; grid functions stay out."""
-        scalars = {f.name: getattr(self, f.name) for f in fields(self)
-                   if not isinstance(getattr(self, f.name), (GradedGrid, GridFunction))}
-        grid = self.grid
-        scalars.update(t_max=grid.t_max, n=grid.n, grading=grid.grading)
-        return json_scalars(scalars)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+        g = self.grid
+        return {**super().to_json_dict(), "t_max": g.t_max, "n": g.n, "grading": g.grading}
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,9 @@ linearly across the origin.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,18 +36,57 @@ __all__ = [
     "make_graded_grid",
     "metric_distance",
     "integrate",
+    "json_ready",
+    "write_json",
+    "write_csv",
+    "JsonReport",
 ]
 
 
-def json_number(v: float):
-    """v itself when finite, else its repr ("inf", "-inf", "nan"): strict
-    JSON has no non-finite numbers, so every artifact writes them as strings."""
-    return v if math.isfinite(v) else repr(float(v))
+def json_ready(v):
+    """v as plain JSON data, the one encoding every artifact uses.
+
+    A dataclass becomes the dict of its fields, leaving out arrays, grids
+    and grid functions (those are written as CSV); dicts, lists and
+    tuples are walked, tuples becoming lists; a non-finite float becomes
+    its repr ("inf", "-inf", "nan"), since strict JSON has no such numbers.
+    """
+    if is_dataclass(v) and not isinstance(v, type):
+        items = ((f.name, getattr(v, f.name)) for f in fields(v))
+        return {k: json_ready(x) for k, x in items
+                if not isinstance(x, (np.ndarray, GradedGrid, GridFunction))}
+    if isinstance(v, dict):
+        return {k: json_ready(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [json_ready(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(float(v))
+    return v
 
 
-def json_scalars(d: dict) -> dict:
-    """d with every float value passed through json_number."""
-    return {k: json_number(v) if isinstance(v, float) else v for k, v in d.items()}
+def write_json(path: str, v) -> None:
+    """json_ready(v) with sorted keys, indent 2 and a trailing newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(json_ready(v), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path: str, header: str, columns: Sequence[np.ndarray]) -> None:
+    """A header line, then one row per index with every value as repr(float)."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+class JsonReport:
+    """to_json_dict and to_json of a dataclass report, through json_ready."""
+
+    def to_json_dict(self) -> dict:
+        return json_ready(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _right_cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -285,10 +325,7 @@ class GridFunction:
 
     def to_csv(self, path: str) -> None:
         """Two columns t,value; the first row carries the head coefficient."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(self.grid.nodes, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
+        write_csv(path, "t,value", [self.grid.nodes, self.values])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ divergent envelope.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -47,12 +46,11 @@ from .hypotheses import (
 from .meshfun import (
     GradedGrid,
     GridFunction,
+    JsonReport,
     TailModel,
     WeightedMetric,
     _right_cumtrapz,
     integrate,
-    json_number,
-    json_scalars,
     make_graded_grid,
     metric_distance,
 )
@@ -159,13 +157,14 @@ class SolveSpec:
 
 
 @dataclass(frozen=True)
-class SolveResult:
+class SolveResult(JsonReport):
     """Fixed point plus the iteration trace that certifies how it was won.
 
     fixed_point is the iterated object (x for thm1/thm2, y for thm3 and
     lemma2); solution is the reconstructed x (identical to fixed_point
     for thm1/thm2). observed_ratio is the largest successive distance
-    quotient from iteration 3 on, the empirical contraction factor.
+    quotient from iteration 3 on, the empirical contraction factor. spec
+    is SolveSpec.echo() of the problem solved.
     """
 
     case: str
@@ -179,26 +178,8 @@ class SolveResult:
     converged: bool
     ratio_exceeded: bool
     tail_budget: float
-    spec_echo: dict
+    spec: dict
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "spec": self.spec_echo,
-            "iterations": self.iterations,
-            "distances": [json_number(d) for d in self.distances],
-            "observed_ratio": json_number(self.observed_ratio),
-            "predicted_k": json_number(self.predicted_k),
-            "hypotheses_pass": self.hypotheses_pass,
-            "converged": self.converged,
-            "ratio_exceeded": self.ratio_exceeded,
-            "tail_budget": json_number(self.tail_budget),
-            "diagnostics": json_scalars(self.diagnostics),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------------------
@@ -727,6 +708,6 @@ def solve(spec: SolveSpec) -> SolveResult:
         converged=converged,
         ratio_exceeded=ratio_exceeded,
         tail_budget=chain.budget(spec, current, g),
-        spec_echo=spec.echo(),
+        spec=spec.echo(),
         diagnostics=diagnostics,
     )

@@ -11,14 +11,13 @@ separation is cleanest.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fracops import apply_operator, as_alpha, rl_derivative, trusted_slice
-from .meshfun import GridFunction, json_number
+from .meshfun import GridFunction, JsonReport, write_csv
 from .solver import CHAINS, prop1_certify
 
 __all__ = [
@@ -32,15 +31,8 @@ __all__ = [
 ]
 
 
-def _csv_write(path: str, header: str, columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(JsonReport):
     """Sup and per-node values of the defect of the equation itself."""
 
     case: int
@@ -50,23 +42,12 @@ class ResidualReport:
     t: np.ndarray
     values: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "alpha": self.alpha,
-            "sup_residual": json_number(self.sup_residual),
-            "window": list(self.window),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     def to_csv(self, path: str) -> None:
-        _csv_write(path, "t,residual", [self.t, self.values])
+        write_csv(path, "t,residual", [self.t, self.values])
 
 
 @dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(JsonReport):
     """Fitted head coefficients and the weighted remainder they leave."""
 
     case: str
@@ -79,26 +60,12 @@ class AsymptoticReport:
     t: np.ndarray
     weighted_remainder: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "alpha": self.alpha,
-            "a_hat": json_number(self.a_hat),
-            "b_hat": json_number(self.b_hat),
-            "weighted_remainder_sup": json_number(self.weighted_remainder_sup),
-            "bounded": self.bounded,
-            "window": list(self.window),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     def to_csv(self, path: str) -> None:
-        _csv_write(path, "t,weighted_remainder", [self.t, self.weighted_remainder])
+        write_csv(path, "t,weighted_remainder", [self.t, self.weighted_remainder])
 
 
 @dataclass(frozen=True)
-class BoundaryLimits:
+class BoundaryLimits(JsonReport):
     """The two ends of the solution: weighted value at 0, derivative at the horizon.
 
     origin_limit extrapolates t^(1-alpha) x(t) to t = 0 from the three
@@ -111,14 +78,6 @@ class BoundaryLimits:
     origin_converged: bool
     derivative_at_horizon: float
     horizon_node: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "origin_limit": json_number(self.origin_limit),
-            "origin_converged": self.origin_converged,
-            "derivative_at_horizon": json_number(self.derivative_at_horizon),
-            "horizon_node": self.horizon_node,
-        }
 
 
 def _window_slice(grid, lo: float, hi: float) -> slice:
