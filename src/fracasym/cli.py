@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .coeffexpr import Coefficient, load_coefficient
-from .fracops import as_alpha
+from .fracops import as_alpha, peeled_integral
 from .meshfun import GradedGrid, GridFunction, make_graded_grid, write_csv, write_json
 from .solver import CHAINS, SOLVE_CASES, SolveSpec, gate, solve
 from .verify import asymptotic_fit, boundary_limits, residual
@@ -262,7 +262,9 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
     head_e = chain.stored_head(al)
     x = GridFunction(grid, v, head_exponent=head_e if v[0] != 0.0 else 0.0)
 
-    res = residual(x, chain.operator, coeff, al)
+    # the residual and the boundary derivative share one I^(1-alpha) x
+    inner = peeled_integral(x, 1.0 - al)
+    res = residual(x, chain.operator, coeff, al, inner=inner)
     write_json(os.path.join(cfg.out, f"residual_{case}.json"), res)
     res.to_csv(os.path.join(cfg.out, f"residual_{case}.csv"))
 
@@ -270,7 +272,7 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
     rep = asymptotic_fit(x, fit_case, al, a_true=a_true, b_true=b_true)
     write_json(os.path.join(cfg.out, f"asymptotic_{case}.json"), rep)
 
-    bl = boundary_limits(x, case, al)
+    bl = boundary_limits(x, case, al, inner=inner)
     write_json(os.path.join(cfg.out, f"boundary_{case}.json"), bl)
 
     fp_path = os.path.join(cfg.out, f"fixed_point_{case}.csv")

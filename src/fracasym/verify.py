@@ -87,15 +87,17 @@ def _window_slice(grid, lo: float, hi: float) -> slice:
     return slice(max(i0, 1), i1)
 
 
-def residual(x: GridFunction, case: int, a, alpha) -> ResidualReport:
+def residual(x: GridFunction, case: int, a, alpha, inner=None) -> ResidualReport:
     """Defect of the composite-operator equation at the trusted nodes.
 
     a is the coefficient (any callable of t). Node values past index 0
     are actual function values regardless of the head representation, so
     the window, which starts at 0.1, never touches the coefficient slot.
+    inner, if given, is peeled_integral(x, 1 - alpha), shared with
+    boundary_limits.
     """
     al = as_alpha(alpha)
-    op = apply_operator(case, x, al)
+    op = apply_operator(case, x, al, inner=inner)
     grid = x.grid
     lo, hi = 0.1, 0.98 * grid.t_max
     sl = _window_slice(grid, lo, hi)
@@ -174,9 +176,9 @@ def asymptotic_fit(
     )
 
 
-def boundary_limits(x: GridFunction, case: str, alpha) -> BoundaryLimits:
+def boundary_limits(x: GridFunction, case: str, alpha, inner=None) -> BoundaryLimits:
     """Extrapolated weighted origin value and the fractional derivative at
-    the far end of the trusted range."""
+    the far end of the trusted range; inner as in residual."""
     al = as_alpha(alpha)
     t = x.grid.nodes
     w = t[1:4] ** (1.0 - al) * x.values[1:4]
@@ -193,7 +195,7 @@ def boundary_limits(x: GridFunction, case: str, alpha) -> BoundaryLimits:
     scale = max(abs(quad), abs(lin), 1e-12)
     converged = abs(quad - lin) <= 1e-3 * scale or abs(quad - lin) <= 1e-9
 
-    d = rl_derivative(x, al)
+    d = rl_derivative(x, al, inner=inner)
     sl = trusted_slice(x.grid)
     j_last = sl.stop - 1
     return BoundaryLimits(
