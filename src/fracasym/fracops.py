@@ -145,12 +145,8 @@ def _powers(z: np.ndarray, k: int) -> np.ndarray:
     """(k, len(z)) table of z**q, q = 0..k-1, by running products."""
     p = np.empty((k, z.size))
     p[0] = 1.0
-    if z.size < 256:
-        p[1:] = z
-        np.cumprod(p, axis=0, out=p)
-    else:  # row by row is faster than cumprod down long columns
-        for q in range(1, k):
-            np.multiply(p[q - 1], z, out=p[q])
+    for q in range(1, k):
+        np.multiply(p[q - 1], z, out=p[q])
     return p
 
 
@@ -401,15 +397,13 @@ def _prodint_linear(
     f: np.ndarray,
     beta: float,
     kernel_origin: float = 1.0,
-    grading: float | None = None,
 ) -> np.ndarray:
     """out[n] = integral over [t_0, t_n] of (kernel_origin*t_n - s)^beta f_h(s) ds.
 
     f_h is the piecewise-linear interpolant of f on the nodes t (t_0 = 0 on
     every grid here). kernel_origin >= 1; above 1 the kernel singularity
-    lies outside the domain (kernels like (2t - s)^beta). grading is
-    accepted and not used: the tree reads its geometry from t, so every
-    mesh and both origins take one path.
+    lies outside the domain (kernels like (2t - s)^beta). The tree reads
+    its geometry from t, so every mesh and both origins take one path.
 
     Treecode (see the module docstring): the near field (_near_field) is
     exact; the far field (_far_field) is a binomial expansion about box

@@ -95,7 +95,7 @@ def test_exact_on_linear_integrands(grading, beta, origin, c0, c1, n, t_max):
     # lies below the smallest positive float, and one unit of rounding fails it
     g = make_graded_grid(t_max, n, grading)
     t = g.nodes
-    got = _prodint_linear(t, c0 + c1 * t, beta, kernel_origin=origin, grading=grading)
+    got = _prodint_linear(t, c0 + c1 * t, beta, kernel_origin=origin)
     want = _linear_closed_form(t, c0, c1, beta, origin)
     scale = float(np.max(_linear_closed_form(t, abs(c0), abs(c1), beta, origin)))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -173,7 +173,7 @@ def test_power_rows_are_as_accurate_as_the_moment_loop(grading, origin):
         for beta in (ALPHA - 1.0, ALPHA):
             exact = _extended(t, f, beta, origin)
             scale = float(np.max(np.abs(exact)))
-            err_new = np.max(np.abs(_prodint_linear(t, f, beta, origin, grading) - exact))
+            err_new = np.max(np.abs(_prodint_linear(t, f, beta, origin) - exact))
             err_old = np.max(np.abs(_moment_loop(t, f, beta, origin) - exact))
             assert err_new <= 2.0 * err_old + 1e-14 * scale
 
