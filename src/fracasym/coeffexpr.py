@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .meshfun import GradedGrid, TailModel
 
@@ -273,6 +272,10 @@ def eval_expr(node: Expr, t: np.ndarray) -> np.ndarray:
         return np.power(a, b)
 
 
+# probe points of the sign-change search in Coefficient.zeros
+_ZERO_PROBES = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class Coefficient:
     """Evaluatable coefficient with a decay envelope.
@@ -342,29 +345,41 @@ class Coefficient:
             out = np.interp(tt, self.samples[:, 0], self.samples[:, 1])
         return float(out[0]) if scalar else out
 
-    def zeros(self, lo: float, hi: float, probes: int = 4096) -> list[float]:
-        """Sign changes of a on [lo, hi], refined by bisection."""
+    def zeros(self, lo: float, hi: float) -> list[float]:
+        """Sign changes of a on [lo, hi], in increasing order.
+
+        a is probed at _ZERO_PROBES points: geometric from max(lo, 1e-9)
+        for an expression, linear plus the sample times for a table,
+        always with lo and hi. A probe where a is exactly 0 is a zero. Every
+        probe interval whose ends differ in sign is bisected, all of them
+        together with one coefficient call per step, until each bracket
+        [l, r] is narrower than 1e-14 + 1e-15 * min(|l|, |r|); its midpoint
+        is then within half that of the root. Zeros closer than 1e-12
+        relative are merged.
+        """
         if self.samples is not None:
             ts = self.samples[:, 0]
-            grid = np.unique(np.clip(np.concatenate([ts, np.linspace(lo, hi, probes)]),
-                                     lo, hi))
+            grid = np.unique(np.clip(
+                np.concatenate([ts, np.linspace(lo, hi, _ZERO_PROBES)]), lo, hi))
         else:
-            interior = np.geomspace(max(lo, 1e-9), hi, probes) if hi > 0 else []
+            interior = np.geomspace(max(lo, 1e-9), hi, _ZERO_PROBES) if hi > 0 else []
             grid = np.unique(np.concatenate([[lo], interior, [hi]]))
-        vals = self(grid)
-        out: list[float] = []
-        sign = np.sign(vals)
-        for i in range(len(grid) - 1):
-            if sign[i] == 0.0:
-                out.append(float(grid[i]))
-            elif sign[i] * sign[i + 1] < 0:
-                out.append(float(brentq(lambda s: float(self(s)), grid[i], grid[i + 1],
-                                        xtol=1e-14, rtol=1e-15)))
-        if sign[-1] == 0.0:
-            out.append(float(grid[-1]))
+        sign = np.sign(self(grid))
+        at = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        left, right, left_sign = grid[at], grid[at + 1], sign[at]
+        while True:
+            wide = np.flatnonzero(right - left > 1e-14 + 1e-15 * np.minimum(
+                np.abs(left), np.abs(right)))
+            if wide.size == 0:
+                break
+            mid = 0.5 * (left[wide] + right[wide])
+            up = np.sign(self(mid)) == left_sign[wide]  # root right of mid
+            left[wide] = np.where(up, mid, left[wide])
+            right[wide] = np.where(up, right[wide], mid)
+        out = np.sort(np.concatenate([grid[sign == 0.0], 0.5 * (left + right)]))
         # collapse duplicates from probe points landing on a zero
         dedup: list[float] = []
-        for z in out:
+        for z in out.tolist():
             if not dedup or abs(z - dedup[-1]) > 1e-12 * max(1.0, abs(z)):
                 dedup.append(z)
         return dedup

@@ -8,7 +8,11 @@ depend on the mesh, so the frozen sweep values match the full-size runs.
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,18 @@ def _write_coeff(path, expr, amplitude, exponent, valid_from=1.0):
     }
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    import fracasym
+
+    src = str(Path(fracasym.__file__).resolve().parents[1])
+    probe = ("import sys, fracasym.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src},
+                         timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,38 @@ def test_zeros_finds_sign_changes():
     )
     zs = s.zeros(0.5, 7.0)
     assert [pytest.approx(z, abs=1e-10) for z in (math.pi, 2 * math.pi)] == zs
+
+    def within_tolerance(found, exact):
+        assert len(found) == len(exact)
+        for z, ref in zip(found, exact):
+            assert abs(z - ref) <= 1e-14 + 1e-15 * abs(ref), (z, ref)
+
+    # nine brackets refined together
+    within_tolerance(s.zeros(0.5, 30.0), [k * math.pi for k in range(1, 10)])
+
+    # a table whose root, 1.3, lies between its samples and between probes
+    table = Coefficient.from_samples([[0.0, 1.0], [1.0, 0.3], [2.0, -0.7], [3.0, -1.0]], ENV)
+    within_tolerance(table.zeros(0.0, 3.0), [1.3])
+
+    # probes of a table on [0, 2047.5] are the multiples of 0.5, so one lands
+    # on the zero of a(t) = t - 1; it is reported once
+    line = Coefficient.from_samples([[0.0, -1.0], [2047.5, 2046.5]], ENV)
+    assert line.zeros(0.0, 2047.5) == [1.0]
+
+    # a zero at hi
+    assert Coefficient.from_expression("t - 2", ENV).zeros(0.0, 2.0) == [2.0]
+
+
+@pytest.mark.parametrize("name, count", [
+    ("heavy_tail", 0), ("origin_quadratic", 1), ("sign_change", 1), ("slow_decay", 0)])
+def test_zeros_counts_on_the_benchmark_coefficients(name, count):
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+    assert len(load_coefficient(str(inputs / f"{name}.json")).zeros(0.0, 100.0)) == count
+
+
+def test_zeros_of_the_zero_coefficient_are_every_probe():
+    # lo and the 4096 geometric probes
+    assert len(Coefficient.from_expression("0", ENV).zeros(0.0, 100.0)) == 4097
 
 
 def test_envelope_check_passes_and_fails():

@@ -9,6 +9,7 @@ over a dense grid with local refinement.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +18,7 @@ from scipy.special import gamma as sp_gamma
 
 from fracasym.coeffexpr import Coefficient
 from fracasym.hypotheses import (
+    _gj_rule,
     Lemma1Profile,
     f_l1_divergence,
     lemma1_profile,
@@ -69,6 +71,50 @@ def zero_coeff():
 @pytest.fixture(scope="module")
 def mean_zero_profile(mean_zero_coeff):
     return lemma1_profile(mean_zero_coeff, AL)
+
+
+# --------------------------------------------------------------------------
+# Gauss-Jacobi rule
+# --------------------------------------------------------------------------
+
+def gj_reference(e, n=24):
+    """Golub-Welsch at 40 digits for the weight (1+x)^e on [-1, 1].
+
+    Nodes are the eigenvalues of the Jacobi matrix. The eigenvector at a
+    node x is (p_0(x), ..., p_(n-1)(x)), the orthonormal polynomials of
+    the matrix's own recurrence, so the weight mu_0 v_0^2 of the normalized
+    eigenvector is mu_0 / sum_k p_k(x)^2.
+    """
+    with mpmath.workdps(40):
+        e = mpmath.mpf(e)
+        c = [2 * k + e for k in range(n)]
+        diag = [e / (e + 2)] + [e * e / (c[k] * (c[k] + 2)) for k in range(1, n)]
+        off = [2 * k * (k + e) / (c[k] * mpmath.sqrt(c[k] ** 2 - 1)) for k in range(1, n)]
+        jac = mpmath.matrix(n)
+        for k in range(n):
+            jac[k, k] = diag[k]
+            if k:
+                jac[k, k - 1] = jac[k - 1, k] = off[k - 1]
+        nodes = sorted(mpmath.eigsy(jac, eigvals_only=True))
+        mu0 = 2 ** (e + 1) / (e + 1)
+        weights = []
+        for x in nodes:
+            p_prev, p, norm = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+            for k in range(n - 1):
+                p_prev, p = p, ((x - diag[k]) * p - (off[k - 1] * p_prev if k else 0)) / off[k]
+                norm += p * p
+            weights.append(mu0 / norm)
+        return (np.array([float(x) for x in nodes]),
+                np.array([float(w) for w in weights]))
+
+
+@pytest.mark.parametrize("e", [-0.99, -0.9, -0.5, 0.0, 0.5, 1.5])
+def test_gauss_jacobi_rule_matches_golub_welsch_at_40_digits(e):
+    x, w = _gj_rule(e)
+    x_ref, w_ref = gj_reference(e)
+    # 4 ulp on the scale of [-1, 1]
+    np.testing.assert_array_less(np.abs(x - x_ref), 4 * np.spacing(np.abs(x_ref).max()))
+    np.testing.assert_array_less(np.abs(w - w_ref), 1e-12 * w_ref)
 
 
 # --------------------------------------------------------------------------
