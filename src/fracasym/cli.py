@@ -7,8 +7,9 @@ encoded by meshfun.write_json and meshfun.write_csv: floats in repr
 and nothing carries a timestamp. Run provenance lives in a separate
 run_meta.json sidecar so byte-identical reruns stay byte-identical.
 
-Exit codes: 0 success, 1 hypothesis failure, 2 input or config error,
-3 non-convergence, 4 verification failure.
+Exit codes: 0 success, 1 hypothesis failure, 2 input or config error
+(a coefficient above its declared envelope included), 3 non-convergence,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .coeffexpr import Coefficient, load_coefficient
+from .coeffexpr import Coefficient, check_envelope, load_coefficient
 from .fracops import as_alpha, peeled_integral
 from .meshfun import GradedGrid, GridFunction, make_graded_grid, write_csv, write_json
 from .solver import CHAINS, SOLVE_CASES, SolveSpec, gate, solve
@@ -379,6 +380,12 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.coeff is None:
             raise ValueError("a coefficient file is required (--coeff PATH)")
         coeff = load_coefficient(cfg.coeff)
+        ok, excess = check_envelope(coeff, _grid(cfg))
+        if not ok:
+            raise ValueError(
+                f"|a(t)| exceeds its declared envelope A t^-p by up to {excess!r} "
+                "at the grid nodes past valid_from"
+            )
         os.makedirs(cfg.out, exist_ok=True)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

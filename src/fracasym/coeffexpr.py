@@ -350,12 +350,14 @@ class Coefficient:
 
         a is probed at _ZERO_PROBES points: geometric from max(lo, 1e-9)
         for an expression, linear plus the sample times for a table,
-        always with lo and hi. A probe where a is exactly 0 is a zero. Every
-        probe interval whose ends differ in sign is bisected, all of them
-        together with one coefficient call per step, until each bracket
-        [l, r] is narrower than 1e-14 + 1e-15 * min(|l|, |r|); its midpoint
-        is then within half that of the root. Zeros closer than 1e-12
-        relative are merged.
+        always with lo and hi. A run of consecutive probes where a is
+        exactly 0 gives a zero at each of its ends (one for a run of one
+        probe); a run over every probe gives none, since a never changes
+        sign. Every probe interval whose ends differ in sign is bisected,
+        all of them together with one coefficient call per step, until
+        each bracket [l, r] is narrower than 1e-14 + 1e-15 * min(|l|, |r|);
+        its midpoint is then within half that of the root. Zeros closer
+        than 1e-12 relative are merged.
         """
         if self.samples is not None:
             ts = self.samples[:, 0]
@@ -365,6 +367,10 @@ class Coefficient:
             interior = np.geomspace(max(lo, 1e-9), hi, _ZERO_PROBES) if hi > 0 else []
             grid = np.unique(np.concatenate([[lo], interior, [hi]]))
         sign = np.sign(self(grid))
+        zero = sign == 0.0
+        inside = np.zeros_like(zero)
+        inside[1:-1] = zero[:-2] & zero[2:]
+        run_ends = zero & ~inside & ~zero.all()
         at = np.flatnonzero(sign[:-1] * sign[1:] < 0)
         left, right, left_sign = grid[at], grid[at + 1], sign[at]
         while True:
@@ -376,7 +382,7 @@ class Coefficient:
             up = np.sign(self(mid)) == left_sign[wide]  # root right of mid
             left[wide] = np.where(up, mid, left[wide])
             right[wide] = np.where(up, right[wide], mid)
-        out = np.sort(np.concatenate([grid[sign == 0.0], 0.5 * (left + right)]))
+        out = np.sort(np.concatenate([grid[run_ends], 0.5 * (left + right)]))
         # collapse duplicates from probe points landing on a zero
         dedup: list[float] = []
         for z in out.tolist():

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffexpr import Coefficient
-from .meshfun import GradedGrid, GridFunction, TailModel, ZERO_TAIL
+from .meshfun import GradedGrid, GridFunction
 from .specialfn import beta as beta_fn
 from .specialfn import gamma
 
@@ -466,13 +466,8 @@ def _conv_power_kernel(
     return quad, e_out, coef
 
 
-def _assemble(
-    grid: GradedGrid,
-    reg_values: np.ndarray,
-    e_out: float,
-    c_out: float,
-    tail: TailModel = ZERO_TAIL,
-) -> GridFunction:
+def _assemble(grid: GradedGrid, reg_values: np.ndarray, e_out: float,
+              c_out: float) -> GridFunction:
     """Headed grid function from a regular part and an analytic head."""
     vals = reg_values.copy()
     if c_out != 0.0:
@@ -481,10 +476,10 @@ def _assemble(
         else:
             vals[1:] += c_out * grid.nodes[1:] ** e_out
             vals[0] = c_out  # node 0 stores the coefficient, remainder -> 0
-            return GridFunction(grid, vals, tail=tail, head_exponent=e_out)
+            return GridFunction(grid, vals, head_exponent=e_out)
     if e_out != 0.0 and c_out == 0.0:
         e_out = 0.0
-    return GridFunction(grid, vals, tail=tail, head_exponent=e_out)
+    return GridFunction(grid, vals, head_exponent=e_out)
 
 
 def peeled_integral(f: GridFunction, order: "Alpha | float") -> tuple[np.ndarray, float, float]:

@@ -25,8 +25,9 @@ nodes; larger chunks run faster but hold more memory at the peak.
 
 Integrals over [horizon, infinity) are never chased numerically: they are
 closed under the coefficient's declared power envelope A*t^(-p).  A missing
-or violated envelope is therefore a hard error, not a warning, because the
-reported constants would silently drop their tails otherwise.
+envelope is therefore a hard error here, and the command line refuses a
+coefficient that exceeds its envelope at the grid nodes (exit 2), because
+the reported constants would silently drop their tails otherwise.
 
 Suprema over t > 0 run a 128-points-per-decade logarithmic scan followed by
 golden-section refinement around the three leading candidates, which step
@@ -264,12 +265,7 @@ def _breakpoints(a: Coefficient, lo: float, hi: float) -> np.ndarray:
     cuts = set(a.zeros(lo, hi))
     if getattr(a, "samples", None) is not None:
         cuts.update(float(s) for s in a.samples[:, 0] if lo < s < hi)
-    out = sorted(cuts)
-    if len(out) > 512:
-        # degenerate root sets (identically-zero stretches) would flood the
-        # panelization; thin them, the quadrature only needs a cut density
-        out = out[:: (len(out) + 511) // 512]
-    return np.array(out, dtype=float)
+    return np.array(sorted(cuts), dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -680,14 +676,11 @@ def lemma1_profile(a: Coefficient, alpha: Alpha | float,
     run_sup = _running_max_from_right(avals, a_sup_beyond)
     b_vals = t ** al * run_sup
     b_vals[0] = run_sup[0]  # head coefficient: B ~ ||a||_inf * t^alpha at 0
-    B = GridFunction(grid, b_vals,
-                     TailModel("power", A, p - al, max(1.0, env.valid_from)),
-                     head_exponent=al)
+    B = GridFunction(grid, b_vals, head_exponent=al)
     b_tail_sup = A * t_max ** (al - p)
     b_point = B.pointwise_values()
     bstar_vals = _running_max_from_right(b_point, b_tail_sup)
-    B_star = GridFunction(grid, bstar_vals,
-                          TailModel("power", A, p - al, t_max))
+    B_star = GridFunction(grid, bstar_vals)
 
     # C via the product-integration convolution, plus the envelope tail bound
     C = conv_C(a, al, grid=grid, rescaled=False)
@@ -702,9 +695,7 @@ def lemma1_profile(a: Coefficient, alpha: Alpha | float,
     c_point = np.abs(C.pointwise_values())
     c_tail_sup = K * t_max ** (-q) if math.isfinite(K) else 0.0
     cstar_vals = _running_max_from_right(c_point, c_tail_sup)
-    C_star = GridFunction(grid, cstar_vals,
-                          TailModel("power", K if math.isfinite(K) else 0.0,
-                                    q, t_max))
+    C_star = GridFunction(grid, cstar_vals)
 
     # D: same convolution against the doubled-argument kernel
     fa = GridFunction.from_callable(grid, lambda s: np.asarray(a(s), dtype=float))

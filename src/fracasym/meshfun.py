@@ -1,9 +1,9 @@
-"""Graded meshes and grid functions with power-law heads and tails.
+"""Graded meshes and grid functions with power-law heads.
 
 The functions this package manipulates live on [0, infinity) and are
-singular or cusped at the origin (powers t^e with e in (-1, 1)) while
-decaying or growing like powers at infinity. A GridFunction therefore
-carries three pieces:
+singular or cusped at the origin (powers t^e with e in (-1, 1)). A
+GridFunction is sampled on the truncation window [0, t_max] and carries
+two pieces:
 
 * node values on a graded mesh t_j = t_max * (j/n)^grading, which
   clusters nodes near the origin where the kernels are singular;
@@ -11,8 +11,9 @@ carries three pieces:
   with r(0) = 0. values[0] stores the head coefficient, i.e. the limit
   of t^(-head_exponent) * f(t) at the origin. head_exponent = 0 is the
   ordinary continuous case where values[0] is just f(0).
-* a TailModel describing behaviour past t_max: nothing ("zero") or an
-  envelope |f(t)| <= amplitude * t^(-exponent) valid from valid_from.
+
+Past t_max only the coefficient's decay envelope (a TailModel) is
+modelled, and only the gate and the solver's tail budgets read it.
 
 Quadrature and metric code treats the head in closed form and the node
 values by trapezoid panels, so singular factors are never interpolated
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -168,16 +169,12 @@ class TailModel:
         return self.amplitude * lo ** (1.0 - self.exponent) / (self.exponent - 1.0)
 
 
-ZERO_TAIL = TailModel()
-
-
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Sampled function with a power head at 0 and a tail model past t_max."""
+    """Sampled function on [0, t_max] with a power head at 0."""
 
     grid: GradedGrid
     values: np.ndarray
-    tail: TailModel = ZERO_TAIL
     head_exponent: float = 0.0
 
     def __post_init__(self) -> None:
@@ -198,7 +195,6 @@ class GridFunction:
     def from_callable(
         grid: GradedGrid,
         fn: Callable[[np.ndarray], np.ndarray],
-        tail: TailModel = ZERO_TAIL,
         head_exponent: float = 0.0,
         head_coefficient: float | None = None,
     ) -> "GridFunction":
@@ -217,7 +213,7 @@ class GridFunction:
         elif head_coefficient is None:
             raise ValueError("a nonzero head exponent needs an explicit coefficient")
         vals[0] = head_coefficient
-        return GridFunction(grid, vals, tail=tail, head_exponent=head_exponent)
+        return GridFunction(grid, vals, head_exponent=head_exponent)
 
     # -- head/remainder split ---------------------------------------------
 
@@ -255,7 +251,7 @@ class GridFunction:
             f"head t^{self.head_exponent!r} has no finite value at the origin"
         )
 
-    # -- arithmetic (same grid and head exponent; tails are dropped) -------
+    # -- arithmetic (same grid and head exponent) ---------------------------
 
     def _check_compatible(self, other: "GridFunction") -> None:
         if not self.grid.same_layout(other.grid):
@@ -279,49 +275,9 @@ class GridFunction:
         )
 
     def scaled(self, s: float) -> "GridFunction":
-        tail = self.tail
-        if tail.kind == "power":
-            tail = replace(tail, amplitude=tail.amplitude * abs(s))
-        return GridFunction(
-            self.grid, self.values * s, tail=tail, head_exponent=self.head_exponent
-        )
+        return GridFunction(self.grid, self.values * s, head_exponent=self.head_exponent)
 
     # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": {
-                "t_max": self.grid.t_max,
-                "n": self.grid.n,
-                "grading": self.grid.grading,
-            },
-            "head_exponent": self.head_exponent,
-            "values": self.values.tolist(),
-            "tail": {
-                "kind": self.tail.kind,
-                "amplitude": self.tail.amplitude,
-                "exponent": self.tail.exponent,
-                "valid_from": self.tail.valid_from,
-            },
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "GridFunction":
-        g = d["grid"]
-        grid = GradedGrid(t_max=g["t_max"], n=g["n"], grading=g["grading"])
-        tl = d["tail"]
-        tail = TailModel(
-            kind=tl["kind"],
-            amplitude=tl["amplitude"],
-            exponent=tl["exponent"],
-            valid_from=tl["valid_from"],
-        )
-        return GridFunction(
-            grid,
-            np.asarray(d["values"], dtype=np.float64),
-            tail=tail,
-            head_exponent=d["head_exponent"],
-        )
 
     def to_csv(self, path: str) -> None:
         """Two columns t,value; the first row carries the head coefficient."""
@@ -400,11 +356,7 @@ def metric_distance(metric: WeightedMetric, f: GridFunction, g: GridFunction) ->
 
     # max_sup_and_L1
     sup = max(float(interior.max()), _origin_sup_term(d[0], e, 0.0))
-    l1 = _l1_norm_grid(f - g)
-    for gf in (f, g):
-        if gf.tail.kind == "power":
-            l1 += gf.tail.integral_from(gf.grid.t_max)
-    return max(sup, l1)
+    return max(sup, _l1_norm_grid(f - g))
 
 
 def _l1_norm_grid(f: GridFunction) -> float:
@@ -423,53 +375,12 @@ def _l1_norm_grid(f: GridFunction) -> float:
     return out
 
 
-def integrate(f: GridFunction, a: float, b: float) -> float:
-    """Integral of f over [a, b], b may be inf.
-
-    Node values are integrated by the trapezoid rule with the power head
-    taken in closed form; (t_max, b] uses the tail model. A finite b past
-    t_max or b = inf requires a tail model (kind 'zero' is acceptable).
-    """
-    if math.isnan(a) or a < 0.0:
-        raise ValueError(f"lower limit must be >= 0, got {a!r}")
-    if not b >= a:
-        raise ValueError(f"integration limits out of order: [{a!r}, {b!r}]")
-    t = f.grid.nodes
-    t_max = f.grid.t_max
-
-    hi = min(b, t_max)
-    total = 0.0
-    if hi > a:
-        r = f.regular_part()
-        lo_i = np.searchsorted(t, a, side="left")
-        hi_i = np.searchsorted(t, hi, side="right") - 1
-        # interior full panels
-        if hi_i > lo_i:
-            seg_t = t[lo_i : hi_i + 1]
-            seg_r = r[lo_i : hi_i + 1]
-            total += float(np.trapezoid(seg_r, seg_t))
-        # partial panels at both ends, remainder interpolated linearly
-        def r_at(x: float) -> float:
-            j = max(1, min(f.grid.n, int(np.searchsorted(t, x, side="right"))))
-            t0, t1 = t[j - 1], t[j]
-            w = 0.0 if t1 == t0 else (x - t0) / (t1 - t0)
-            return float(r[j - 1] * (1.0 - w) + r[j] * w)
-
-        if t[lo_i] > a:
-            total += 0.5 * (r_at(a) + r[lo_i]) * (t[lo_i] - a)
-        if hi_i >= 0 and t[hi_i] < hi:
-            total += 0.5 * (r[hi_i] + r_at(hi)) * (hi - t[hi_i])
-        c = f.values[0]
-        if c != 0.0:
-            e = f.head_exponent
-            total += c * (hi ** (1.0 + e) - a ** (1.0 + e)) / (1.0 + e)
-
-    if b > t_max:
-        if f.tail.kind == "zero":
-            pass
-        else:
-            total += f.tail.integral_from(max(a, t_max))
-            if math.isfinite(b):
-                # subtract the part past b
-                total -= f.tail.integral_from(b)
+def integrate(f: GridFunction) -> float:
+    """Integral of f over its window [0, t_max]: the trapezoid rule on the
+    regular part, the power head in closed form."""
+    total = float(np.trapezoid(f.regular_part(), f.grid.nodes))
+    c = f.values[0]
+    if c != 0.0:
+        e = f.head_exponent
+        total += c * f.grid.t_max ** (1.0 + e) / (1.0 + e)
     return total

@@ -47,7 +47,6 @@ from .meshfun import (
     GradedGrid,
     GridFunction,
     JsonReport,
-    TailModel,
     WeightedMetric,
     _right_cumtrapz,
     integrate,
@@ -137,7 +136,7 @@ class SolveSpec:
         sa[1:] = grid.nodes[1:] * self.a_nodes
         sa_fun = GridFunction(grid, sa)
         conv = _conv_values(sa_fun, self.alpha - 1.0)
-        return _frozen(sa), integrate(sa_fun, 0.0, grid.t_max), _frozen(conv)
+        return _frozen(sa), integrate(sa_fun), _frozen(conv)
 
     def echo(self) -> dict:
         return {
@@ -198,23 +197,25 @@ def _conv_values(f: GridFunction, beta: float) -> np.ndarray:
     return vals
 
 
-def _product_tail(spec: SolveSpec, x: GridFunction) -> TailModel:
-    """Envelope of a(t) * x(t) past the horizon for a t^alpha-growth iterate."""
+def _product_exponent(spec: SolveSpec) -> float:
+    """Decay exponent q of a(t) x(t) past the horizon for a t^alpha-growth
+    iterate. A q the tail integral cannot close is refused before any
+    step, attempt_anyway or not."""
     env = spec.coefficient.envelope
-    if env.amplitude == 0.0:
-        return TailModel()
     q = env.exponent - spec.alpha
-    if not q > 1.0:
+    if env.amplitude != 0.0 and not q > 1.0:
         raise ValueError(
             f"coefficient envelope decays like t^-{env.exponent!r}; against a "
             f"t^{spec.alpha!r}-growth iterate the product tail t^-{q!r} is not "
             "integrable, so the step cannot close its tail integral"
         )
-    t = x.grid.nodes
-    lo = max(1.0, env.valid_from)
-    sel = t >= lo
-    growth = float(np.max(np.abs(x.values[sel]) / t[sel] ** spec.alpha))
-    return TailModel("power", env.amplitude * growth, q, lo)
+    return q
+
+
+def _split_operand(spec: SolveSpec, _) -> SolveSpec:
+    """The split-time steps' operand, once its product tail closes."""
+    _product_exponent(spec)
+    return spec
 
 
 def _check_grid(x: GridFunction, spec: SolveSpec) -> None:
@@ -238,7 +239,7 @@ def _coefficient_times(spec: SolveSpec, x: GridFunction) -> GridFunction:
         gv[0] = spec.a_origin * x.values[0]
     else:
         gv[0] = 0.0
-    return GridFunction(x.grid, gv, tail=_product_tail(spec, x))
+    return GridFunction(x.grid, gv)
 
 
 def _tail_coupling(spec: SolveSpec, x: GridFunction) -> np.ndarray:
@@ -250,15 +251,25 @@ def _tail_coupling(spec: SolveSpec, x: GridFunction) -> np.ndarray:
     """
     al = spec.alpha
     g = _coefficient_times(spec, x)
-    total = integrate(g, 0.0, x.grid.t_max)
+    total = integrate(g)
     K = _conv_values(g, al)
     t = x.grid.nodes
     return (t**al * total - K) / (al * gamma(al))
 
 
 def _split_budget(spec: SolveSpec, x: GridFunction) -> float:
-    """Metric-units bound on what ignoring the (t_max, inf) mass can move."""
-    neglected = _product_tail(spec, x).integral_from(x.grid.t_max)
+    """Metric-units bound on what ignoring the (t_max, inf) mass can move:
+    the envelope of a(t) times the growth of x, integrated past t_max."""
+    env = spec.coefficient.envelope
+    neglected = 0.0
+    if env.amplitude != 0.0:
+        q = _product_exponent(spec)
+        t = x.grid.nodes
+        lo = max(1.0, env.valid_from)
+        sel = t >= lo
+        growth = float(np.max(np.abs(x.values[sel]) / t[sel] ** spec.alpha))
+        start = max(x.grid.t_max, lo)
+        neglected = env.amplitude * growth * start ** (1.0 - q) / (q - 1.0)
     return max(1.0, spec.split**spec.alpha) * neglected / gamma(1.0 + spec.alpha)
 
 
@@ -342,7 +353,7 @@ def step_thm3(y: GridFunction, spec: SolveSpec) -> GridFunction:
     c_w = spec.a_origin * c_y / (2.0 - al)
     w[0] = c_w
     w_fun = GridFunction(grid, w, head_exponent=al - 1.0 if c_w != 0.0 else 0.0)
-    coupling_mass = integrate(w_fun, 0.0, grid.t_max)
+    coupling_mass = integrate(w_fun)
     conv_w = _conv_values(w_fun, al - 1.0)
 
     head = spec.a + (spec.b * moment1 - coupling_mass) / ga
@@ -391,8 +402,6 @@ def reconstruct_thm3(y: GridFunction, b: float) -> GridFunction:
     interior and a mismatch beyond 1e-3 (relative, in the weighted sup)
     is reported as a warning.
     """
-    if y.tail.kind == "power" and y.tail.exponent <= -1.0:
-        raise ValueError("the iterate's tail grows too fast to integrate against u^-2")
     grid = y.grid
     t = grid.nodes
     e = y.head_exponent
@@ -566,6 +575,7 @@ CHAINS: dict[str, Chain] = {
             spec.grid, spec.a + spec.b * spec.grid.nodes**spec.alpha),
         step=lambda x, spec: step_thm1(x, spec),
         metric="sup_over_t_alpha_after_T",
+        operand=_split_operand,
         budget=lambda spec, x, g: _split_budget(spec, x),
         operator=1,
         stored_head=lambda al: 0.0,
@@ -579,6 +589,7 @@ CHAINS: dict[str, Chain] = {
         seed=_singular_seed,
         step=lambda x, spec: step_thm2(x, spec),
         metric="sup_over_t_alpha_after_T",
+        operand=_split_operand,
         budget=lambda spec, x, g: _split_budget(spec, x),
         operator=2,
         stored_head=lambda al: al - 1.0,

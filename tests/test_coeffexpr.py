@@ -19,6 +19,7 @@ from fracasym.coeffexpr import (
     print_expr,
     save_coefficient,
 )
+from fracasym.hypotheses import lemma1_profile
 from fracasym.meshfun import TailModel, make_graded_grid
 
 ENV = TailModel(kind="power", amplitude=1.0, exponent=2.0, valid_from=1.0)
@@ -181,9 +182,17 @@ def test_zeros_counts_on_the_benchmark_coefficients(name, count):
     assert len(load_coefficient(str(inputs / f"{name}.json")).zeros(0.0, 100.0)) == count
 
 
-def test_zeros_of_the_zero_coefficient_are_every_probe():
-    # lo and the 4096 geometric probes
-    assert len(Coefficient.from_expression("0", ENV).zeros(0.0, 100.0)) == 4097
+def test_the_zero_coefficient_has_no_zeros():
+    # a vanishes at every probe, so it never changes sign
+    zero = Coefficient.from_expression("0", ENV)
+    assert zero.zeros(0.0, 100.0) == []
+    assert lemma1_profile(zero, 0.5, grid=make_graded_grid(100.0, 256)).n_zeros == 0
+
+
+def test_a_run_of_exact_zeros_counts_at_its_ends():
+    # a = 0 on [1, 3] exactly, between two positive stretches
+    table = Coefficient.from_samples([[0, 1], [1, 0], [2, 0], [3, 0], [4, 1]], ENV)
+    assert table.zeros(0.0, 4.0) == [1.0, 3.0]
 
 
 def test_envelope_check_passes_and_fails():

@@ -89,19 +89,24 @@ def zero_coeff():
     return make_power_coefficient("0", 0.0, 4.0)
 
 
-@pytest.mark.parametrize("name, cuts_from", [
+# 512 geometric cuts in (0, 100) from 1e-9, the spacing of the zero
+# coefficient's probes and far denser than the sign changes of any
+# coefficient here
+_DENSE_CUTS = np.geomspace(1e-9, 100.0, 513)[:-1]
+
+
+@pytest.mark.parametrize("name, cuts", [
     ("slow_decay_coeff", None),
     ("origin_quadratic_coeff", None),
     ("heavy_tail_coeff", None),
     ("sign_change_coeff", None),
     ("zero_coeff", None),
-    # a nonzero integrand on the zero coefficient's 512 thinned cuts, the
-    # densest panelization the module builds
-    ("heavy_tail_coeff", "zero_coeff"),
+    # a nonzero integrand on the dense cuts: the densest panelization
+    pytest.param("heavy_tail_coeff", _DENSE_CUTS, id="heavy_tail_coeff-zero_coeff"),
 ])
-def test_batched_chi_matches_per_panel_loop(request, name, cuts_from):
+def test_batched_chi_matches_per_panel_loop(request, name, cuts):
     coeff = request.getfixturevalue(name)
-    zs = hyp._breakpoints(request.getfixturevalue(cuts_from or name), 0.0, 100.0)
+    zs = hyp._breakpoints(coeff, 0.0, 100.0) if cuts is None else cuts
     afun = lambda s: np.abs(coeff(s))
     batched = hyp._chi_values(afun, ALPHA, _CHI_TS, zs)
     ref = np.array([_ref_chi_point(afun, ALPHA, t, list(zs)) for t in _CHI_TS])

@@ -116,29 +116,13 @@ def test_arithmetic_and_scaling():
     d = f - h
     assert np.allclose(s.values, f.values + h.values)
     assert np.allclose(d.values, f.values - h.values)
-    tail = TailModel(kind="power", amplitude=2.0, exponent=3.0, valid_from=1.0)
-    k = GridFunction.from_callable(g, lambda t: 1.0 / (1 + t) ** 3, tail=tail)
+    k = GridFunction.from_callable(g, lambda t: 1.0 / (1 + t) ** 3)
     k2 = k.scaled(-2.0)
     assert np.allclose(k2.values, -2.0 * k.values)
-    assert k2.tail.amplitude == pytest.approx(4.0)
 
     other = GridFunction.from_callable(small_grid(n=128), lambda t: t)
     with pytest.raises(ValueError):
         f + other
-
-
-def test_json_roundtrip():
-    g = small_grid()
-    tail = TailModel(kind="power", amplitude=1.5, exponent=2.0, valid_from=4.0)
-    f = GridFunction.from_callable(
-        g, lambda t: t**0.25 * np.exp(-t), tail=tail,
-        head_exponent=0.25, head_coefficient=1.0,
-    )
-    back = GridFunction.from_json_dict(f.to_json_dict())
-    assert back.grid.same_layout(f.grid)
-    assert back.head_exponent == f.head_exponent
-    assert back.tail == f.tail
-    assert np.array_equal(back.values, f.values)
 
 
 def test_csv_export(tmp_path):
@@ -231,8 +215,8 @@ def test_split_metric_weighs_the_far_range():
 def test_integrate_smooth_against_quadrature():
     g = make_graded_grid(t_max=10.0, n=2048, grading=2.0)
     f = GridFunction.from_callable(g, lambda t: np.cos(t) / (1 + t))
-    want, _ = quad(lambda t: math.cos(t) / (1 + t), 0.3, 7.7, limit=200)
-    got = integrate(f, 0.3, 7.7)
+    want, _ = quad(lambda t: math.cos(t) / (1 + t), 0.0, 10.0, limit=200)
+    got = integrate(f)
     assert got == pytest.approx(want, rel=0, abs=2e-4)
 
 
@@ -242,35 +226,4 @@ def test_integrate_resolves_the_head_in_closed_form():
         g, lambda t: t**-0.5, head_exponent=-0.5, head_coefficient=1.0
     )
     # int_0^1 t^-0.5 dt = 2 despite the non-integrable-looking samples
-    assert integrate(f, 0.0, 1.0) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_integrate_through_the_tail():
-    g = small_grid(t_max=10.0, n=2048)
-    tail = TailModel(kind="power", amplitude=1.0, exponent=3.0, valid_from=10.0)
-    f = GridFunction.from_callable(g, lambda t: (1.0 + t) ** -3, tail=tail)
-    got = integrate(f, 0.0, math.inf)
-    want, _ = quad(lambda t: (1.0 + t) ** -3, 0, 10)
-    want += quad(lambda t: t**-3.0, 10, np.inf)[0]
-    assert got == pytest.approx(want, rel=1e-4)
-    # finite upper limit past the horizon subtracts the remainder
-    part = integrate(f, 0.0, 20.0)
-    assert part < got
-    assert got - part == pytest.approx(quad(lambda t: t**-3.0, 20, np.inf)[0], rel=1e-12)
-
-
-def test_integrate_partial_panels_are_linear():
-    g = small_grid(n=32, t_max=4.0)
-    f = GridFunction.from_callable(g, lambda t: 2.0 * t + 1.0)
-    # exact for piecewise-linear data, any limits
-    a, b = 0.37, 3.21
-    assert integrate(f, a, b) == pytest.approx((b**2 + b) - (a**2 + a), rel=1e-12)
-
-
-def test_integrate_rejects_bad_limits():
-    g = small_grid()
-    f = GridFunction.from_callable(g, lambda t: t)
-    with pytest.raises(ValueError):
-        integrate(f, -1.0, 2.0)
-    with pytest.raises(ValueError):
-        integrate(f, 3.0, 2.0)
+    assert integrate(f) == pytest.approx(2.0, rel=1e-12)

@@ -63,6 +63,21 @@ def test_non_finite_input_exits_2_before_writing(tmp_path, capsys, flags, config
     assert not out.exists()
 
 
+def test_coefficient_above_its_envelope_exits_2_before_writing(tmp_path, capsys):
+    # |a| = 0.5/(1+t)^2 lies far above 0.001 t^-4 past t = 1, so every tail
+    # the gate closes with that envelope would be too small
+    coeff = tmp_path / "coeff.json"
+    coeff.write_text('{"expr": "0.5/(1+t)^2", '
+                     '"envelope": {"A": 0.001, "p": 4.0, "valid_from": 1.0}}')
+    out = tmp_path / "out"
+    argv = ["check", "--case", "thm1", "--coeff", str(coeff), "--nodes", "64",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "envelope" in err
+    assert not out.exists()
+
+
 @dataclass(frozen=True)
 class _Report:
     k: float
