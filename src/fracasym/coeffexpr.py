@@ -352,12 +352,14 @@ class Coefficient:
         for an expression, linear plus the sample times for a table,
         always with lo and hi. A run of consecutive probes where a is
         exactly 0 gives a zero at each of its ends (one for a run of one
-        probe); a run over every probe gives none, since a never changes
-        sign. Every probe interval whose ends differ in sign is bisected,
-        all of them together with one coefficient call per step, until
-        each bracket [l, r] is narrower than 1e-14 + 1e-15 * min(|l|, |r|);
-        its midpoint is then within half that of the root. Zeros closer
-        than 1e-12 relative are merged.
+        probe, also at lo or hi). The window's edge is no run end: a run
+        that reaches lo or hi counts at its inner end only, and a run over
+        every probe gives none, since a never changes sign. Every probe
+        interval whose ends differ in sign is bisected, all of them
+        together with one coefficient call per step, until each bracket
+        [l, r] is narrower than 1e-14 + 1e-15 * min(|l|, |r|); its midpoint
+        is then within half that of the root. Zeros closer than 1e-12
+        relative are merged.
         """
         if self.samples is not None:
             ts = self.samples[:, 0]
@@ -368,9 +370,9 @@ class Coefficient:
             grid = np.unique(np.concatenate([[lo], interior, [hi]]))
         sign = np.sign(self(grid))
         zero = sign == 0.0
-        inside = np.zeros_like(zero)
-        inside[1:-1] = zero[:-2] & zero[2:]
-        run_ends = zero & ~inside & ~zero.all()
+        # past the window's edges counts as zero: the edge is no run end
+        padded = np.concatenate([[True], zero, [True]])
+        run_ends = zero & ~(padded[:-2] & padded[2:])
         at = np.flatnonzero(sign[:-1] * sign[1:] < 0)
         left, right, left_sign = grid[at], grid[at + 1], sign[at]
         while True:

@@ -15,13 +15,19 @@ panel of one or more integrals, their weights with the known kernel
 factors such as s^(alpha-1) and (t-s)^(alpha-1) folded in, and the row
 (integral) each node belongs to.  The panel edges of a chunk of scan
 points t are built together, row by row, the coefficient is called once
-on all their nodes, and np.bincount reduces the weighted values per row.
-A coefficient call walks the whole expression tree and allocates one
-temporary per tree node.  Called per 24-node panel, that overhead
-dominates; called on every node of a full sup scan (~600k nodes), the
+on all their nodes, and np.bincount reduces the weighted values per row,
+each row in a fixed order, so a row's value does not depend on the rest
+of the batch.  A coefficient call walks the whole expression tree and
+allocates one temporary per tree node.  Called per 24-node panel, that
+overhead dominates; called on every node of a full sup scan, the
 temporaries of the whole scan are alive at once.  So scans run in chunks
-of _CHUNK points (~7.5k nodes), and no call receives more than _NODE_CAP
-nodes; larger chunks run faster but hold more memory at the peak.
+of _CHUNK points, and no call receives more than _NODE_CAP nodes; larger
+chunks run faster but hold more memory at the peak.
+
+thm3's chi(t) splits at t/2 (see _chi_function).  The left half, which
+must resolve a's own scale, runs on one panelization built and evaluated
+once per scan; the right half, which must resolve the kernel singularity
+at s = t, runs on one rule in t - s scaled by t.
 
 Integrals over [horizon, infinity) are never chased numerically: they are
 closed under the coefficient's declared power envelope A*t^(-p).  A missing
@@ -84,9 +90,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 # most nodes one coefficient call receives
 _NODE_CAP = 8192
-# scan points whose panels are built together; 8 points of a coefficient
-# without sign changes carry ~7.5k nodes, one call's worth
-_CHUNK = 8
+# scan points whose panels are built together; 16 chi scan points of a
+# coefficient without sign changes carry ~7.7k nodes, one call's worth
+_CHUNK = 16
 
 
 _GJ_POINTS = 24
@@ -150,14 +156,17 @@ def _gl_nodes(edges: np.ndarray, rows: np.ndarray):
             np.repeat(rows[1:][inner], _GL_NODES.size))
 
 
-def _gj_left_nodes(lo, hi, exponent: float):
-    """Rule for integral of (s-lo)^exponent * f(s) over each [lo_i, hi_i]."""
-    x, w = _gj_rule(exponent)
-    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
-    half = 0.5 * (hi - lo)
-    return ((lo[:, None] + half[:, None] * (x + 1.0)).ravel(),
-            (half[:, None] ** (exponent + 1.0) * w).ravel(),
-            np.repeat(np.arange(lo.size), x.size))
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray, e: float):
+    """Nodes y and weights of y^e dy on each panel [lo_i, hi_i], one row each.
+
+    A panel that starts at y = 0 takes the Gauss-Jacobi rule of the weight;
+    any other takes Gauss-Legendre with y^e folded into its weights.
+    """
+    gj_x, gj_w = _gj_rule(e)
+    head = (lo == 0.0)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    y = lo[:, None] + half * (np.where(head, gj_x, _GL_NODES) + 1.0)
+    return y, np.where(head, half ** (e + 1.0) * gj_w, half * _GL_WEIGHTS * y ** e)
 
 
 def _gj_right_nodes(lo, hi, exponent: float):
@@ -196,7 +205,12 @@ def _edges(lo, hi, breakpoints=(), panels_per_decade: int = 6,
     table[:, -2] = hi
     table[:, -1] = np.where(lo <= 0.0, 0.0, np.nan)
     table[~((table >= lo[:, None]) & (table <= hi[:, None]))] = np.nan
-    table.sort(axis=1)
+    return _sorted_edges(table)
+
+
+def _sorted_edges(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of table sorted, without NaN and repeats: the edges and their rows."""
+    table = np.sort(table, axis=1)
     keep = ~np.isnan(table)
     keep[:, 1:] &= table[:, 1:] != table[:, :-1]
     return table[keep], np.nonzero(keep)[0]
@@ -230,14 +244,9 @@ def _weighted_moment(fn, m: float, lo: float, hi: float, breakpoints=()) -> floa
     """integral of fn(s) * s^m over [lo, hi]; handles m in (-1, 0) at lo=0."""
     if hi <= lo:
         return 0.0
-    edges, rows = _edges(lo, hi, breakpoints)
-    if m >= 0.0 or lo > 0.0:
-        s, w, _ = _gl_nodes(edges, rows)
-        return float(np.dot(w * s ** m, _call(fn, s)))
-    head_s, head_w, _ = _gj_left_nodes(0.0, edges[1], m)
-    s, w, _ = _gl_nodes(edges[1:], rows[1:])
-    return float(np.dot(np.concatenate([head_w, w * s ** m]),
-                        _call(fn, np.concatenate([head_s, s]))))
+    edges, _ = _edges(lo, hi, breakpoints)
+    s, w = _panel_nodes(edges[:-1], edges[1:], m)
+    return float(np.dot(w.ravel(), _call(fn, s.ravel())))
 
 
 def envelope_tail_integral(envelope: TailModel, m: float, lo: float) -> float:
@@ -543,46 +552,127 @@ def thm2_constants(a: Coefficient, alpha: Alpha | float, T: float,
 # linear-growth contraction: chi and k3
 # --------------------------------------------------------------------------
 
-def _chi_rules(ts: np.ndarray, e: float, zeros: np.ndarray):
-    """Rule for integral_0^t f(s) s^e (t-s)^e ds, f smooth, one row per t.
+# The chi rules grade their panels geometrically, _PER_DECADE to a decade.
+# The left half's Gauss-Jacobi head is [0, r^_HEAD_RUNG] = [0, 1e-7] and
+# the right half's sliver is [0, r^-_SLIVER_RUNGS t/2], about [0, 5e-4 t].
+_PER_DECADE = 6
+_RATIO = 10.0 ** (1.0 / _PER_DECADE)
+_HEAD_RUNG = -7 * _PER_DECADE
+_SLIVER_RUNGS = 3 * _PER_DECADE
+# the whole left panels below t/2 enter chi(t) through the moments of
+# their terms: (t-s)^(alpha-1) = t^(alpha-1) sum_k c_k (s/t)^k with every
+# c_k in (0, 1], so for s <= t/2 the terms past _MOMENTS sum to less than
+# 2^(1-_MOMENTS) < 3e-17 relative
+_MOMENTS = 56
 
-    Both endpoints are algebraically singular; each gets a short
-    Gauss-Jacobi panel (the smooth factor is nearly constant there) and
-    the bulk runs on geometric Gauss-Legendre panels.
+
+def _graded_edges(rungs: np.ndarray, g: np.ndarray, cuts: np.ndarray):
+    """Panel edges of each row: 0, g_i, the rungs above g_i*sqrt(r), the cuts.
+
+    rungs and cuts hold one row per integral, NaN where absent. The first
+    panel [0, g_i] is left to a Gauss-Jacobi rule; the last rung kept is
+    at least sqrt(r) g_i, so no sliver of a panel follows it.
     """
-    half = 0.5 * ts
-    sliver = 1e-3 * half
-    z, h, t = zeros[None, :], half[:, None], ts[:, None]
+    rungs = np.where(rungs > g[:, None] * math.sqrt(_RATIO), rungs, np.nan)
+    return _sorted_edges(np.column_stack([np.zeros_like(g), g, rungs, cuts]))
 
-    head_hi = np.minimum(sliver, np.where((z > 0.0) & (z < h), z, np.inf)
-                         .min(axis=1, initial=np.inf))
-    s1, w1, r1 = _gj_left_nodes(0.0, head_hi, e)
-    s2, w2, r2 = _gl_nodes(*_edges(head_hi, half, zeros))
 
-    # right half in the reflected variable u = t - s so the geometric
-    # panels refine toward the kernel singularity at s = t
-    tail_lo = np.maximum(ts - sliver, np.where((z > h) & (z < t), z, -np.inf)
-                         .max(axis=1, initial=-np.inf))
-    s3, w3, r3 = _gj_right_nodes(tail_lo, ts, e)
-    right_cuts = np.where((z > h) & (z < tail_lo[:, None]), t - z, np.nan)
-    u, w4, r4 = _gl_nodes(*_edges(ts - tail_lo, half, right_cuts))
-    s4 = ts[r4] - u
-    return (np.concatenate([s1, s2, s3, s4]),
-            np.concatenate([w1 * (ts[r1] - s1) ** e,
-                            w2 * s2 ** e * (ts[r2] - s2) ** e,
-                            w3 * s3 ** e, w4 * s4 ** e * u ** e]),
-            np.concatenate([r1, r2, r3, r4]))
+def _rung(x) -> int:
+    """The exponent j of the rung r^j at or below x."""
+    return math.floor(math.log(x) / math.log(_RATIO))
+
+
+def _chi_function(afun, alpha: float, t_hi: float, zeros: np.ndarray):
+    """t -> t^(1-alpha) * int_0^t afun(s) s^(alpha-1) (t-s)^(alpha-1) ds, 0 < t <= t_hi.
+
+    With e = alpha - 1 the integrand is afun(s) y^e (t-y)^e, where y = s
+    on the left half [0, t/2] and y = t - s on the right half, so both
+    halves are integrals against y^e dy from y = 0 to t/2 (_panel_nodes).
+    The left half runs on one panelization of [0, t_hi/2]: the rungs r^j
+    down to 1e-7, cut at the zeros of a, with a Gauss-Jacobi head at 0.
+    afun(s) is evaluated on its nodes here, once, and the _MOMENTS moments
+    of each prefix of panels are summed. Each t takes the whole panels
+    below t/2 through those moments, and one partial panel up to t/2 node
+    by node. The right half runs on the rungs (t/2) r^-j with a
+    Gauss-Jacobi sliver at y = 0: one rule scaled by t, with the cut
+    t - z of each zero z in (t/2, t) inserted. A cut inside the head or a
+    sliver shrinks it to the cut, and the rungs follow it down, so the
+    panels past the cut stay graded. No Gauss-Jacobi panel grows with t,
+    so a's own scale is resolved at every t. Each t's value sums its own
+    terms in a fixed order, so it does not depend on the other points of
+    the batch or on t_hi.
+    """
+    e = alpha - 1.0
+    n = _GL_NODES.size
+    zeros = np.asarray(zeros, dtype=float)
+    cut = zeros[(zeros > 0.0) & (zeros < 0.5 * t_hi)]
+    g = min(_RATIO ** _HEAD_RUNG, cut.min(initial=np.inf))
+    edges, _ = _graded_edges(_RATIO ** np.arange(_rung(g), _rung(0.5 * t_hi) + 2.0)[None, :],
+                             np.array([g]), cut[None, :])
+    s, w = _panel_nodes(edges[:-1], edges[1:], e)
+    wf = w * _call(afun, s.ravel()).reshape(s.shape)
+
+    # moments[q, k]: the sum of wf (s/E_q)^k over the first q panels, E_q
+    # the top of panel q-1; no term exceeds wf, so none overflows. Summed
+    # panel by panel and node by node, so a panel's sums do not depend on
+    # how many panels there are.
+    powers = np.arange(_MOMENTS)
+    c = np.cumprod(np.concatenate([[1.0], (powers[:-1] - e) / (powers[:-1] + 1.0)]))
+    ratio = s / edges[1:, None]
+    panels = 0.0
+    for j in range(n):
+        panels = panels + wf[:, j, None] * ratio[:, j, None] ** powers
+    moments = np.zeros((edges.size, _MOMENTS))
+    for q in range(1, edges.size):
+        moments[q] = moments[q - 1] * (edges[q - 1] / edges[q]) ** powers + panels[q - 1]
+
+    def chunk_values(ts: np.ndarray) -> np.ndarray:
+        m = ts.size
+        half = 0.5 * ts
+        # the whole left panels below t/2 by their moments ...
+        k = np.searchsorted(edges, half, side="right") - 1
+        whole = (ts ** e)[:, None] * c * moments[k] * (edges[k] / ts)[:, None] ** powers
+        # ... then the partial panel up to t/2 and the right half's panels
+        z = zeros[None, :]
+        cuts = np.where((z > half[:, None]) & (z < ts[:, None]), ts[:, None] - z, np.nan)
+        sliver = np.minimum(half * _RATIO ** -_SLIVER_RUNGS,
+                            np.fmin.reduce(cuts, axis=1, initial=np.inf))
+        depth = -_rung(float((sliver / half).min())) + 1
+        edges_r, rows_r = _graded_edges(half[:, None] * _RATIO ** -np.arange(depth + 1.0),
+                                        sliver, cuts)
+        inner = rows_r[1:] == rows_r[:-1]
+        rows = np.concatenate([np.arange(m), rows_r[1:][inner]])
+        y, w = _panel_nodes(np.concatenate([edges[k], edges_r[:-1][inner]]),
+                            np.concatenate([half, edges_r[1:][inner]]), e)
+        t = ts[rows][:, None]
+        w = w * (t - y) ** e
+        y[m:] = t[m:] - y[m:]
+        return np.bincount(
+            np.concatenate([np.repeat(np.arange(m), _MOMENTS), np.repeat(rows, n)]),
+            weights=np.concatenate([whole.ravel(), w.ravel() * _call(afun, y.ravel())]),
+            minlength=m)
+
+    def chi(ts: np.ndarray) -> np.ndarray:
+        # numpy's pow can round a strided input differently from a contiguous one
+        ts = np.ascontiguousarray(ts, dtype=float)
+        sums = [chunk_values(ts[i:i + _CHUNK]) for i in range(0, ts.size, _CHUNK)]
+        return ts ** (1.0 - alpha) * np.concatenate(sums)
+
+    return chi
 
 
 def _chi_values(afun, alpha: float, ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """t^(1-alpha) * integral_0^t afun(s) s^(alpha-1) (t-s)^(alpha-1) ds at each t."""
-    rules = lambda chunk: _chi_rules(chunk, alpha - 1.0, zeros)
-    return ts ** (1.0 - alpha) * _row_sums(afun, rules, ts)
+    """t^(1-alpha) * integral_0^t afun(s) s^(alpha-1) (t-s)^(alpha-1) ds at each t.
+
+    The rules are _chi_function's, with its left half built up to max(ts);
+    a value depends on its own t only, not on the other points of ts.
+    """
+    ts = np.asarray(ts, dtype=float)
+    return _chi_function(afun, alpha, float(ts.max()), zeros)(ts)
 
 
 def _chi_sup(afun, alpha: float, t_max: float, zeros) -> tuple[float, float]:
-    return _sup_scan(lambda ts: _chi_values(afun, alpha, ts, zeros),
-                     _SCAN_FLOOR, t_max)
+    return _sup_scan(_chi_function(afun, alpha, t_max, zeros), _SCAN_FLOOR, t_max)
 
 
 def thm3_constants(a: Coefficient, alpha: Alpha | float,

@@ -111,6 +111,19 @@ class TestCheck:
         assert "mean_zero" in lem
 
 
+    def test_linear_growth_gate_at_a_large_horizon(self, tmp_path):
+        # chi peaks near t = 1.62; a scan out to t = 1e6 must not read
+        # quadrature error at large t as a higher sup
+        coeff = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "origin_quadratic.json"
+        rc = main(["check", "--coeff", str(coeff), "--case", "thm3", "--tmax", "1e6",
+                   "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "check_thm3.json").read_text())
+        assert doc["chi"] == pytest.approx(4.7951148801691e-4, rel=1e-12)
+        assert doc["chi_argmax"] == pytest.approx(1.619, abs=1e-3)
+        assert doc["k3"] == pytest.approx(4.7824e-4, rel=1e-4)
+
+
 # --------------------------------------------------------------------------
 # solve
 # --------------------------------------------------------------------------

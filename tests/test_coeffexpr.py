@@ -195,6 +195,15 @@ def test_a_run_of_exact_zeros_counts_at_its_ends():
     assert table.zeros(0.0, 4.0) == [1.0, 3.0]
 
 
+def test_a_run_of_exact_zeros_to_the_window_edge_counts_once():
+    # a falls to 0 at t = 1 and stays there past the window's end: the
+    # edge of the window is no end of the run
+    table = Coefficient.from_samples([[0, 1], [1, 0], [200, 0]], ENV)
+    assert table.zeros(0.0, 100.0) == [1.0]
+    profile = lemma1_profile(table, 0.5, grid=make_graded_grid(100.0, 256))
+    assert (profile.n_zeros, profile.t0, profile.T0) == (1, 1.0, 1.0)
+
+
 def test_envelope_check_passes_and_fails():
     grid = make_graded_grid(t_max=50.0, n=512, grading=2.0)
     ok_env = TailModel(kind="power", amplitude=0.01, exponent=3.5, valid_from=1.0)

@@ -1,8 +1,11 @@
-"""Batched gate quadrature against the per-panel loop it replaces.
+"""Batched gate quadrature against per-panel loops and a high-precision oracle.
 
-The per-panel chi below evaluates the coefficient once per 24-node panel,
-on the same panels, nodes and weights as the batched rules; only the
-summation order differs, so the two agree to a few ulps.
+The per-panel chi below evaluates the coefficient once per 24-node panel
+of an independent rule built for each t alone: Gauss-Jacobi panels of
+1e-3 t/2 at both ends, geometric Gauss-Legendre panels between. Up to
+t = 100 both it and the batched rules are good to a few ulps, so they
+agree to 1e-13; past t = 1e4 its end panels outgrow the coefficient's
+scale, and the 30-digit oracle takes over.
 """
 
 import math
@@ -125,6 +128,77 @@ def test_thm3_gate_calls_the_coefficient_in_batches(heavy_tail_coeff, monkeypatc
     hyp.thm3_constants(heavy_tail_coeff, ALPHA)
     assert len(sizes) <= 1000
     assert max(sizes) <= hyp._NODE_CAP
+    # the left half of chi's rule is evaluated once per scan (869,441
+    # points in all; a rule rebuilt for every scan point takes 1.66e6)
+    assert sum(sizes) <= 1.0e6
+
+
+# --------------------------------------------------------------------------
+# chi against a high-precision oracle, up to t = 1e6
+# --------------------------------------------------------------------------
+
+# t^(1/2) * integral_0^t |a(s)| s^(-1/2) (t-s)^(-1/2) ds by mpmath's quad at
+# 34 digits, the halves [0, t/2] and [t/2, t] apart, each on panels graded
+# geometrically toward its singular end and cut at the zero of sign_change
+_CHI_ORACLE = [
+    ("slow_decay_coeff", 1e-4, 0.00031410429676364011838),
+    ("slow_decay_coeff", 1.0, 0.01194677494204046446),
+    ("slow_decay_coeff", 1e2, 0.010680159266145971295),
+    ("slow_decay_coeff", 1e4, 0.010666800015024001153),
+    ("slow_decay_coeff", 1e5, 0.010666680000150031204),
+    ("slow_decay_coeff", 1e6, 0.010666668000001500038),
+    ("origin_quadratic_coeff", 1e-4, 1.1775083768264790288e-12),
+    ("origin_quadratic_coeff", 1.0, 0.00044743388964607570237),
+    ("origin_quadratic_coeff", 1e2, 0.00037003057193765094586),
+    ("origin_quadratic_coeff", 1e4, 0.00036817380008578187262),
+    ("origin_quadratic_coeff", 1e5, 0.00036815722990171537023),
+    ("origin_quadratic_coeff", 1e6, 0.00036815557317057057979),
+    ("heavy_tail_coeff", 1e-4, 0.00015706000030217035591),
+    ("heavy_tail_coeff", 1.0, 0.0073654465106591802027),
+    ("heavy_tail_coeff", 1e2, 0.0066839822355084450728),
+    ("heavy_tail_coeff", 1e4, 0.0066668334861043414578),
+    ("heavy_tail_coeff", 1e5, 0.0066666833352930743319),
+    ("heavy_tail_coeff", 1e6, 0.0066666683333572484676),
+    ("sign_change_coeff", 1e-4, 0.00031412785119952385303),
+    ("sign_change_coeff", 1.0, 0.012589242565517815809),
+    ("sign_change_coeff", 1e2, 0.013472624020253447742),
+    ("sign_change_coeff", 1e4, 0.013432202268808584975),
+    ("sign_change_coeff", 1e5, 0.013431842222330563149),
+    ("sign_change_coeff", 1e6, 0.013431806224796054559),
+]
+
+
+def _chi_at(coeff, ts):
+    zs = hyp._breakpoints(coeff, 0.0, 1e6)
+    return hyp._chi_values(lambda s: np.abs(coeff(s)), ALPHA, np.asarray(ts, dtype=float), zs)
+
+
+@pytest.mark.parametrize("name, t, chi", _CHI_ORACLE)
+def test_chi_matches_a_high_precision_oracle(request, name, t, chi):
+    assert _chi_at(request.getfixturevalue(name), [t])[0] == pytest.approx(chi, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset, chi", [
+    (1e-4, 0.012588868609213149375),
+    (1e-9, 0.012589242561680556661),
+])
+def test_chi_just_past_a_zero(sign_change_coeff, offset, chi):
+    # t = z (1 + offset) just above the zero z = 1: the right half's cut
+    # t - z falls inside its Gauss-Jacobi sliver, and the panels past the
+    # cut must still refine toward s = t. The oracle is taken at the exact
+    # zero, t = 1 + offset; z here is off by 2e-15, far below the bound.
+    z = hyp._breakpoints(sign_change_coeff, 0.0, 100.0)[0]
+    assert _chi_at(sign_change_coeff, [z * (1.0 + offset)])[0] == pytest.approx(chi, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["slow_decay_coeff", "origin_quadratic_coeff",
+                                  "heavy_tail_coeff", "sign_change_coeff"])
+def test_chi_of_each_t_alone_equals_the_batch(request, name):
+    coeff = request.getfixturevalue(name)
+    ts = np.concatenate([np.geomspace(1e-4, 1e6, 25), [0.7, 1.0001, 2.0, 3.3]])
+    batched = _chi_at(coeff, ts)
+    np.testing.assert_array_equal(batched, [_chi_at(coeff, [t])[0] for t in ts])
+    np.testing.assert_array_equal(batched, _chi_at(coeff, ts[::-1])[::-1])
 
 
 # --------------------------------------------------------------------------
