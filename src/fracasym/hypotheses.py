@@ -10,28 +10,31 @@ alone by the Golub-Welsch method (Golub & Welsch, Math. Comp. 23, 1969),
 with one Newton step on the nodes; nodes are good to about 1e-16 and
 weights to about 1e-13 relative (see _gj_rule).
 
-Quadratures are evaluated in batches.  A rule holds the nodes of every
-panel of one or more integrals, their weights with the known kernel
-factors such as s^(alpha-1) and (t-s)^(alpha-1) folded in, and the row
-(integral) each node belongs to.  The panel edges of a chunk of scan
-points t are built together, row by row, the coefficient is called once
-on all their nodes, and np.bincount reduces the weighted values per row,
-each row in a fixed order, so a row's value does not depend on the rest
-of the batch.  A coefficient call walks the whole expression tree and
-allocates one temporary per tree node.  Called per 24-node panel, that
-overhead dominates; called on every node of a full sup scan, the
-temporaries of the whole scan are alive at once.  So scans run in chunks
-of _CHUNK points, and no call receives more than _NODE_CAP nodes; larger
-chunks run faster but hold more memory at the peak.
+Two rules do all the quadrature.  A plain integral of fn(s) s^m over an
+interval (_weighted_moment) runs on one geometric panelization, cut at the
+breakpoints, with the coefficient called once on all its nodes.  The
+weakly singular convolutions int_0^t |a(s)| s^m (t-s)^e ds, thm3's chi
+(m = e = alpha - 1) and the divergence demonstration's F (m = 0,
+e = alpha - 1), run on one rule for a batch of points t (_conv_function).
+Each t is a row: its nodes carry weights with the kernel factors folded
+in, the coefficient is called once on the nodes of a chunk of rows, and
+np.bincount reduces the weighted values per row, each row in a fixed
+order, so a row's value does not depend on the rest of the batch.  A
+coefficient call walks the whole expression tree and allocates one
+temporary per tree node.  Called per 24-node panel, that overhead
+dominates; called on every node of a full sup scan, the temporaries of the
+whole scan are alive at once.  So scans run in chunks of _CHUNK points,
+and no call receives more than _NODE_CAP nodes; larger chunks run faster
+but hold more memory at the peak.
 
-thm3's chi(t) splits at t/2 (see _chi_function).  The left half, which
+The convolution splits at t/2 (see _conv_function).  The left half, which
 must resolve a's own scale, runs on one panelization built and evaluated
-once per scan; the right half, which must resolve the kernel singularity
+once per batch; the right half, which must resolve the kernel singularity
 at s = t, runs on one rule in t - s scaled by t.
 
 Integrals over [horizon, infinity) are never chased numerically: they are
-closed under the coefficient's declared power envelope A*t^(-p).  A missing
-envelope is therefore a hard error here, and the command line refuses a
+closed under the coefficient's declared power envelope A*t^(-p).  A
+Coefficient cannot be built without one, and the command line refuses a
 coefficient that exceeds its envelope at the grid nodes (exit 2), because
 the reported constants would silently drop their tails otherwise.
 
@@ -143,69 +146,33 @@ def _gj_rule(exponent: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-# A rule is (nodes, weights, rows): integral i of a batch is the sum of
-# weights * f(nodes) over the entries with rows == i.
-
-def _gl_nodes(edges: np.ndarray, rows: np.ndarray):
-    """Composite GL-24 on the panels between consecutive edges of one row."""
-    inner = rows[1:] == rows[:-1]
-    lo, hi = edges[:-1][inner, None], edges[1:][inner, None]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return ((mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel(),
-            np.repeat(rows[1:][inner], _GL_NODES.size))
-
-
 def _panel_nodes(lo: np.ndarray, hi: np.ndarray, e: float):
     """Nodes y and weights of y^e dy on each panel [lo_i, hi_i], one row each.
 
     A panel that starts at y = 0 takes the Gauss-Jacobi rule of the weight;
-    any other takes Gauss-Legendre with y^e folded into its weights.
+    any other takes Gauss-Legendre with y^e folded into its weights. The
+    Jacobi rule exists for e > -1 only, so it is built only when some
+    panel starts at 0.
     """
-    gj_x, gj_w = _gj_rule(e)
     head = (lo == 0.0)[:, None]
+    gj_x, gj_w = _gj_rule(e) if head.any() else (_GL_NODES, _GL_WEIGHTS)
     half = 0.5 * (hi - lo)[:, None]
     y = lo[:, None] + half * (np.where(head, gj_x, _GL_NODES) + 1.0)
     return y, np.where(head, half ** (e + 1.0) * gj_w, half * _GL_WEIGHTS * y ** e)
 
 
-def _gj_right_nodes(lo, hi, exponent: float):
-    """Rule for integral of (hi-s)^exponent * f(s) over each [lo_i, hi_i]."""
-    x, w = _gj_rule(exponent)
-    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
-    half = 0.5 * (hi - lo)
-    return ((hi[:, None] - half[:, None] * (x + 1.0)).ravel(),
-            (half[:, None] ** (exponent + 1.0) * w).ravel(),
-            np.repeat(np.arange(lo.size), x.size))
+def _edges(lo: float, hi: float, breakpoints=()) -> np.ndarray:
+    """Geometric panel edges over [lo, hi] with the breakpoints inside it inserted.
 
-
-def _edges(lo, hi, breakpoints=(), panels_per_decade: int = 6,
-           min_panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric panel edges over each [lo_i, hi_i] with breakpoints inserted.
-
-    lo and hi are scalars or arrays of intervals; breakpoints is one list
-    for every interval or one row per interval, NaN entries ignored.
-    Returns the edges of all intervals in order and the interval (row) of
-    each edge.
+    6 panels to a decade, at least 8; from lo = 0 the panels grade down
+    to 1e-12 hi, and [0, 1e-12 hi] is the first panel.
     """
-    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
-                                 np.atleast_1d(np.asarray(hi, dtype=float)))
-    anchor = np.where(lo <= 0.0, np.maximum(lo, hi * 1e-12), lo)
-    decades = np.array([math.log10(h / a) if h > a else 0.0
-                        for a, h in zip(anchor, hi)])
-    count = np.maximum(min_panels, np.ceil(decades * panels_per_decade).astype(int)) + 1
-    cuts = np.atleast_2d(np.asarray(breakpoints, dtype=float))
-    width = count.max()
-    table = np.full((lo.size, width + cuts.shape[1] + 3), np.nan)
-    for c in np.unique(count):
-        sel = count == c
-        table[sel, :c] = np.geomspace(anchor[sel], hi[sel], c, axis=1)
-    table[:, width:-3] = cuts
-    table[:, -3] = lo
-    table[:, -2] = hi
-    table[:, -1] = np.where(lo <= 0.0, 0.0, np.nan)
-    table[~((table >= lo[:, None]) & (table <= hi[:, None]))] = np.nan
-    return _sorted_edges(table)
+    anchor = max(lo, hi * 1e-12) if lo <= 0.0 else lo
+    decades = math.log10(hi / anchor) if hi > anchor else 0.0
+    count = max(8, math.ceil(decades * 6)) + 1
+    edges = np.concatenate([np.geomspace(anchor, hi, count),
+                            np.asarray(breakpoints, dtype=float), [lo, hi]])
+    return np.unique(edges[(edges >= lo) & (edges <= hi)])
 
 
 def _sorted_edges(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,28 +190,11 @@ def _call(fn, s: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(s[i:i + _NODE_CAP]) for i in range(0, s.size, _NODE_CAP)])
 
 
-def _row_sums(fn, rules, xs: np.ndarray) -> np.ndarray:
-    """Per-row integrals of the rules(chunk) rule, for xs in chunks of _CHUNK."""
-    out = []
-    for i in range(0, xs.size, _CHUNK):
-        chunk = xs[i:i + _CHUNK]
-        s, w, rows = rules(chunk)
-        out.append(np.bincount(rows, weights=w * _call(fn, s), minlength=chunk.size))
-    return np.concatenate(out)
-
-
-def _integral(fn, lo: float, hi: float, breakpoints=(),
-              panels_per_decade: int = 6, min_panels: int = 8) -> float:
-    """Composite GL-24 integral of a piecewise-smooth integrand."""
-    s, w, _ = _gl_nodes(*_edges(lo, hi, breakpoints, panels_per_decade, min_panels))
-    return float(np.dot(w, _call(fn, s)))
-
-
 def _weighted_moment(fn, m: float, lo: float, hi: float, breakpoints=()) -> float:
-    """integral of fn(s) * s^m over [lo, hi]; handles m in (-1, 0) at lo=0."""
+    """integral of fn(s) * s^m over [lo, hi]; needs m > -1 when lo = 0."""
     if hi <= lo:
         return 0.0
-    edges, _ = _edges(lo, hi, breakpoints)
+    edges = _edges(lo, hi, breakpoints)
     s, w = _panel_nodes(edges[:-1], edges[1:], m)
     return float(np.dot(w.ravel(), _call(fn, s.ravel())))
 
@@ -257,16 +207,6 @@ def envelope_tail_integral(envelope: TailModel, m: float, lo: float) -> float:
         return math.inf
     start = max(lo, envelope.valid_from)
     return amp * start ** (1.0 - p_eff) / (p_eff - 1.0)
-
-
-def _require_envelope(a: Coefficient, what: str) -> TailModel:
-    env = a.envelope
-    if env is None or env.kind != "power":
-        raise ValueError(
-            f"{what} needs a declared power envelope to close its tail; "
-            "the coefficient has none"
-        )
-    return env
 
 
 def _breakpoints(a: Coefficient, lo: float, hi: float) -> np.ndarray:
@@ -447,6 +387,19 @@ class Lemma1Profile(JsonReport):
 # split-time contraction (bounded solutions)
 # --------------------------------------------------------------------------
 
+def _split_time_envelope(a: Coefficient, al: float, T: float, t_max: float) -> TailModel:
+    """a's envelope, once T lies in (0, t_max) and the s^alpha |a| tail converges."""
+    if not 0.0 < T < t_max:
+        raise ValueError(f"split time T={T!r} must lie in (0, t_max={t_max!r})")
+    env = a.envelope
+    if env.exponent <= 1.0 + al:
+        raise ValueError(
+            f"coefficient envelope decays like t^-{env.exponent!r}; "
+            f"the weighted tail needs decay faster than t^-{1.0 + al!r}"
+        )
+    return env
+
+
 def thm1_constants(a: Coefficient, alpha: Alpha | float, T: float,
                    t_max: float = 100.0) -> Thm1Report:
     """C0, C1 and the contraction constant k for the split time T.
@@ -458,14 +411,7 @@ def thm1_constants(a: Coefficient, alpha: Alpha | float, T: float,
     diverge, which is a hard error.
     """
     al = as_alpha(alpha)
-    if not 0.0 < T < t_max:
-        raise ValueError(f"split time T={T!r} must lie in (0, t_max={t_max!r})")
-    env = _require_envelope(a, "the split-time contraction constant")
-    if env.exponent <= 1.0 + al:
-        raise ValueError(
-            f"coefficient envelope decays like t^-{env.exponent!r}; "
-            f"the weighted tail needs decay faster than t^-{1.0 + al!r}"
-        )
+    env = _split_time_envelope(a, al, T, t_max)
     zs = _breakpoints(a, 0.0, t_max)
     afun = lambda s: np.abs(a(s))
 
@@ -514,14 +460,7 @@ def thm2_constants(a: Coefficient, alpha: Alpha | float, T: float,
     tracks the extra decay p > 2 + alpha the asymptotic expansion needs.
     """
     al = as_alpha(alpha)
-    if not 0.0 < T < t_max:
-        raise ValueError(f"split time T={T!r} must lie in (0, t_max={t_max!r})")
-    env = _require_envelope(a, "the weighted-origin contraction constant")
-    if env.exponent <= 1.0 + al:
-        raise ValueError(
-            f"coefficient envelope decays like t^-{env.exponent!r}; "
-            f"the weighted tail needs decay faster than t^-{1.0 + al!r}"
-        )
+    env = _split_time_envelope(a, al, T, t_max)
     q = _origin_exponent(a, T)
     if q <= al:
         raise ValueError(
@@ -534,8 +473,7 @@ def thm2_constants(a: Coefficient, alpha: Alpha | float, T: float,
     # sliver closes under the fitted local power: |a| ~ |a(eps)| (s/eps)^q
     eps = 1e-5 * T
     head = 0.0 if math.isinf(q) else float(np.abs(a(eps))) * eps ** (-al) / (q - al)
-    origin_part = head + _integral(
-        lambda s: afun(s) * s ** (-1.0 - al), eps, T, zs)
+    origin_part = head + _weighted_moment(afun, -1.0 - al, eps, T, zs)
     tail_part = (_weighted_moment(afun, al, T, t_max, zs)
                  + envelope_tail_integral(env, al, t_max))
     k4 = max(1.0, T) / gamma(1.0 + al) * (origin_part + tail_part)
@@ -549,20 +487,20 @@ def thm2_constants(a: Coefficient, alpha: Alpha | float, T: float,
 
 
 # --------------------------------------------------------------------------
-# linear-growth contraction: chi and k3
+# weakly singular convolutions: chi's and F's rule
 # --------------------------------------------------------------------------
 
-# The chi rules grade their panels geometrically, _PER_DECADE to a decade.
+# The convolution rule grades its panels geometrically, _PER_DECADE to a decade.
 # The left half's Gauss-Jacobi head is [0, r^_HEAD_RUNG] = [0, 1e-7] and
 # the right half's sliver is [0, r^-_SLIVER_RUNGS t/2], about [0, 5e-4 t].
 _PER_DECADE = 6
 _RATIO = 10.0 ** (1.0 / _PER_DECADE)
 _HEAD_RUNG = -7 * _PER_DECADE
 _SLIVER_RUNGS = 3 * _PER_DECADE
-# the whole left panels below t/2 enter chi(t) through the moments of
-# their terms: (t-s)^(alpha-1) = t^(alpha-1) sum_k c_k (s/t)^k with every
-# c_k in (0, 1], so for s <= t/2 the terms past _MOMENTS sum to less than
-# 2^(1-_MOMENTS) < 3e-17 relative
+# the whole left panels below t/2 enter the convolution through the moments
+# of their terms: (t-s)^e = t^e sum_k c_k (s/t)^k with every c_k in (0, 1]
+# for e = alpha - 1, so for s <= t/2 the terms past _MOMENTS sum to less
+# than 2^(1-_MOMENTS) < 3e-17 relative
 _MOMENTS = 56
 
 
@@ -582,12 +520,13 @@ def _rung(x) -> int:
     return math.floor(math.log(x) / math.log(_RATIO))
 
 
-def _chi_function(afun, alpha: float, t_hi: float, zeros: np.ndarray):
-    """t -> t^(1-alpha) * int_0^t afun(s) s^(alpha-1) (t-s)^(alpha-1) ds, 0 < t <= t_hi.
+def _conv_function(afun, m: float, e: float, t_hi: float, zeros: np.ndarray):
+    """t -> int_0^t afun(s) s^m (t-s)^e ds for 0 < t <= t_hi, with m, e > -1.
 
-    With e = alpha - 1 the integrand is afun(s) y^e (t-y)^e, where y = s
-    on the left half [0, t/2] and y = t - s on the right half, so both
-    halves are integrals against y^e dy from y = 0 to t/2 (_panel_nodes).
+    The integrand is afun(s) y^m (t-y)^e on the left half [0, t/2], where
+    y = s, and afun(s) y^e (t-y)^m on the right half, where y = t - s, so
+    both halves are integrals against a power of y from y = 0 to t/2
+    (_panel_nodes), y^m on the left and y^e on the right.
     The left half runs on one panelization of [0, t_hi/2]: the rungs r^j
     down to 1e-7, cut at the zeros of a, with a Gauss-Jacobi head at 0.
     afun(s) is evaluated on its nodes here, once, and the _MOMENTS moments
@@ -602,14 +541,13 @@ def _chi_function(afun, alpha: float, t_hi: float, zeros: np.ndarray):
     terms in a fixed order, so it does not depend on the other points of
     the batch or on t_hi.
     """
-    e = alpha - 1.0
     n = _GL_NODES.size
     zeros = np.asarray(zeros, dtype=float)
     cut = zeros[(zeros > 0.0) & (zeros < 0.5 * t_hi)]
     g = min(_RATIO ** _HEAD_RUNG, cut.min(initial=np.inf))
     edges, _ = _graded_edges(_RATIO ** np.arange(_rung(g), _rung(0.5 * t_hi) + 2.0)[None, :],
                              np.array([g]), cut[None, :])
-    s, w = _panel_nodes(edges[:-1], edges[1:], e)
+    s, w = _panel_nodes(edges[:-1], edges[1:], m)
     wf = w * _call(afun, s.ravel()).reshape(s.shape)
 
     # moments[q, k]: the sum of wf (s/E_q)^k over the first q panels, E_q
@@ -627,7 +565,6 @@ def _chi_function(afun, alpha: float, t_hi: float, zeros: np.ndarray):
         moments[q] = moments[q - 1] * (edges[q - 1] / edges[q]) ** powers + panels[q - 1]
 
     def chunk_values(ts: np.ndarray) -> np.ndarray:
-        m = ts.size
         half = 0.5 * ts
         # the whole left panels below t/2 by their moments ...
         k = np.searchsorted(edges, half, side="right") - 1
@@ -641,22 +578,47 @@ def _chi_function(afun, alpha: float, t_hi: float, zeros: np.ndarray):
         edges_r, rows_r = _graded_edges(half[:, None] * _RATIO ** -np.arange(depth + 1.0),
                                         sliver, cuts)
         inner = rows_r[1:] == rows_r[:-1]
-        rows = np.concatenate([np.arange(m), rows_r[1:][inner]])
+        # the partial left panels and the right half's panels, built as one
+        # block with the weight y^e and called once on the coefficient
+        rows = np.concatenate([np.arange(ts.size), rows_r[1:][inner]])
         y, w = _panel_nodes(np.concatenate([edges[k], edges_r[:-1][inner]]),
                             np.concatenate([half, edges_r[1:][inner]]), e)
         t = ts[rows][:, None]
+        if m != e:
+            # F: the partial left panels take the weight y^m, and the right
+            # half's factor s^m is s^(m-e) here times s^e below. Chi (m = e)
+            # keeps one block: built as a left and a right block, its chunk
+            # temporaries no longer fit the heap, and a thm3 check in the
+            # command line took about 12k page faults as glibc trimmed and
+            # regrew the heap top
+            y[:ts.size], w[:ts.size] = _panel_nodes(edges[k], half, m)
+            w[ts.size:] *= (t[ts.size:] - y[ts.size:]) ** (m - e)
         w = w * (t - y) ** e
-        y[m:] = t[m:] - y[m:]
+        y[ts.size:] = t[ts.size:] - y[ts.size:]
         return np.bincount(
-            np.concatenate([np.repeat(np.arange(m), _MOMENTS), np.repeat(rows, n)]),
+            np.concatenate([np.repeat(np.arange(ts.size), _MOMENTS), np.repeat(rows, n)]),
             weights=np.concatenate([whole.ravel(), w.ravel() * _call(afun, y.ravel())]),
-            minlength=m)
+            minlength=ts.size)
 
-    def chi(ts: np.ndarray) -> np.ndarray:
+    def conv(ts: np.ndarray) -> np.ndarray:
         # numpy's pow can round a strided input differently from a contiguous one
         ts = np.ascontiguousarray(ts, dtype=float)
-        sums = [chunk_values(ts[i:i + _CHUNK]) for i in range(0, ts.size, _CHUNK)]
-        return ts ** (1.0 - alpha) * np.concatenate(sums)
+        return np.concatenate([chunk_values(ts[i:i + _CHUNK]) for i in range(0, ts.size, _CHUNK)])
+
+    return conv
+
+
+# --------------------------------------------------------------------------
+# linear-growth contraction: chi and k3
+# --------------------------------------------------------------------------
+
+def _chi_function(afun, alpha: float, t_hi: float, zeros: np.ndarray):
+    """t -> t^(1-alpha) * int_0^t afun(s) s^(alpha-1) (t-s)^(alpha-1) ds, 0 < t <= t_hi."""
+    conv = _conv_function(afun, alpha - 1.0, alpha - 1.0, t_hi, zeros)
+
+    def chi(ts: np.ndarray) -> np.ndarray:
+        ts = np.ascontiguousarray(ts, dtype=float)
+        return ts ** (1.0 - alpha) * conv(ts)
 
     return chi
 
@@ -664,7 +626,7 @@ def _chi_function(afun, alpha: float, t_hi: float, zeros: np.ndarray):
 def _chi_values(afun, alpha: float, ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     """t^(1-alpha) * integral_0^t afun(s) s^(alpha-1) (t-s)^(alpha-1) ds at each t.
 
-    The rules are _chi_function's, with its left half built up to max(ts);
+    The rule is _conv_function's, with its left half built up to max(ts);
     a value depends on its own t only, not on the other points of ts.
     """
     ts = np.asarray(ts, dtype=float)
@@ -686,7 +648,7 @@ def thm3_constants(a: Coefficient, alpha: Alpha | float,
     that is finite, otherwise by boundedness of the scanned values.
     """
     al = as_alpha(alpha)
-    env = _require_envelope(a, "the linear-growth contraction constant")
+    env = a.envelope
     if env.exponent <= al:
         raise ValueError(
             f"coefficient envelope decays like t^-{env.exponent!r}; "
@@ -750,7 +712,7 @@ def lemma1_profile(a: Coefficient, alpha: Alpha | float,
     gives |C| <= K t^(alpha-p) with K = A 2^(p-alpha) (1/alpha + 2/(p-2)).
     """
     al = as_alpha(alpha)
-    env = _require_envelope(a, "the integrability profile")
+    env = a.envelope
     if grid is None:
         grid = make_graded_grid()
     t = grid.nodes
@@ -836,8 +798,8 @@ def lemma1_profile(a: Coefficient, alpha: Alpha | float,
     intermed2 = math.isfinite(e_l1)
 
     # mean-zero check: grid integral of the signed coefficient + tail bound
-    mean_value = _integral(lambda s: np.asarray(a(s), dtype=float),
-                           0.0, t_max, zs)
+    mean_value = _weighted_moment(lambda s: np.asarray(a(s), dtype=float),
+                                  0.0, 0.0, t_max, zs)
     mean_tail = envelope_tail_integral(env, 0.0, t_max)
     abs_mass = _weighted_moment(afun, 0.0, 0.0, t_max, zs)
     mean_zero = (math.isfinite(mean_tail)
@@ -888,25 +850,12 @@ def lemma2_constants(profile: Lemma1Profile) -> Lemma2Report:
 # divergence demonstration: the F integral has no L1 bound
 # --------------------------------------------------------------------------
 
-def _f_rules(taus: np.ndarray, e: float, zeros: np.ndarray):
-    """Rule for F(tau) = integral_0^tau f(u) (tau-u)^e du, f smooth, one row per tau."""
-    half = 0.5 * taus
-    z, h, tau = zeros[None, :], half[:, None], taus[:, None]
-    cut = np.maximum(taus * (1.0 - 1e-3), np.where((z > h) & (z < tau), z, -np.inf)
-                     .max(axis=1, initial=-np.inf))
-    s1, w1, r1 = _gl_nodes(*_edges(0.0, half, zeros, panels_per_decade=2))
-    right_cuts = np.where((z > h) & (z < cut[:, None]), tau - z, np.nan)
-    v, w2, r2 = _gl_nodes(*_edges(taus - cut, half, right_cuts))
-    s3, w3, r3 = _gj_right_nodes(cut, taus, e)
-    return (np.concatenate([s1, taus[r2] - v, s3]),
-            np.concatenate([w1 * (taus[r1] - s1) ** e, w2 * v ** e, w3]),
-            np.concatenate([r1, r2, r3]))
-
-
 def f_l1_divergence(a: Coefficient, alpha: Alpha | float, T: float,
                     t_samples) -> list[dict]:
     """Running integral of F(2s) past T, against its closed-form lower bound.
 
+    F(tau) = integral_0^tau |a(u)| (tau-u)^(alpha-1) du runs on chi's rule
+    (_conv_function with m = 0), built once up to tau = 2 max(t_samples).
     Rows carry (t, integral_T^t F(2s) ds, lower_bound) where the bound is
     [(2t - T/2)^alpha - (3T/2)^alpha] / (2 alpha) * integral_{T/2}^{2T} |a|.
     The growth of the bound in t shows F cannot be integrable whenever the
@@ -930,17 +879,17 @@ def f_l1_divergence(a: Coefficient, alpha: Alpha | float, T: float,
             "the divergence bound is vacuous there"
         )
 
-    # the F(2s) rules of a chunk of outer nodes share one coefficient call
-    f2 = lambda s: _row_sums(afun, lambda chunk: _f_rules(2.0 * chunk, al - 1.0, zs), s)
+    # F(2s) has a kink at s = z/2 for each breakpoint z of a, so the
+    # outer panels are cut there
+    F = _conv_function(afun, 0.0, al - 1.0, 2.0 * max(ts), zs)
+    f2 = lambda s: F(2.0 * s)
 
     rows = []
     running = 0.0
     prev = T
     for t in ts:
         if t > prev:
-            # F(2s) is smooth past T; a coarse panelization is plenty for
-            # the demonstration and keeps the nested quadrature affordable
-            running += _integral(f2, prev, t, panels_per_decade=2, min_panels=3)
+            running += _weighted_moment(f2, 0.0, prev, t, 0.5 * zs)
             prev = t
         bound = ((2.0 * t - 0.5 * T) ** al - (1.5 * T) ** al) / (2.0 * al) \
             * window_mass

@@ -140,8 +140,9 @@ def make_graded_grid(t_max: float = 100.0, n: int = 4096, grading: float = 2.0) 
 class TailModel:
     """Behaviour past the horizon: kind 'zero' or 'power'.
 
-    'power' asserts |f(t)| <= amplitude * t^(-exponent) for t >= valid_from
-    and is integrated in closed form as amplitude * t^(1-exponent)/(exponent-1).
+    'power' asserts |f(t)| <= amplitude * t^(-exponent) for t >= valid_from;
+    hypotheses.envelope_tail_integral integrates the tails it bounds in
+    closed form.
     """
 
     kind: str = "zero"
@@ -154,19 +155,6 @@ class TailModel:
             raise ValueError(f"unknown tail kind {self.kind!r}")
         if self.kind == "power" and not self.amplitude >= 0.0:
             raise ValueError("tail amplitude must be nonnegative")
-
-    def integral_from(self, lo: float) -> float:
-        """Closed-form integral of the modelled tail over [lo, infinity)."""
-        if self.kind == "zero":
-            return 0.0
-        if not self.exponent > 1.0:
-            raise ValueError(
-                f"tail with decay exponent {self.exponent!r} is not integrable"
-            )
-        lo = max(float(lo), self.valid_from)
-        if lo <= 0.0:
-            raise ValueError("power tail integral needs a positive lower limit")
-        return self.amplitude * lo ** (1.0 - self.exponent) / (self.exponent - 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -218,7 +218,7 @@ def test_batched_integral_is_exact_on_polynomials(coeffs, width, offset, cuts):
     p = np.polynomial.Polynomial(coeffs, domain=[lo, hi], window=[0.0, 1.0])
     exact = width * sum(c / (k + 1) for k, c in enumerate(coeffs))
     scale = width * sum(abs(c) for c in coeffs)
-    got = hyp._integral(p, lo, hi, [lo + c * width for c in cuts])
+    got = hyp._weighted_moment(p, 0.0, lo, hi, [lo + c * width for c in cuts])
     assert abs(got - exact) <= 1e-12 * scale
 
 

@@ -18,6 +18,8 @@ from scipy.special import gamma as sp_gamma
 
 from fracasym.coeffexpr import Coefficient
 from fracasym.hypotheses import (
+    _breakpoints,
+    _conv_function,
     _gj_rule,
     Lemma1Profile,
     f_l1_divergence,
@@ -551,6 +553,36 @@ class TestDivergenceDemonstration:
     def test_samples_before_anchor_rejected(self, bump):
         with pytest.raises(ValueError, match="anchor"):
             f_l1_divergence(bump, AL, T=1.0, t_samples=[0.5, 2.0])
+
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 2.0, 2.00005, 2.0002, 4.0, 5.0, 200.0, 400.0])
+    def test_f_matches_its_closed_form(self, bump, tau):
+        # F(tau) = int_0^tau |a(u)| (tau-u)^(alpha-1) du, term by term on the
+        # linear pieces of the bump at 30 digits; tau past the ramp at 2 puts
+        # a cut of the right half inside its Gauss-Jacobi sliver
+        with mpmath.workdps(30):
+            e = mpmath.mpf(AL) - 1
+            pts = [(mpmath.mpf(u), mpmath.mpf(v)) for u, v in bump.samples]
+            want = mpmath.mpf(0)
+            x = mpmath.mpf(tau)
+            for (u0, a0), (u1, a1) in zip(pts[:-1], pts[1:]):
+                if u0 >= x:
+                    break
+                slope = (a1 - a0) / (u1 - u0)
+                amp = a0 + slope * (x - u0)
+                prim = lambda v: amp * v ** (e + 1) / (e + 1) - slope * v ** (e + 2) / (e + 2)
+                want += prim(x - u0) - prim(x - min(u1, x))
+        zs = _breakpoints(bump, 0.0, 800.0)
+        F = _conv_function(lambda u: np.abs(bump(u)), 0.0, AL - 1.0, 400.0, zs)
+        assert F(np.array([tau]))[0] == pytest.approx(float(want), rel=1e-13)
+
+    # integral_1^t F(2s) ds for the bump by mpmath at 30 digits; F(2s) has
+    # kinks at half the bump's corners, which the outer panels must cut at
+    @pytest.mark.parametrize("t, want", [(2.0, 1.2550070107255340695),
+                                         (10.0, 5.270384202432324645),
+                                         (100.0, 19.923399398110750492)])
+    def test_running_integral_matches_a_high_precision_oracle(self, bump, t, want):
+        rows = f_l1_divergence(bump, AL, T=1.0, t_samples=[t])
+        assert rows[0]["integral"] == pytest.approx(want, rel=1e-6)
 
 
 # --------------------------------------------------------------------------

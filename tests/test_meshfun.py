@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracasym.hypotheses import envelope_tail_integral
 from fracasym.meshfun import (
     GradedGrid,
     GridFunction,
@@ -66,17 +67,16 @@ def test_doubling_n_nests_the_grid():
 def test_power_tail_closed_form():
     tail = TailModel(kind="power", amplitude=3.0, exponent=2.5, valid_from=1.0)
     # int_2^inf 3 s^-2.5 ds = 3 * 2^-1.5 / 1.5
-    assert tail.integral_from(2.0) == pytest.approx(3.0 * 2.0**-1.5 / 1.5, rel=1e-14)
+    assert envelope_tail_integral(tail, 0.0, 2.0) == pytest.approx(3.0 * 2.0**-1.5 / 1.5, rel=1e-14)
     # lower limits inside valid_from clamp up to it
-    assert tail.integral_from(0.5) == tail.integral_from(1.0)
+    assert envelope_tail_integral(tail, 0.0, 0.5) == envelope_tail_integral(tail, 0.0, 1.0)
 
 
 def test_tail_validation():
     with pytest.raises(ValueError):
         TailModel(kind="bogus")
     slow = TailModel(kind="power", amplitude=1.0, exponent=0.5, valid_from=1.0)
-    with pytest.raises(ValueError):
-        slow.integral_from(2.0)
+    assert envelope_tail_integral(slow, 0.0, 2.0) == math.inf
 
 
 # -- grid functions -------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracasym.hypotheses import lemma1_profile, thm1_constants
+from fracasym.hypotheses import envelope_tail_integral, lemma1_profile, thm1_constants
 from fracasym.meshfun import (
     GridFunction,
     TailModel,
@@ -398,7 +398,7 @@ class TestTailEstimates:
         growth = float(np.max(np.abs(xv[1:]) / np.maximum(t[1:], 1.0) ** ALPHA))
         g_abs = GridFunction(grid, np.abs(slow_decay_coeff(t) * xv))
         tail = TailModel("power", 0.01 * growth, 3.5 - ALPHA, 1.0)
-        total = integrate(g_abs) + tail.integral_from(grid.t_max)
+        total = integrate(g_abs) + envelope_tail_integral(tail, 0.0, grid.t_max)
         conv = _conv_values(g_abs, ALPHA)
         lhs = (t[1:] ** ALPHA * total - conv[1:]) / ALPHA
         rhs = (2.0 * report.C1 / ALPHA) * dist * t[1:] ** (ALPHA - 1.0)
