@@ -16,10 +16,8 @@ from .coeffexpr import (
     save_coefficient,
 )
 from .fracops import (
-    Alpha,
     apply_operator,
     as_alpha,
-    conv_C,
     frac_integral,
     grid_gradient,
     rl_derivative,
@@ -70,7 +68,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alpha",
     "AsymptoticReport",
     "BoundaryLimits",
     "Coefficient",
@@ -90,7 +87,6 @@ __all__ = [
     "boundary_limits",
     "coefficient_from_json_dict",
     "coefficient_to_json_dict",
-    "conv_C",
     "f_l1_divergence",
     "frac_integral",
     "gamma",

@@ -28,7 +28,7 @@ from .coeffexpr import Coefficient, check_envelope, load_coefficient
 from .fracops import as_alpha, peeled_integral
 from .meshfun import GradedGrid, GridFunction, make_graded_grid, write_csv, write_json
 from .solver import CHAINS, SOLVE_CASES, SolveSpec, gate, solve
-from .verify import asymptotic_fit, boundary_limits, residual
+from .verify import asymptotic_fit, boundary_limits, chain_head, residual
 
 __all__ = ["main", "RunConfig"]
 
@@ -260,16 +260,16 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
 
     al = cfg.alpha
     chain = CHAINS[case]
-    head_e = chain.stored_head(al)
+    fit_case, a_true, b_true = chain.verify_as or (case, cfg.a, cfg.b)
+    operator, head_e, _, reference = chain_head(fit_case, al)
     x = GridFunction(grid, v, head_exponent=head_e if v[0] != 0.0 else 0.0)
 
     # the residual and the boundary derivative share one I^(1-alpha) x
     inner = peeled_integral(x, 1.0 - al)
-    res = residual(x, chain.operator, coeff, al, inner=inner)
+    res = residual(x, operator, coeff, al, inner=inner)
     write_json(os.path.join(cfg.out, f"residual_{case}.json"), res)
     res.to_csv(os.path.join(cfg.out, f"residual_{case}.csv"))
 
-    fit_case, a_true, b_true = chain.verify_as or (case, cfg.a, cfg.b)
     rep = asymptotic_fit(x, fit_case, al, a_true=a_true, b_true=b_true)
     write_json(os.path.join(cfg.out, f"asymptotic_{case}.json"), rep)
 
@@ -282,7 +282,7 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
         write_json(os.path.join(cfg.out, f"certificate_{case}.json"), chain.certify(y))
 
     t = grid.nodes[1:]
-    head_vals = CHAINS[fit_case].head(t, al, a_true, b_true)
+    head_vals = reference(t, a_true, b_true)
     weighted = t ** (1.0 - al) * np.abs(v[1:] - head_vals)
     write_csv(os.path.join(cfg.out, f"verify_{case}.csv"), "t,x,head,weighted_remainder",
               [t, v[1:], head_vals, weighted])
@@ -319,13 +319,19 @@ def _parse_sweep_ranges(cfg: RunConfig) -> dict[str, np.ndarray]:
     return axes
 
 
-def _scaled_coefficient(coeff: Coefficient, lam: float) -> Coefficient:
+def _guard_t_max(cfg: RunConfig) -> float:
+    """Expressions are scanned for poles on [0, max(100, t_max)]."""
+    return max(100.0, cfg.tmax)
+
+
+def _scaled_coefficient(coeff: Coefficient, lam: float, guard_t_max: float) -> Coefficient:
     if lam == 1.0:
         return coeff
     env = replace(coeff.envelope, amplitude=coeff.envelope.amplitude * abs(lam))
     if coeff.text is not None:
         return Coefficient.from_expression(
-            f"{lam!r} * ({coeff.text})", env, alpha_context=coeff.alpha_context
+            f"{lam!r} * ({coeff.text})", env, alpha_context=coeff.alpha_context,
+            guard_t_max=guard_t_max,
         )
     scaled = np.column_stack([coeff.samples[:, 0], coeff.samples[:, 1] * lam])
     return Coefficient.from_samples(scaled, env, alpha_context=coeff.alpha_context)
@@ -351,7 +357,7 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
         al, amp, T = (float(c) for c in cell)
         cell_cfg = replace(cfg, alpha=al, T=T, override_hypotheses=True)
         try:
-            scaled = _scaled_coefficient(coeff, amp)
+            scaled = _scaled_coefficient(coeff, amp, _guard_t_max(cfg))
             g = gate(cfg.case, scaled, al, T, grid)
             ratio = ""
             if cfg.sweep_ratios:
@@ -379,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(ns)
         if cfg.coeff is None:
             raise ValueError("a coefficient file is required (--coeff PATH)")
-        coeff = load_coefficient(cfg.coeff)
+        coeff = load_coefficient(cfg.coeff, _guard_t_max(cfg))
         ok, excess = check_envelope(coeff, _grid(cfg))
         if not ok:
             raise ValueError(

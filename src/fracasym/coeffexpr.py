@@ -330,6 +330,8 @@ class Coefficient:
         arr = np.asarray(samples, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
             raise ValueError("samples must be an (m, 2) table with m >= 2")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("sample times and values must be finite")
         if not np.all(np.diff(arr[:, 0]) > 0):
             raise ValueError("sample times must be strictly increasing")
         return Coefficient(text=None, expr=None, samples=arr, envelope=envelope,
@@ -456,7 +458,7 @@ def coefficient_to_json_dict(coeff: Coefficient) -> dict:
     return d
 
 
-def coefficient_from_json_dict(d: dict) -> Coefficient:
+def coefficient_from_json_dict(d: dict, guard_t_max: float = 100.0) -> Coefficient:
     env = d.get("envelope")
     if env is None:
         raise ValueError("coefficient JSON needs an 'envelope' object")
@@ -466,15 +468,16 @@ def coefficient_from_json_dict(d: dict) -> Coefficient:
     tail = TailModel(kind="power", amplitude=A, exponent=p, valid_from=valid_from)
     ctx = d.get("alpha-context")
     if "expr" in d:
-        return Coefficient.from_expression(d["expr"], tail, alpha_context=ctx)
+        return Coefficient.from_expression(d["expr"], tail, alpha_context=ctx,
+                                           guard_t_max=guard_t_max)
     if "samples" in d:
         return Coefficient.from_samples(d["samples"], tail, alpha_context=ctx)
     raise ValueError("coefficient JSON needs 'expr' or 'samples'")
 
 
-def load_coefficient(path: str) -> Coefficient:
+def load_coefficient(path: str, guard_t_max: float = 100.0) -> Coefficient:
     with open(path) as fh:
-        return coefficient_from_json_dict(json.load(fh))
+        return coefficient_from_json_dict(json.load(fh), guard_t_max)
 
 
 def save_coefficient(coeff: Coefficient, path: str) -> None:

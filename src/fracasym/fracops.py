@@ -63,19 +63,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffexpr import Coefficient
 from .meshfun import GradedGrid, GridFunction
 from .specialfn import beta as beta_fn
 from .specialfn import gamma
 
 __all__ = [
-    "Alpha",
     "as_alpha",
     "OPERATOR_CASES",
     "frac_integral",
     "peeled_integral",
     "rl_derivative",
-    "conv_C",
     "apply_operator",
     "grid_gradient",
     "trusted_slice",
@@ -84,29 +81,12 @@ __all__ = [
 OPERATOR_CASES = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """Fractional order; the numerics are calibrated for [0.05, 0.95]."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.05 <= self.value <= 0.95:
-            raise ValueError(
-                f"order {self.value!r} outside the supported range [0.05, 0.95]"
-            )
-
-
-def as_alpha(a: "Alpha | float") -> float:
-    if isinstance(a, Alpha):
-        return a.value
-    return Alpha(float(a)).value
-
-
-def _check_case(case: int) -> int:
-    if case not in OPERATOR_CASES:
-        raise ValueError(f"operator case must be one of {OPERATOR_CASES}, got {case!r}")
-    return case
+def as_alpha(a: float) -> float:
+    """a as a fractional order; the numerics are calibrated for [0.05, 0.95]."""
+    a = float(a)
+    if not 0.05 <= a <= 0.95:
+        raise ValueError(f"order {a!r} outside the supported range [0.05, 0.95]")
+    return a
 
 
 # --------------------------------------------------------------------------
@@ -482,7 +462,7 @@ def _assemble(grid: GradedGrid, reg_values: np.ndarray, e_out: float,
     return GridFunction(grid, vals, head_exponent=e_out)
 
 
-def peeled_integral(f: GridFunction, order: "Alpha | float") -> tuple[np.ndarray, float, float]:
+def peeled_integral(f: GridFunction, order: float) -> tuple[np.ndarray, float, float]:
     """The Riemann-Liouville integral of f before assembly: the quadrature
     of f's regular part, and the exponent and coefficient of the analytic
     image of its head, all divided by Gamma(order).
@@ -497,7 +477,7 @@ def peeled_integral(f: GridFunction, order: "Alpha | float") -> tuple[np.ndarray
     return quad / g, e_head, c_head / g if c_head else 0.0
 
 
-def frac_integral(f: GridFunction, order: "Alpha | float") -> GridFunction:
+def frac_integral(f: GridFunction, order: float) -> GridFunction:
     """Riemann-Liouville integral of the given order, 1/Gamma built in."""
     return _assemble(f.grid, *peeled_integral(f, order))
 
@@ -539,7 +519,7 @@ def _warn_unstable(values: np.ndarray, deriv: np.ndarray, t: np.ndarray) -> None
         )
 
 
-def rl_derivative(f: GridFunction, order: "Alpha | float", inner=None) -> GridFunction:
+def rl_derivative(f: GridFunction, order: float, inner=None) -> GridFunction:
     """Derivative of order alpha: d/dt of the (1-alpha)-integral.
 
     inner, if given, is peeled_integral(f, 1 - alpha).
@@ -547,30 +527,6 @@ def rl_derivative(f: GridFunction, order: "Alpha | float", inner=None) -> GridFu
     if inner is None:
         inner = peeled_integral(f, 1.0 - as_alpha(order))
     return grid_gradient(_assemble(f.grid, *inner))
-
-
-def conv_C(
-    a: "Coefficient | GridFunction",
-    order: "Alpha | float",
-    grid: GradedGrid | None = None,
-    rescaled: bool = False,
-) -> GridFunction:
-    """C(t) = int_0^t a(s) (t-s)^(alpha-1) ds, optionally divided by Gamma(alpha).
-
-    Accepts a Coefficient (sampled on the grid, which must be given) or a
-    GridFunction. The unscaled form matches the profile definitions; the
-    rescaled form is the one the fixed-point machinery feeds on.
-    """
-    alpha = as_alpha(order)
-    if isinstance(a, Coefficient):
-        if grid is None:
-            raise ValueError("conv_C of a Coefficient needs a grid")
-        f = GridFunction.from_callable(grid, a)
-    else:
-        f = a
-    quad, e_head, c_head = _conv_power_kernel(f, alpha - 1.0)
-    scale = 1.0 / gamma(alpha) if rescaled else 1.0
-    return _assemble(f.grid, quad * scale, e_head, c_head * scale)
 
 
 def times_t(f: GridFunction) -> GridFunction:
@@ -599,7 +555,7 @@ def trusted_slice(grid: GradedGrid) -> slice:
 
 
 def apply_operator(
-    case: int, x: GridFunction, order: "Alpha | float", inner=None
+    case: int, x: GridFunction, order: float, inner=None
 ) -> GridFunction:
     """Apply one of the three factorizations; see the module docstring.
 
@@ -610,7 +566,8 @@ def apply_operator(
     The returned values at the first and last 2% of nodes sit outside the
     trusted range (trusted_slice) and should not enter residual sups.
     """
-    _check_case(case)
+    if case not in OPERATOR_CASES:
+        raise ValueError(f"operator case must be one of {OPERATOR_CASES}, got {case!r}")
     mu = 1.0 - as_alpha(order)
     if case == 1:
         shifted = _shift_constant(x)

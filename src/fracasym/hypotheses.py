@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeffexpr import Coefficient
-from .fracops import Alpha, _assemble, _conv_power_kernel, as_alpha, conv_C
+from .fracops import _assemble, _conv_power_kernel, as_alpha
 from .meshfun import (
     GradedGrid,
     GridFunction,
@@ -400,7 +400,7 @@ def _split_time_envelope(a: Coefficient, al: float, T: float, t_max: float) -> T
     return env
 
 
-def thm1_constants(a: Coefficient, alpha: Alpha | float, T: float,
+def thm1_constants(a: Coefficient, alpha: float, T: float,
                    t_max: float = 100.0) -> Thm1Report:
     """C0, C1 and the contraction constant k for the split time T.
 
@@ -451,7 +451,7 @@ def _origin_exponent(a: Coefficient, T: float) -> float:
     return float(slope)
 
 
-def thm2_constants(a: Coefficient, alpha: Alpha | float, T: float,
+def thm2_constants(a: Coefficient, alpha: float, T: float,
                    t_max: float = 100.0) -> Thm2Report:
     """k4 = max(1,T)/Gamma(1+alpha) * (int_0^T |a| s^(-1-alpha) + int_T^inf s^alpha |a|).
 
@@ -637,15 +637,15 @@ def _chi_sup(afun, alpha: float, t_max: float, zeros) -> tuple[float, float]:
     return _sup_scan(_chi_function(afun, alpha, t_max, zeros), _SCAN_FLOOR, t_max)
 
 
-def thm3_constants(a: Coefficient, alpha: Alpha | float,
+def thm3_constants(a: Coefficient, alpha: float,
                    t_max: float = 100.0) -> Thm3Report:
     """chi, k3 and the moment/sup hypotheses for linearly growing solutions.
 
     k3 = (integral_0^inf |a| s^(alpha-1) ds + chi) / Gamma(alpha) with
     chi = sup_t t^(1-alpha) integral_0^t |a| s^(alpha-1) (t-s)^(alpha-1) ds.
     The s-weighted sup hypothesis equals chi of the pushed coefficient
-    t^(2-alpha) a(t); it is certified through the envelope chain bound when
-    that is finite, otherwise by boundedness of the scanned values.
+    t^(2-alpha) a(t); sup_ok holds only when the envelope chain bound is
+    finite. The scanned sup_value is reported and certifies nothing.
     """
     al = as_alpha(alpha)
     env = a.envelope
@@ -701,7 +701,7 @@ def _running_max_from_right(values: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum.accumulate(out[::-1])[::-1]
 
 
-def lemma1_profile(a: Coefficient, alpha: Alpha | float,
+def lemma1_profile(a: Coefficient, alpha: float,
                    grid: GradedGrid | None = None) -> Lemma1Profile:
     """Grid profile of the integrability quantities behind the mean-zero route.
 
@@ -734,8 +734,10 @@ def lemma1_profile(a: Coefficient, alpha: Alpha | float,
     bstar_vals = _running_max_from_right(b_point, b_tail_sup)
     B_star = GridFunction(grid, bstar_vals)
 
-    # C via the product-integration convolution, plus the envelope tail bound
-    C = conv_C(a, al, grid=grid, rescaled=False)
+    # C via the product-integration convolution, plus the envelope tail bound;
+    # a is sampled on the grid once for C and D
+    fa = GridFunction.from_callable(grid, a)
+    C = _assemble(grid, *_conv_power_kernel(fa, al - 1.0))
     if p > 2.0:
         K = A * 2.0 ** (p - al) * (1.0 / al + 2.0 / (p - 2.0))
         q = p - al
@@ -750,9 +752,8 @@ def lemma1_profile(a: Coefficient, alpha: Alpha | float,
     C_star = GridFunction(grid, cstar_vals)
 
     # D: same convolution against the doubled-argument kernel
-    fa = GridFunction.from_callable(grid, lambda s: np.asarray(a(s), dtype=float))
-    d_raw, d_e, d_c = _conv_power_kernel(fa, al - 1.0, kernel_origin=2.0)
-    D = GridFunction(grid, np.abs(_assemble(grid, d_raw, d_e, d_c).values))
+    D = GridFunction(grid, np.abs(
+        _assemble(grid, *_conv_power_kernel(fa, al - 1.0, kernel_origin=2.0)).values))
     d_tail_sup = (2.0 * A * t_max ** (al - p) / (p - 2.0)) if p > 2.0 else 0.0
     dstar_vals = _running_max_from_right(D.pointwise_values(), d_tail_sup)
     D_star = GridFunction(grid, dstar_vals)
@@ -850,7 +851,7 @@ def lemma2_constants(profile: Lemma1Profile) -> Lemma2Report:
 # divergence demonstration: the F integral has no L1 bound
 # --------------------------------------------------------------------------
 
-def f_l1_divergence(a: Coefficient, alpha: Alpha | float, T: float,
+def f_l1_divergence(a: Coefficient, alpha: float, T: float,
                     t_samples) -> list[dict]:
     """Running integral of F(2s) past T, against its closed-form lower bound.
 

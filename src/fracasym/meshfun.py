@@ -276,7 +276,6 @@ class GridFunction:
 class WeightedMetric:
     """Distance on grid functions; kind selects the weighting.
 
-    sup_plain               sup |f - g|
     sup_over_t_alpha_after_T  max of sup on [0, T] and sup of |f-g|/t^alpha on [T, inf)
     sup_t_one_minus_alpha   sup t^(1-alpha) |f - g|
     max_sup_and_L1          max of sup |f - g| and the L1 norm of f - g
@@ -287,7 +286,6 @@ class WeightedMetric:
     alpha: float = 0.5
 
     _KINDS = (
-        "sup_plain",
         "sup_over_t_alpha_after_T",
         "sup_t_one_minus_alpha",
         "max_sup_and_L1",
@@ -321,9 +319,6 @@ def metric_distance(metric: WeightedMetric, f: GridFunction, g: GridFunction) ->
     d = f.values - g.values
     e = f.head_exponent
     interior = np.abs(d[1:])
-
-    if metric.kind == "sup_plain":
-        return max(float(interior.max()), _origin_sup_term(d[0], e, 0.0))
 
     if metric.kind == "sup_over_t_alpha_after_T":
         T = metric.split

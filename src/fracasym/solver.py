@@ -522,8 +522,11 @@ class Chain:
 
     The gate reads k_field and pass_field off the constants report;
     requires is the (a, b) predicate with its error message; operand is
-    the step map's second argument; verify_as, when set, names
-    the (chain, a, b) whose fit and reference head check the solution.
+    the step map's second argument. head is the equation a thm chain
+    solves: the operator case and, at order alpha, the exponents e0, e1
+    of the solution head a t^e0 + b t^e1 (verify.chain_head derives the
+    rest). A chain without one names in verify_as the (chain, a, b)
+    whose head checks its solution.
     Entries call traced layers (constants, steps, reconstructions) by
     module-global name at call time and never hold those functions, so
     instrumentation that rebinds the names reaches every call.
@@ -535,16 +538,13 @@ class Chain:
     step: Callable[[GridFunction, Any], GridFunction]
     metric: str
     budget: Callable[[SolveSpec, GridFunction, Gate], float]
-    operator: int
-    stored_head: Callable[[float], float]
     pass_field: str = "passed"
     profile: Callable[[Coefficient, float, GradedGrid], Any] = lambda c, al, grid: None
     payload: Callable[[Gate], dict] = lambda g: g.report.to_json_dict()
     requires: tuple[Callable[[float, float], bool], str] = (lambda a, b: True, "")
     operand: Callable[[SolveSpec, Gate], Any] = lambda spec, g: spec
     reconstruct: Callable[[SolveSpec, GridFunction], tuple] = lambda spec, y: (y, {})
-    basis: Callable[[np.ndarray, float], list] | None = None
-    head: Callable[[np.ndarray, float, float, float], np.ndarray] | None = None
+    head: tuple[int, Callable[[float], tuple[float, float]]] | None = None
     verify_as: tuple[str, float, float] | None = None
     certify: Callable[[GridFunction], dict] | None = None
 
@@ -577,10 +577,7 @@ CHAINS: dict[str, Chain] = {
         metric="sup_over_t_alpha_after_T",
         operand=_split_operand,
         budget=lambda spec, x, g: _split_budget(spec, x),
-        operator=1,
-        stored_head=lambda al: 0.0,
-        basis=lambda t, al: [np.ones_like(t), t**al],
-        head=lambda t, al, a, b: a + b * t**al,
+        head=(1, lambda al: (0.0, al)),
     ),
     "thm2": Chain(
         constants=lambda c, al, T, grid, _: thm2_constants(c, al, T, t_max=grid.t_max),
@@ -591,10 +588,7 @@ CHAINS: dict[str, Chain] = {
         metric="sup_over_t_alpha_after_T",
         operand=_split_operand,
         budget=lambda spec, x, g: _split_budget(spec, x),
-        operator=2,
-        stored_head=lambda al: al - 1.0,
-        basis=lambda t, al: [t ** (al - 1.0), t**al],
-        head=lambda t, al, a, b: b * t**al,
+        head=(2, lambda al: (al - 1.0, al)),
     ),
     "thm3": Chain(
         constants=lambda c, al, T, grid, _: thm3_constants(c, al, t_max=grid.t_max),
@@ -606,10 +600,7 @@ CHAINS: dict[str, Chain] = {
         metric="sup_t_one_minus_alpha",
         reconstruct=lambda spec, y: (reconstruct_thm3(y, spec.b), {}),
         budget=lambda spec, y, g: _thm3_budget(spec, y),
-        operator=3,
-        stored_head=lambda al: al - 1.0,
-        basis=lambda t, al: [t ** (al - 1.0), t],
-        head=lambda t, al, a, b: b * t,
+        head=(3, lambda al: (al - 1.0, 1.0)),
     ),
     "lemma2": Chain(
         profile=lambda c, al, grid: lemma1_profile(c, al, grid=grid),
@@ -630,8 +621,6 @@ CHAINS: dict[str, Chain] = {
         metric="max_sup_and_L1",
         reconstruct=_prop1_solution,
         budget=lambda spec, y, g: _lemma2_budget(spec, g),
-        operator=1,
-        stored_head=lambda al: 0.0,
         verify_as=("thm1", 1.0, 0.0),
         certify=lambda y: prop1_certify(y),
     ),

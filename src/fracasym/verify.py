@@ -24,6 +24,7 @@ __all__ = [
     "ResidualReport",
     "AsymptoticReport",
     "BoundaryLimits",
+    "chain_head",
     "residual",
     "asymptotic_fit",
     "boundary_limits",
@@ -87,6 +88,27 @@ def _window_slice(grid, lo: float, hi: float) -> slice:
     return slice(max(i0, 1), i1)
 
 
+def chain_head(case: str, alpha: float) -> tuple:
+    """From the thm chain's declared operator and head a t^e0 + b t^e1 at
+    order alpha: the operator case, the head exponent e0 of the solution
+    CSV, the fit basis t -> [t^e0, t^e1] and the reference head (t, a, b).
+    A t^(alpha-1) term shares its decay with the t^(1-alpha)-weighted
+    remainder, so the reference leaves it out; it shows up as a level.
+    """
+    chain = CHAINS.get(case)
+    if chain is None or chain.head is None:
+        fit_cases = tuple(k for k, c in CHAINS.items() if c.head is not None)
+        raise ValueError(f"case must be one of {fit_cases}, got {case!r}")
+    operator, exponents = chain.head
+    e0, e1 = exponents(alpha)
+
+    def reference(t: np.ndarray, a: float, b: float) -> np.ndarray:
+        growth = b * t**e1
+        return growth if e0 == alpha - 1.0 else a * t**e0 + growth
+
+    return operator, e0, lambda t: [t**e0, t**e1], reference
+
+
 def residual(x: GridFunction, case: int, a, alpha, inner=None) -> ResidualReport:
     """Defect of the composite-operator equation at the trusted nodes.
 
@@ -124,15 +146,11 @@ def asymptotic_fit(
     weighted remainder left by the true head.
 
     The remainder weight is t^(1-alpha) throughout. The reference head
-    uses the supplied true scalars, falling back to the fitted ones; the
-    t^(alpha-1) term shares its decay with the remainder, so it is left
-    out of the reference and shows up as a level in the weighted curve.
+    (chain_head) uses the supplied true scalars, falling back to the
+    fitted ones.
     """
-    chain = CHAINS.get(case)
-    if chain is None or chain.basis is None:
-        fit_cases = tuple(k for k, c in CHAINS.items() if c.basis is not None)
-        raise ValueError(f"case must be one of {fit_cases}, got {case!r}")
     al = as_alpha(alpha)
+    _, _, basis, reference = chain_head(case, al)
     grid = x.grid
     lo = grid.t_max / 10.0
     sl = _window_slice(grid, lo, grid.t_max)
@@ -144,13 +162,13 @@ def asymptotic_fit(
         )
     xv = x.values[sl]
 
-    A = np.column_stack(chain.basis(t, al))
+    A = np.column_stack(basis(t))
     sol, *_ = np.linalg.lstsq(A, xv, rcond=None)
     a_hat, b_hat = float(sol[0]), float(sol[1])
 
     a_ref = a_true if a_true is not None else a_hat
     b_ref = b_true if b_true is not None else b_hat
-    head = chain.head(t, al, a_ref, b_ref)
+    head = reference(t, a_ref, b_ref)
     weighted = t ** (1.0 - al) * np.abs(xv - head)
 
     sup_r = float(np.max(weighted))

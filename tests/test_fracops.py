@@ -12,16 +12,15 @@ from scipy.integrate import quad
 
 from fracasym.coeffexpr import Coefficient
 from fracasym.fracops import (
-    Alpha,
     as_alpha,
     apply_operator,
-    conv_C,
     frac_integral,
     grid_gradient,
     rl_derivative,
     times_t,
     trusted_slice,
 )
+from fracasym.hypotheses import lemma1_profile
 from fracasym.meshfun import GridFunction, TailModel, make_graded_grid
 
 
@@ -49,7 +48,6 @@ def ref_frac_integral(fn, tn, mu):
 
 def test_order_bounds():
     assert as_alpha(0.5) == 0.5
-    assert as_alpha(Alpha(0.3)) == 0.3
     for bad in (0.02, 0.96, -0.5, 1.5):
         with pytest.raises(ValueError):
             as_alpha(bad)
@@ -160,32 +158,22 @@ def test_conv_constant_coefficient_is_exact():
     g = grid10()
     a = Coefficient.from_expression("0.3", ENV)
     alpha = 0.5
-    C = conv_C(a, alpha, grid=g)
+    C = lemma1_profile(a, alpha, grid=g).C
     sl = trusted_slice(g)
     tt = g.nodes[sl]
     assert np.allclose(C.values[sl], 0.3 * tt**alpha / alpha, rtol=1e-12)
-    Cr = conv_C(a, alpha, grid=g, rescaled=True)
-    assert np.allclose(
-        Cr.values[sl], 0.3 * tt**alpha / (alpha * math.gamma(alpha)), rtol=1e-12
-    )
 
 
 def test_conv_matches_quadrature():
     g = grid10()
     a = Coefficient.from_expression("0.01/(1+t)^3.5", ENV)
     alpha = 0.5
-    C = conv_C(a, alpha, grid=g)
+    C = lemma1_profile(a, alpha, grid=g).C
     for target in (0.5, 3.0):
         j = g.index_at_or_above(target)
         tn = g.nodes[j]
         want, _ = quad(a, 0.0, tn, weight="alg", wvar=(0.0, alpha - 1.0))
         assert C.values[j] == pytest.approx(want, rel=5e-5)
-
-
-def test_conv_requires_a_grid_for_coefficients():
-    a = Coefficient.from_expression("t", ENV)
-    with pytest.raises(ValueError):
-        conv_C(a, 0.5)
 
 
 def test_shifted_kernel_matches_quadrature():

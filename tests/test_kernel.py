@@ -148,7 +148,7 @@ def grid_1024():
 
 @pytest.mark.parametrize("name", sorted(_CONFTEST_COEFFICIENTS))
 def test_factored_rows_match_the_moment_loop(name, grid_1024):
-    # the convolutions of conv_C (a) and of step_thm3 (t a), kernel
+    # the convolutions of lemma1_profile's C (a) and of step_thm3 (t a), kernel
     # (t-s)^(alpha-1), on the grading-2 mesh at six tree levels; the moment
     # loop itself is within 2e-13 of the column max of an extended-precision
     # evaluation here

@@ -148,7 +148,6 @@ def polyline(g, rng, head_exponent=0.0):
 @pytest.mark.parametrize(
     "metric",
     [
-        WeightedMetric(kind="sup_plain"),
         WeightedMetric(kind="sup_over_t_alpha_after_T", split=1.0, alpha=0.5),
         WeightedMetric(kind="sup_t_one_minus_alpha", alpha=0.5),
         WeightedMetric(kind="max_sup_and_L1"),

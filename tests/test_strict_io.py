@@ -78,6 +78,30 @@ def test_coefficient_above_its_envelope_exits_2_before_writing(tmp_path, capsys)
     assert not out.exists()
 
 
+_TABLE = '[[0, 0.001], [1, %s], [2, 0], [200, 0]]'
+
+
+@pytest.mark.parametrize("text, tmax", [
+    # the pole at t = 500 lies past t = 100 but inside the run's horizon
+    ('{"expr": "1e-9/(t-500)^3", '
+     '"envelope": {"A": 2.2e-7, "p": 3.0, "valid_from": 600.0}}', "1000"),
+    ('{"samples": %s, "envelope": {"A": 0.01, "p": 3.5, "valid_from": 2.0}}'
+     % (_TABLE % "NaN"), "100"),
+    ('{"samples": %s, "envelope": {"A": 0.01, "p": 3.5, "valid_from": 2.0}}'
+     % (_TABLE % "1e999"), "100"),
+], ids=["pole-inside-horizon", "nan-sample", "inf-sample"])
+def test_coefficient_not_finite_on_the_horizon_exits_2_before_writing(
+        tmp_path, capsys, text, tmax):
+    coeff = tmp_path / "coeff.json"
+    coeff.write_text(text)
+    out = tmp_path / "out"
+    argv = ["check", "--case", "thm1", "--coeff", str(coeff), "--tmax", tmax,
+            "--nodes", "256", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 @dataclass(frozen=True)
 class _Report:
     k: float
