@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -231,13 +232,16 @@ def _read_artifact_csv(path: str, grid: GradedGrid) -> np.ndarray:
             f"{path}: {len(body)} rows do not match the configured grid "
             f"({grid.n + 1} nodes)"
         )
-    t = np.empty(grid.n + 1)
-    v = np.empty(grid.n + 1)
-    for i, line in enumerate(body):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed row {i + 2}")
-        t[i], v[i] = float(parts[0]), float(parts[1])
+    commas = np.fromiter(map(str.count, body, itertools.repeat(",")), dtype=int,
+                         count=len(body))
+    malformed = np.flatnonzero(commas != 1)
+    if malformed.size:
+        raise ValueError(f"{path}: malformed row {malformed[0] + 2}")
+    # float() reads each cell exactly as repr wrote it; the cells are split
+    # and converted row by row in C, so no list of all cells is held, and
+    # the copy keeps both columns contiguous
+    cells = itertools.chain.from_iterable(map(str.split, body, itertools.repeat(",")))
+    t, v = np.fromiter(map(float, cells), dtype=float, count=2 * len(body)).reshape(-1, 2).T.copy()
     if not np.allclose(t, grid.nodes, rtol=1e-12, atol=1e-12):
         raise ValueError(f"{path}: node times do not match the configured grid")
     return v

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -291,6 +291,8 @@ class Coefficient:
     samples: np.ndarray | None
     envelope: TailModel
     alpha_context: dict | None = None
+    # the sign changes found per (lo, hi) window; a coefficient never changes
+    _zeros: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.expr is None) == (self.samples is None):
@@ -350,6 +352,7 @@ class Coefficient:
     def zeros(self, lo: float, hi: float) -> list[float]:
         """Sign changes of a on [lo, hi], in increasing order.
 
+        The search runs once per window; each call returns a fresh list.
         a is probed at _ZERO_PROBES points: geometric from max(lo, 1e-9)
         for an expression, linear plus the sample times for a table,
         always with lo and hi. A run of consecutive probes where a is
@@ -363,6 +366,12 @@ class Coefficient:
         is then within half that of the root. Zeros closer than 1e-12
         relative are merged.
         """
+        window = (float(lo), float(hi))
+        if window not in self._zeros:
+            self._zeros[window] = self._sign_changes(*window)
+        return list(self._zeros[window])
+
+    def _sign_changes(self, lo: float, hi: float) -> list[float]:
         if self.samples is not None:
             ts = self.samples[:, 0]
             grid = np.unique(np.clip(

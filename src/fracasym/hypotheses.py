@@ -30,7 +30,11 @@ but hold more memory at the peak.
 The convolution splits at t/2 (see _conv_function).  The left half, which
 must resolve a's own scale, runs on one panelization built and evaluated
 once per batch; the right half, which must resolve the kernel singularity
-at s = t, runs on one rule in t - s scaled by t.
+at s = t, runs on one rule in t - s scaled by t.  A convolution may carry
+several integrands on one rule: the integrand returns one row per
+function, and each row is reduced on its own.  thm3's two sups, chi of
+|a| and chi of the pushed coefficient |t^(2-alpha) a(t)|, share one rule,
+one scan and one refinement, with a evaluated once per node.
 
 Integrals over [horizon, infinity) are never chased numerically: they are
 closed under the coefficient's declared power envelope A*t^(-p).  A
@@ -39,10 +43,10 @@ coefficient that exceeds its envelope at the grid nodes (exit 2), because
 the reported constants would silently drop their tails otherwise.
 
 Suprema over t > 0 run a 128-points-per-decade logarithmic scan followed by
-golden-section refinement around the three leading candidates, which step
-in lockstep so each step is one batched evaluation.  Pass/fail flags
-use a one-sided margin: a constant within 1e-9 of the threshold is reported
-as "inconclusive" rather than rounded to either side.
+golden-section refinement around the three leading candidates of each
+function, which step in lockstep so each step is one batched evaluation.
+Pass/fail flags use a one-sided margin: a constant within 1e-9 of the
+threshold is reported as "inconclusive" rather than rounded to either side.
 """
 
 from __future__ import annotations
@@ -184,10 +188,11 @@ def _sorted_edges(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _call(fn, s: np.ndarray) -> np.ndarray:
-    """fn(s), at most _NODE_CAP nodes per call."""
+    """fn(s), at most _NODE_CAP nodes per call; fn may return rows, a column per node."""
     if s.size <= _NODE_CAP:
         return fn(s)
-    return np.concatenate([fn(s[i:i + _NODE_CAP]) for i in range(0, s.size, _NODE_CAP)])
+    return np.concatenate([fn(s[i:i + _NODE_CAP]) for i in range(0, s.size, _NODE_CAP)],
+                          axis=-1)
 
 
 def _weighted_moment(fn, m: float, lo: float, hi: float, breakpoints=()) -> float:
@@ -221,49 +226,63 @@ def _breakpoints(a: Coefficient, lo: float, hi: float) -> np.ndarray:
 # sup over t > 0: log scan + golden-section polish
 # --------------------------------------------------------------------------
 
-def _golden_refine(fn, lo: np.ndarray, hi: np.ndarray,
-                   iters: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximum of a vectorized fn on each bracket [lo_i, hi_i].
+def _golden_refine(fn, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
+                   iters: int = 40) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Golden-section maximum of row rows_i of a vectorized fn on [lo_i, hi_i].
 
-    Returns the maximum and the point that attains it, per bracket. The
-    brackets step in lockstep: each step evaluates fn once, on one new
-    point per bracket.
+    fn(x) holds one row of values per function, one column per point.
+    Returns the maximum, the point that attains it and the row, per
+    bracket. The brackets step in lockstep: each step evaluates fn once,
+    on one new point per bracket.
     """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
+    cols = np.arange(rows.size)
+    row_fn = lambda x: fn(x)[rows, cols]
     a, b = lo, hi
     c = b - inv * (b - a)
     d = a + inv * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = row_fn(c), row_fn(d)
     for _ in range(iters):
         left = fc > fd
         a = np.where(left, a, c)
         b = np.where(left, d, b)
         x = np.where(left, b - inv * (b - a), a + inv * (b - a))
-        fx = fn(x)
+        fx = row_fn(x)
         c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
                         np.where(left, fx, fd), np.where(left, fc, fx))
     at_c = fc >= fd  # c < d, so a tie keeps the smaller point
-    return np.where(at_c, fc, fd), np.where(at_c, c, d)
+    return np.where(at_c, fc, fd), np.where(at_c, c, d), rows
 
 
-def _sup_scan(fn, lo: float, hi: float) -> tuple[float, float]:
+def _sup_scan(fn, lo: float, hi: float):
     """(sup, argmax) of a vectorized fn over [lo, hi] by log scan + refinement.
 
-    The argmax is the point where the reported sup was evaluated; exact
-    ties between scan points and refined brackets go to the smaller t.
+    A fn that returns k rows, one per function, scans the k functions on
+    shared points and returns a list of k (sup, argmax) pairs. The top
+    three scan points of each row are refined together, all 3k brackets
+    in one lockstep refinement. The argmax is the point where the
+    reported sup was evaluated; exact ties between scan points and
+    refined brackets go to the smaller t.
     """
     decades = math.log10(hi / lo)
     npts = max(16, int(math.ceil(decades * _SCAN_PER_DECADE))) + 1
     ts = np.geomspace(lo, hi, npts)
     vals = fn(ts)
-    order = np.argsort(vals)[::-1][:3]
-    peaks, peak_at = _golden_refine(fn, ts[np.maximum(order - 1, 0)],
-                                    ts[np.minimum(order + 1, npts - 1)])
-    values = np.concatenate([vals, peaks])
-    points = np.concatenate([ts, peak_at])
-    best = float(values.max())
-    hit = values == best
-    return best, float(points[hit].min()) if hit.any() else math.nan
+    table = np.atleast_2d(vals)
+    order = np.argsort(table, axis=1)[:, ::-1][:, :3]
+    peaks, peak_at, peak_rows = _golden_refine(
+        lambda x: np.atleast_2d(fn(x)), ts[np.maximum(order - 1, 0)].ravel(),
+        ts[np.minimum(order + 1, npts - 1)].ravel(),
+        np.repeat(np.arange(table.shape[0]), order.shape[1]))
+    sups = []
+    for row, row_vals in enumerate(table):
+        mine = peak_rows == row
+        values = np.concatenate([row_vals, peaks[mine]])
+        points = np.concatenate([ts, peak_at[mine]])
+        best = float(values.max())
+        hit = values == best
+        sups.append((best, float(points[hit].min()) if hit.any() else math.nan))
+    return sups if vals.ndim == 2 else sups[0]
 
 
 # --------------------------------------------------------------------------
@@ -523,6 +542,10 @@ def _rung(x) -> int:
 def _conv_function(afun, m: float, e: float, t_hi: float, zeros: np.ndarray):
     """t -> int_0^t afun(s) s^m (t-s)^e ds for 0 < t <= t_hi, with m, e > -1.
 
+    afun may return k rows, one integrand each, one column per node; the
+    convolution then returns k rows, one per integrand, on one rule and
+    one coefficient call per node block.
+
     The integrand is afun(s) y^m (t-y)^e on the left half [0, t/2], where
     y = s, and afun(s) y^e (t-y)^m on the right half, where y = t - s, so
     both halves are integrals against a power of y from y = 0 to t/2
@@ -538,8 +561,9 @@ def _conv_function(afun, m: float, e: float, t_hi: float, zeros: np.ndarray):
     sliver shrinks it to the cut, and the rungs follow it down, so the
     panels past the cut stay graded. No Gauss-Jacobi panel grows with t,
     so a's own scale is resolved at every t. Each t's value sums its own
-    terms in a fixed order, so it does not depend on the other points of
-    the batch or on t_hi.
+    terms in a fixed order, each row with its own np.bincount, so it does
+    not depend on the other points of the batch, on the other rows or on
+    t_hi.
     """
     n = _GL_NODES.size
     zeros = np.asarray(zeros, dtype=float)
@@ -548,27 +572,30 @@ def _conv_function(afun, m: float, e: float, t_hi: float, zeros: np.ndarray):
     edges, _ = _graded_edges(_RATIO ** np.arange(_rung(g), _rung(0.5 * t_hi) + 2.0)[None, :],
                              np.array([g]), cut[None, :])
     s, w = _panel_nodes(edges[:-1], edges[1:], m)
-    wf = w * _call(afun, s.ravel()).reshape(s.shape)
+    values = _call(afun, s.ravel())
+    lead = values.shape[:-1]  # (k,) for k integrands, () for one
+    wf = w * values.reshape(lead + s.shape)
 
-    # moments[q, k]: the sum of wf (s/E_q)^k over the first q panels, E_q
-    # the top of panel q-1; no term exceeds wf, so none overflows. Summed
-    # panel by panel and node by node, so a panel's sums do not depend on
-    # how many panels there are.
+    # moments[..., q, k]: the sum of wf (s/E_q)^k over the first q panels,
+    # E_q the top of panel q-1; no term exceeds wf, so none overflows.
+    # Summed panel by panel and node by node, so a panel's sums do not
+    # depend on how many panels there are.
     powers = np.arange(_MOMENTS)
     c = np.cumprod(np.concatenate([[1.0], (powers[:-1] - e) / (powers[:-1] + 1.0)]))
     ratio = s / edges[1:, None]
     panels = 0.0
     for j in range(n):
-        panels = panels + wf[:, j, None] * ratio[:, j, None] ** powers
-    moments = np.zeros((edges.size, _MOMENTS))
+        panels = panels + wf[..., j, None] * ratio[:, j, None] ** powers
+    moments = np.zeros(lead + (edges.size, _MOMENTS))
     for q in range(1, edges.size):
-        moments[q] = moments[q - 1] * (edges[q - 1] / edges[q]) ** powers + panels[q - 1]
+        moments[..., q, :] = (moments[..., q - 1, :] * (edges[q - 1] / edges[q]) ** powers
+                              + panels[..., q - 1, :])
 
     def chunk_values(ts: np.ndarray) -> np.ndarray:
         half = 0.5 * ts
         # the whole left panels below t/2 by their moments ...
         k = np.searchsorted(edges, half, side="right") - 1
-        whole = (ts ** e)[:, None] * c * moments[k] * (edges[k] / ts)[:, None] ** powers
+        whole = (ts ** e)[:, None] * c * moments[..., k, :] * (edges[k] / ts)[:, None] ** powers
         # ... then the partial panel up to t/2 and the right half's panels
         z = zeros[None, :]
         cuts = np.where((z > half[:, None]) & (z < ts[:, None]), ts[:, None] - z, np.nan)
@@ -595,15 +622,26 @@ def _conv_function(afun, m: float, e: float, t_hi: float, zeros: np.ndarray):
             w[ts.size:] *= (t[ts.size:] - y[ts.size:]) ** (m - e)
         w = w * (t - y) ** e
         y[ts.size:] = t[ts.size:] - y[ts.size:]
-        return np.bincount(
-            np.concatenate([np.repeat(np.arange(ts.size), _MOMENTS), np.repeat(rows, n)]),
-            weights=np.concatenate([whole.ravel(), w.ravel() * _call(afun, y.ravel())]),
-            minlength=ts.size)
+        values = _call(afun, y.ravel())
+        # built after the integrand call, and reduced row by row through one
+        # buffer, so a two-row chunk peaks no higher than a one-row chunk
+        # (see the heap trims above)
+        index = np.concatenate([np.repeat(np.arange(ts.size), _MOMENTS), np.repeat(rows, n)])
+        weights = np.empty(index.size)
+        head = ts.size * _MOMENTS
+        sums = []
+        for row_whole, row_values in zip(whole.reshape(-1, head),
+                                         values.reshape(-1, values.shape[-1])):
+            weights[:head] = row_whole
+            np.multiply(w.ravel(), row_values, out=weights[head:])
+            sums.append(np.bincount(index, weights=weights, minlength=ts.size))
+        return np.reshape(sums, lead + (ts.size,))
 
     def conv(ts: np.ndarray) -> np.ndarray:
         # numpy's pow can round a strided input differently from a contiguous one
         ts = np.ascontiguousarray(ts, dtype=float)
-        return np.concatenate([chunk_values(ts[i:i + _CHUNK]) for i in range(0, ts.size, _CHUNK)])
+        return np.concatenate([chunk_values(ts[i:i + _CHUNK]) for i in range(0, ts.size, _CHUNK)],
+                              axis=-1)
 
     return conv
 
@@ -633,10 +671,6 @@ def _chi_values(afun, alpha: float, ts: np.ndarray, zeros: np.ndarray) -> np.nda
     return _chi_function(afun, alpha, float(ts.max()), zeros)(ts)
 
 
-def _chi_sup(afun, alpha: float, t_max: float, zeros) -> tuple[float, float]:
-    return _sup_scan(_chi_function(afun, alpha, t_max, zeros), _SCAN_FLOOR, t_max)
-
-
 def thm3_constants(a: Coefficient, alpha: float,
                    t_max: float = 100.0) -> Thm3Report:
     """chi, k3 and the moment/sup hypotheses for linearly growing solutions.
@@ -646,6 +680,8 @@ def thm3_constants(a: Coefficient, alpha: float,
     The s-weighted sup hypothesis equals chi of the pushed coefficient
     t^(2-alpha) a(t); sup_ok holds only when the envelope chain bound is
     finite. The scanned sup_value is reported and certifies nothing.
+    chi and sup_value share one rule, one scan and one refinement: the
+    integrand evaluates a once per node and returns both rows.
     """
     al = as_alpha(alpha)
     env = a.envelope
@@ -657,21 +693,26 @@ def thm3_constants(a: Coefficient, alpha: float,
     zs = _breakpoints(a, 0.0, t_max)
     afun = lambda s: np.abs(a(s))
 
+    # the s-weighted sup hypothesis is chi of the pushed coefficient
+    # t^(2-alpha) a(t); its certificate is the L_inf/L1/amplitude chain,
+    # which needs |pushed| <= amp/t^alpha past 1, i.e. envelope decay
+    # beyond t^-(3-alpha)
+    pushed_abs = lambda s: np.abs(s ** (2.0 - al) * a(s))
+
+    def both(s: np.ndarray) -> np.ndarray:
+        a_s = a(s)
+        return np.stack([np.abs(a_s), np.abs(s ** (2.0 - al) * a_s)])
+
+    (chi, chi_arg), (sup_value, _) = _sup_scan(_chi_function(both, al, t_max, zs),
+                                               _SCAN_FLOOR, t_max)
     weighted_l1 = (_weighted_moment(afun, al - 1.0, 0.0, t_max, zs)
                    + envelope_tail_integral(env, al - 1.0, t_max))
-    chi, chi_arg = _chi_sup(afun, al, t_max, zs)
     k3 = (weighted_l1 + chi) / gamma(al)
 
     first_moment = (_weighted_moment(afun, 1.0, 0.0, t_max, zs)
                     + envelope_tail_integral(env, 1.0, t_max))
     moment_ok = math.isfinite(first_moment)
 
-    # the s-weighted sup hypothesis is chi of the pushed coefficient
-    # t^(2-alpha) a(t); its certificate is the L_inf/L1/amplitude chain,
-    # which needs |pushed| <= amp/t^alpha past 1, i.e. envelope decay
-    # beyond t^-(3-alpha)
-    pushed_abs = lambda s: np.abs(s ** (2.0 - al) * a(s))
-    sup_value, _ = _chi_sup(pushed_abs, al, t_max, zs)
     if env.exponent > 3.0 - al:
         chain_amp = env.amplitude * max(1.0, env.valid_from) ** (2.0 - env.exponent)
         sup_chain = (_sup_scan(pushed_abs, _SCAN_FLOOR, 1.0)[0] / al

@@ -37,6 +37,7 @@ from .coeffexpr import Coefficient, coefficient_to_json_dict
 from .fracops import _conv_power_kernel, as_alpha, trusted_slice
 from .hypotheses import (
     Lemma1Profile,
+    _classify,
     lemma1_profile,
     lemma2_constants,
     thm1_constants,
@@ -521,8 +522,10 @@ class Chain:
     """One contraction chain, from its gate to the head verify checks.
 
     The gate reads k_field and pass_field off the constants report;
-    requires is the (a, b) predicate with its error message; operand is
-    the step map's second argument. head is the equation a thm chain
+    flags names the report's booleans that the gate needs besides k, so
+    a refusal can say which hypothesis failed. requires is the (a, b)
+    predicate with its error message; operand is the step map's second
+    argument. head is the equation a thm chain
     solves: the operator case and, at order alpha, the exponents e0, e1
     of the solution head a t^e0 + b t^e1 (verify.chain_head derives the
     rest). A chain without one names in verify_as the (chain, a, b)
@@ -539,6 +542,7 @@ class Chain:
     metric: str
     budget: Callable[[SolveSpec, GridFunction, Gate], float]
     pass_field: str = "passed"
+    flags: tuple[str, ...] = ()
     profile: Callable[[Coefficient, float, GradedGrid], Any] = lambda c, al, grid: None
     payload: Callable[[Gate], dict] = lambda g: g.report.to_json_dict()
     requires: tuple[Callable[[float, float], bool], str] = (lambda a, b: True, "")
@@ -577,6 +581,7 @@ CHAINS: dict[str, Chain] = {
         metric="sup_over_t_alpha_after_T",
         operand=_split_operand,
         budget=lambda spec, x, g: _split_budget(spec, x),
+        flags=("tail_ok",),
         head=(1, lambda al: (0.0, al)),
     ),
     "thm2": Chain(
@@ -588,6 +593,7 @@ CHAINS: dict[str, Chain] = {
         metric="sup_over_t_alpha_after_T",
         operand=_split_operand,
         budget=lambda spec, x, g: _split_budget(spec, x),
+        flags=("tail_ok",),
         head=(2, lambda al: (al - 1.0, al)),
     ),
     "thm3": Chain(
@@ -667,8 +673,11 @@ def solve(spec: SolveSpec) -> SolveResult:
             raise
         g = Gate(None, math.nan, False, profile)
     if not g.passed and not spec.attempt_anyway:
+        failed = "".join(f"; {flag}: false" for flag in chain.flags
+                         if not getattr(g.report, flag))
         raise ValueError(
-            f"hypothesis constants do not certify contraction (k={g.k!r}); "
+            f"hypothesis constants do not certify contraction "
+            f"({chain.k_field}={g.k!r}: {_classify(g.k)}{failed}); "
             "set attempt_anyway=True to iterate regardless"
         )
 

@@ -16,8 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracasym.cli import main
+from fracasym.cli import _read_artifact_csv, main
+from fracasym.coeffexpr import Coefficient
+from fracasym.meshfun import make_graded_grid, write_csv
 
 NODES = "512"
 
@@ -160,6 +164,16 @@ class TestSolve:
         doc = json.loads((tmp_path / "solve_thm1.json").read_text())
         assert "error" in doc
 
+    def test_gate_refusal_names_the_failed_hypothesis(self, tmp_path, heavy_file):
+        # heavy_tail's k passes, but its envelope t^-2.5 leaves C1's tail
+        # divergent, so thm1 refuses it on tail_ok alone
+        rc = main(["solve", "--coeff", heavy_file, "--case", "thm1",
+                   "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 1
+        error = json.loads((tmp_path / "solve_thm1.json").read_text())["error"]
+        assert "k=0.00486" in error and ": pass" in error
+        assert "tail_ok: false" in error
+
     def test_nonconvergence_exit(self, tmp_path, slow_file):
         cfgfile = tmp_path / "config.json"
         cfgfile.write_text(json.dumps({"max_iterations": 2, "nodes": 512}))
@@ -185,6 +199,31 @@ class TestSolve:
 # --------------------------------------------------------------------------
 
 class TestVerify:
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(
+        st.one_of(st.floats(allow_nan=False),
+                  st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308 / 3,
+                                   math.inf, -math.inf])),
+        min_size=17, max_size=17))
+    def test_artifact_csv_round_trip_is_bit_exact(self, tmp_path_factory, values):
+        grid = make_graded_grid(n=16)
+        path = str(tmp_path_factory.mktemp("csv") / "solution.csv")
+        want = np.array(values)
+        write_csv(path, "t,value", [grid.nodes, want])
+        got = _read_artifact_csv(path, grid)
+        assert got.tobytes() == want.tobytes()
+
+    def test_malformed_artifact_row_is_named(self, tmp_path):
+        grid = make_graded_grid(n=16)
+        path = tmp_path / "solution.csv"
+        rows = [f"{t!r},1.0" for t in grid.nodes]
+        # one comma short on line 3 and one too many on line 5: the comma
+        # count of the whole file is right, the rows are not
+        rows[1], rows[3] = rows[1].replace(",", ";"), rows[3] + ",2.0"
+        path.write_text("t,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="malformed row 3"):
+            _read_artifact_csv(str(path), grid)
+
     def test_pipeline(self, solved_dir, slow_file):
         rc = main(["verify", "--coeff", slow_file, "--case", "thm1",
                    "--nodes", NODES, "--out", str(solved_dir)])
@@ -295,6 +334,27 @@ class TestSweep:
         assert rc == 0
         rows = _read_sweep(tmp_path / "sweep_thm1.csv")
         assert float(rows[0]["observed_ratio"]) >= 0.0
+
+    def test_sign_changes_are_searched_once_per_window(self, tmp_path, mean_zero_file,
+                                                      monkeypatch):
+        windows = []
+        search = Coefficient._sign_changes
+
+        def counted(self, lo, hi):
+            windows.append((id(self), lo, hi))
+            return search(self, lo, hi)
+
+        monkeypatch.setattr(Coefficient, "_sign_changes", counted)
+        main(["check", "--coeff", mean_zero_file,
+              "--nodes", NODES, "--out", str(tmp_path / "check")])
+        assert len(windows) == 1
+        windows.clear()
+        rc = main(["sweep", "--coeff", mean_zero_file, "--case", "thm1",
+                   "--sweep", "T=0.5:50:128",
+                   "--nodes", NODES, "--out", str(tmp_path / "sweep")])
+        assert rc == 0
+        assert len(_read_sweep(tmp_path / "sweep" / "sweep_thm1.csv")) == 128
+        assert len(windows) == 1
 
     def test_unknown_parameter_rejected(self, tmp_path, slow_file):
         rc = main(["sweep", "--coeff", slow_file, "--case", "thm1",

@@ -182,6 +182,16 @@ def test_zeros_counts_on_the_benchmark_coefficients(name, count):
     assert len(load_coefficient(str(inputs / f"{name}.json")).zeros(0.0, 100.0)) == count
 
 
+def test_zeros_returns_a_fresh_list_each_call():
+    c = Coefficient.from_expression("sin(t)", ENV)
+    first = c.zeros(0.5, 7.0)
+    first.append(99.0)
+    first[0] = -1.0
+    again = c.zeros(0.5, 7.0)
+    assert again == pytest.approx([math.pi, 2.0 * math.pi], rel=1e-13)
+    assert again is not c.zeros(0.5, 7.0)
+
+
 def test_the_zero_coefficient_has_no_zeros():
     # a vanishes at every probe, so it never changes sign
     zero = Coefficient.from_expression("0", ENV)

@@ -126,11 +126,27 @@ def test_thm3_gate_calls_the_coefficient_in_batches(heavy_tail_coeff, monkeypatc
 
     monkeypatch.setattr(Coefficient, "__call__", counted)
     hyp.thm3_constants(heavy_tail_coeff, ALPHA)
-    assert len(sizes) <= 1000
+    # chi and the pushed chi share one rule, one scan and one refinement,
+    # with a evaluated once per node: about 95 calls and 5.0e5 points in
+    # all, where a scan of each alone takes 187 calls and 869,393 points
+    assert len(sizes) <= 120
     assert max(sizes) <= hyp._NODE_CAP
-    # the left half of chi's rule is evaluated once per scan (869,441
-    # points in all; a rule rebuilt for every scan point takes 1.66e6)
-    assert sum(sizes) <= 1.0e6
+    assert sum(sizes) <= 5.5e5
+
+
+@pytest.mark.parametrize("name", ["slow_decay_coeff", "origin_quadratic_coeff",
+                                  "heavy_tail_coeff", "sign_change_coeff"])
+def test_thm3_shared_scan_equals_a_scan_of_each_integrand(request, name):
+    coeff = request.getfixturevalue(name)
+    zs = hyp._breakpoints(coeff, 0.0, 100.0)
+
+    def alone(afun):
+        return hyp._sup_scan(hyp._chi_function(afun, ALPHA, 100.0, zs), hyp._SCAN_FLOOR, 100.0)
+
+    chi, chi_argmax = alone(lambda s: np.abs(coeff(s)))
+    sup_value, _ = alone(lambda s: np.abs(s ** (2.0 - ALPHA) * coeff(s)))
+    rep = hyp.thm3_constants(coeff, ALPHA)
+    assert (rep.chi, rep.chi_argmax, rep.sup_value) == (chi, chi_argmax, sup_value)
 
 
 # --------------------------------------------------------------------------
@@ -235,14 +251,16 @@ def test_chi_argmax_attains_chi_in_any_bracket_order(heavy_tail_coeff, monkeypat
 
     refine = hyp._golden_refine
 
-    def reversed_brackets(fn, lo, hi, *args):
-        # results come back in reversed bracket order: the scan must take
-        # each maximiser from the refinement, not from its bracket's slot
-        return refine(fn, lo[::-1], hi[::-1], *args)
+    def reversed_brackets(fn, lo, hi, rows, *args):
+        # results come back in reversed bracket order, each bracket with its
+        # row: the scan must take each maximiser and its row from the
+        # refinement, not from its bracket's slot
+        return refine(fn, lo[::-1], hi[::-1], rows[::-1], *args)
 
     monkeypatch.setattr(hyp, "_golden_refine", reversed_brackets)
     again = hyp.thm3_constants(heavy_tail_coeff, ALPHA)
-    assert (again.chi, again.chi_argmax) == (rep.chi, rep.chi_argmax)
+    assert ((again.chi, again.chi_argmax, again.sup_value)
+            == (rep.chi, rep.chi_argmax, rep.sup_value))
 
 
 # --------------------------------------------------------------------------
