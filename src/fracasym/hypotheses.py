@@ -37,10 +37,11 @@ function, and each row is reduced on its own.  thm3's two sups, chi of
 one scan and one refinement, with a evaluated once per node.
 
 Integrals over [horizon, infinity) are never chased numerically: they are
-closed under the coefficient's declared power envelope A*t^(-p).  A
-Coefficient cannot be built without one, and the command line refuses a
-coefficient that exceeds its envelope at the grid nodes (exit 2), because
-the reported constants would silently drop their tails otherwise.
+closed in one rule, _power_tail (int_lo^inf amp s^-q ds, inf for q <= 1),
+under the coefficient's declared power envelope A*t^(-p).  A Coefficient
+cannot be built without one, and the command line refuses a coefficient
+that exceeds its envelope at the grid nodes (exit 2), because the reported
+constants would silently drop their tails otherwise.
 
 Suprema over t > 0 run a 128-points-per-decade logarithmic scan followed by
 golden-section refinement around the three leading candidates of each
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -204,14 +205,17 @@ def _weighted_moment(fn, m: float, lo: float, hi: float, breakpoints=()) -> floa
     return float(np.dot(w.ravel(), _call(fn, s.ravel())))
 
 
+def _power_tail(amp: float, q: float, lo: float) -> float:
+    """Closed form of integral_lo^inf amp s^(-q) ds; inf when divergent (q <= 1)."""
+    if q <= 1.0:
+        return math.inf
+    return amp * lo ** (1.0 - q) / (q - 1.0)
+
+
 def envelope_tail_integral(envelope: TailModel, m: float, lo: float) -> float:
     """Closed form of integral_lo^inf s^m * A s^(-p) ds; inf when divergent."""
-    amp = envelope.amplitude
-    p_eff = envelope.exponent - m
-    if p_eff <= 1.0:
-        return math.inf
-    start = max(lo, envelope.valid_from)
-    return amp * start ** (1.0 - p_eff) / (p_eff - 1.0)
+    return _power_tail(envelope.amplitude, envelope.exponent - m,
+                       max(lo, envelope.valid_from))
 
 
 def _breakpoints(a: Coefficient, lo: float, hi: float) -> np.ndarray:
@@ -362,21 +366,25 @@ class Lemma2Report(JsonReport):
 class Lemma1Profile(JsonReport):
     """Integrability profile of a mean-zero coefficient on a graded grid.
 
-    Grid functions: B (weighted running sup of |a|), C (power-kernel
-    convolution of a), D (the same convolution pushed to the doubled
-    argument), their non-increasing right envelopes B*, C*, D*, and the
-    right L2 remainder E(t) = ||C||_L2(t, inf).  Scalar norms close their
-    tails with the declared envelope; a divergent tail reports inf.
+    Grid functions B (weighted running sup of |a|), C (power-kernel
+    convolution of a), their non-increasing right envelopes B*, C*, and
+    E(t) = ||C||_L2(t, inf).  lemma2's gate and step read C, C*, E and the
+    c- and e-norms; B, B* and the b-norms cost one running max.  D (C's
+    kernel pushed to the doubled argument) and D* cost a second kernel call
+    that no gate reads, so they are computed on first read from a (the
+    coefficient on the grid) and its envelope.  Scalar norms close their
+    tails with _power_tail, under a bound of C that fails when a's mean or
+    first moment is nonzero (see lemma1_profile); a divergent tail is inf.
     """
 
     alpha: float
     grid: GradedGrid
+    a: GridFunction
+    envelope: TailModel
     B: GridFunction
     B_star: GridFunction
     C: GridFunction
     C_star: GridFunction
-    D: GridFunction
-    D_star: GridFunction
     E: GridFunction
     c_l1: float
     c_l2: float
@@ -396,10 +404,24 @@ class Lemma1Profile(JsonReport):
     t0: float
     T0: float
 
+    @cached_property
+    def D(self) -> GridFunction:
+        """|int_0^t a(s)(2t-s)^(alpha-1) ds| at the nodes."""
+        conv = _conv_power_kernel(self.a, self.alpha - 1.0, kernel_origin=2.0)
+        return GridFunction(self.grid, np.abs(_assemble(self.grid, *conv).values))
+
+    @cached_property
+    def D_star(self) -> GridFunction:
+        A, p = self.envelope.amplitude, self.envelope.exponent
+        beyond = 2.0 * A * self.grid.t_max ** (self.alpha - p) / (p - 2.0) if p > 2.0 else 0.0
+        return GridFunction(self.grid, _running_max_from_right(self.D.pointwise_values(), beyond))
+
     def to_json_dict(self) -> dict:
         """Every scalar field plus the grid layout; grid functions stay out."""
         g = self.grid
-        return {**super().to_json_dict(), "t_max": g.t_max, "n": g.n, "grading": g.grading}
+        d = {**super().to_json_dict(), "t_max": g.t_max, "n": g.n, "grading": g.grading}
+        del d["envelope"]
+        return d
 
 
 # --------------------------------------------------------------------------
@@ -744,13 +766,14 @@ def _running_max_from_right(values: np.ndarray, floor: float) -> np.ndarray:
 
 def lemma1_profile(a: Coefficient, alpha: float,
                    grid: GradedGrid | None = None) -> Lemma1Profile:
-    """Grid profile of the integrability quantities behind the mean-zero route.
+    """The Lemma1Profile of a on grid, with one kernel call (C).
 
     B(t) = t^alpha ||a||_Linf(t, inf), C(t) = int_0^t a(s)(t-s)^(alpha-1) ds,
-    D(t) = |int_0^t a(s)(2t-s)^(alpha-1) ds|, starred versions are the
-    non-increasing envelopes sup_{s>=t}, and E(t) = ||C||_L2(t, inf).
-    Tails beyond the horizon close with the declared envelope: |a| <= A t^-p
-    gives |C| <= K t^(alpha-p) with K = A 2^(p-alpha) (1/alpha + 2/(p-2)).
+    starred versions are sup_{s>=t}, E(t) = ||C||_L2(t, inf).  Past the
+    horizon the tails take |C| <= K t^(alpha-p), K = A 2^(p-alpha)
+    (1/alpha + 2/(p-2)) for p > 2 and inf otherwise.  That is no bound when
+    a's mean m0 or first moment m1 is nonzero, for then
+    C(t) ~ m0 t^(alpha-1) + (1-alpha) m1 t^(alpha-2).
     """
     al = as_alpha(alpha)
     env = a.envelope
@@ -759,14 +782,16 @@ def lemma1_profile(a: Coefficient, alpha: float,
     t = grid.nodes
     p = env.exponent
     A = env.amplitude
+    q = p - al  # past the horizon B <= A s^-q, and C is taken as <= K s^-q
     t_max = grid.t_max
     zs = _breakpoints(a, 0.0, t_max)
     afun = lambda s: np.abs(a(s))
-    avals = np.abs(np.asarray(a(t), dtype=float))
+    # a is sampled on the grid once, for B, C and a later read of D
+    fa = GridFunction.from_callable(grid, a)
 
     # B and B*: right-running sup of |a| with the envelope floor at the horizon
     a_sup_beyond = A * t_max ** (-p)
-    run_sup = _running_max_from_right(avals, a_sup_beyond)
+    run_sup = _running_max_from_right(np.abs(fa.values), a_sup_beyond)
     b_vals = t ** al * run_sup
     b_vals[0] = run_sup[0]  # head coefficient: B ~ ||a||_inf * t^alpha at 0
     B = GridFunction(grid, b_vals, head_exponent=al)
@@ -775,64 +800,30 @@ def lemma1_profile(a: Coefficient, alpha: float,
     bstar_vals = _running_max_from_right(b_point, b_tail_sup)
     B_star = GridFunction(grid, bstar_vals)
 
-    # C via the product-integration convolution, plus the envelope tail bound;
-    # a is sampled on the grid once for C and D
-    fa = GridFunction.from_callable(grid, a)
+    # C via the product-integration convolution; past the horizon
+    # |C|, and so C*, take K s^-q
     C = _assemble(grid, *_conv_power_kernel(fa, al - 1.0))
-    if p > 2.0:
-        K = A * 2.0 ** (p - al) * (1.0 / al + 2.0 / (p - 2.0))
-        q = p - al
-    else:
-        # weak decay: |C(t)| <= ||a||_sup(t/2,inf) t^alpha/alpha + D-type rest;
-        # keep only the provable power with the same alpha shift
-        K = math.inf
-        q = p - al
+    K = A * 2.0 ** (p - al) * (1.0 / al + 2.0 / (p - 2.0)) if p > 2.0 else math.inf
     c_point = np.abs(C.pointwise_values())
     c_tail_sup = K * t_max ** (-q) if math.isfinite(K) else 0.0
     cstar_vals = _running_max_from_right(c_point, c_tail_sup)
     C_star = GridFunction(grid, cstar_vals)
 
-    # D: same convolution against the doubled-argument kernel
-    D = GridFunction(grid, np.abs(
-        _assemble(grid, *_conv_power_kernel(fa, al - 1.0, kernel_origin=2.0)).values))
-    d_tail_sup = (2.0 * A * t_max ** (al - p) / (p - 2.0)) if p > 2.0 else 0.0
-    dstar_vals = _running_max_from_right(D.pointwise_values(), d_tail_sup)
-    D_star = GridFunction(grid, dstar_vals)
+    # E(t) = sqrt(integral_t^inf C^2); past the horizon E(t)^2 is at most
+    # the C^2 tail, so E(t) <= sqrt(K^2/(2q-1)) t^(1/2-q)
+    E = GridFunction(grid, np.sqrt(_right_cumtrapz(t, c_point ** 2)
+                                   + _power_tail(K ** 2, 2.0 * q, t_max)))
+    e_amp = math.sqrt(_power_tail(K ** 2, 2.0 * q, 1.0))
 
-    # E(t) = sqrt(integral_t^inf C^2), tail closed under |C| <= K s^-q
-    if math.isfinite(K) and 2.0 * q > 1.0:
-        c2_tail = K ** 2 * t_max ** (1.0 - 2.0 * q) / (2.0 * q - 1.0)
-    else:
-        c2_tail = math.inf
-    c2_run = _right_cumtrapz(t, c_point ** 2)
-    e_vals = np.sqrt(c2_run + (c2_tail if math.isfinite(c2_tail) else 0.0))
-    if not math.isfinite(c2_tail):
-        e_vals = np.full_like(e_vals, math.inf)
-    E = GridFunction(grid, e_vals)
-
-    # scalar norms, every tail in closed form
-    c_l1_tail = K * t_max ** (1.0 - q) / (q - 1.0) if (math.isfinite(K) and q > 1.0) else math.inf
+    # scalar norms; an infinite tail propagates by itself
+    c_l1_tail = _power_tail(K, q, t_max)
     c_l1 = float(np.trapezoid(c_point, t)) + c_l1_tail
-    c_l2 = float(e_vals[0])
+    c_l2 = float(E.values[0])
     c_sup = float(max(c_point.max(), c_tail_sup))
-    cstar_l1_tail = c_l1_tail  # same envelope K s^-q dominates C* beyond
-    c_star_l1 = float(np.trapezoid(cstar_vals, t)) + cstar_l1_tail
-    if math.isfinite(c2_tail) and 2.0 * q > 3.0:
-        e_tail = (K / math.sqrt(2.0 * q - 1.0)
-                  * 2.0 / (2.0 * q - 3.0) * t_max ** ((3.0 - 2.0 * q) / 2.0))
-    else:
-        e_tail = math.inf
-    e_l1 = (float(np.trapezoid(e_vals, t)) + e_tail
-            if np.all(np.isfinite(e_vals)) else math.inf)
-
-    b_l1_tail = (A * t_max ** (al - p + 1.0) / (p - al - 1.0)
-                 if p > al + 1.0 else math.inf)
-    b_l1 = float(np.trapezoid(b_point, t)) + b_l1_tail
-    if p > al + 0.5:
-        b_l2_tail = A ** 2 * t_max ** (2.0 * (al - p) + 1.0) / (2.0 * (p - al) - 1.0)
-        b_l2 = math.sqrt(float(np.trapezoid(b_point ** 2, t)) + b_l2_tail)
-    else:
-        b_l2 = math.inf
+    c_star_l1 = float(np.trapezoid(cstar_vals, t)) + c_l1_tail
+    e_l1 = float(np.trapezoid(E.values, t)) + _power_tail(e_amp, q - 0.5, t_max)
+    b_l1 = float(np.trapezoid(b_point, t)) + _power_tail(A, q, t_max)
+    b_l2 = math.sqrt(float(np.trapezoid(b_point ** 2, t)) + _power_tail(A ** 2, 2.0 * q, t_max))
     b_sup = float(max(b_point.max(), b_tail_sup))
 
     intermed1 = math.isfinite(c_l1) and math.isfinite(c_sup)
@@ -853,8 +844,8 @@ def lemma1_profile(a: Coefficient, alpha: float,
     T0 = max(1.0, t0) if n_zeros == 1 else math.nan
 
     return Lemma1Profile(
-        alpha=al, grid=grid, B=B, B_star=B_star, C=C, C_star=C_star,
-        D=D, D_star=D_star, E=E,
+        alpha=al, grid=grid, a=fa, envelope=env, B=B, B_star=B_star,
+        C=C, C_star=C_star, E=E,
         c_l1=c_l1, c_l2=c_l2, c_sup=c_sup, c_star_l1=c_star_l1, e_l1=e_l1,
         b_l1=b_l1, b_l2=b_l2, b_sup=b_sup,
         intermed1=intermed1, intermed0=intermed0, intermed2=intermed2,

@@ -386,8 +386,10 @@ class TestIntegrabilityProfile:
     def test_json_reports_scalars(self, mean_zero_profile):
         d = json.loads(mean_zero_profile.to_json())
         for key in ("alpha", "t_max", "n", "grading", "c_l1", "c_star_l1",
-                    "e_l1", "intermed2", "mean_zero", "t0"):
+                    "e_l1", "intermed2", "mean_zero", "t0", "b_l1", "b_l2", "b_sup"):
             assert key in d
+        # the sampled coefficient and its envelope, which D is built from, stay out
+        assert "a" not in d and "envelope" not in d
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +400,8 @@ def synthetic_profile(c_sup=0.3, c_star_l1=0.2, c_l1=0.1, c_l2=0.1, e_l1=0.1):
     g = make_graded_grid(t_max=10.0, n=16)
     z = GridFunction(g, np.zeros(g.n + 1))
     return Lemma1Profile(
-        alpha=AL, grid=g, B=z, B_star=z, C=z, C_star=z, D=z, D_star=z, E=z,
+        alpha=AL, grid=g, a=z, envelope=TailModel("power", 0.0, 6.0, 1.0),
+        B=z, B_star=z, C=z, C_star=z, E=z,
         c_l1=c_l1, c_l2=c_l2, c_sup=c_sup, c_star_l1=c_star_l1, e_l1=e_l1,
         b_l1=0.0, b_l2=0.0, b_sup=0.0,
         intermed1=True, intermed0=True, intermed2=True,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracasym import fracops
+from fracasym import fracops, solver
 from fracasym.cli import main
 from fracasym.fracops import _prodint_linear
 from fracasym.meshfun import make_graded_grid
@@ -244,6 +244,17 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(fracops, "_prodint_linear", counting)
     return calls
+
+
+def test_lemma2_gate_convolves_once_and_d_on_first_read(kernel_calls, sign_change_coeff):
+    # the gate decides on C; D, the doubled-argument convolution no gate
+    # reads, costs one more call on the profile's first read and no more
+    g = solver.gate("lemma2", sign_change_coeff, ALPHA, 1.0, make_graded_grid(n=512))
+    assert len(kernel_calls) == 1
+    d, d_star = g.profile.D, g.profile.D_star
+    assert len(kernel_calls) == 2
+    assert g.profile.D is d and g.profile.D_star is d_star
+    assert len(kernel_calls) == 2
 
 
 def test_thm3_solve_convolves_the_source_once(kernel_calls, heavy_tail_coeff):

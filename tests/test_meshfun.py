@@ -3,10 +3,13 @@
 import math
 
 import numpy as np
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracasym.hypotheses import envelope_tail_integral
+from fracasym.hypotheses import _power_tail, envelope_tail_integral
 from fracasym.meshfun import (
     GradedGrid,
     GridFunction,
@@ -64,12 +67,33 @@ def test_doubling_n_nests_the_grid():
 # -- tails ---------------------------------------------------------------
 
 
-def test_power_tail_closed_form():
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(1.0, 8.0), alpha=st.floats(0.05, 0.95), lo=st.floats(1.0, 1e3))
+@example(p=6.0, alpha=0.5, lo=100.0)
+def test_power_tail_closed_form(p, alpha, lo):
     tail = TailModel(kind="power", amplitude=3.0, exponent=2.5, valid_from=1.0)
     # int_2^inf 3 s^-2.5 ds = 3 * 2^-1.5 / 1.5
     assert envelope_tail_integral(tail, 0.0, 2.0) == pytest.approx(3.0 * 2.0**-1.5 / 1.5, rel=1e-14)
     # lower limits inside valid_from clamp up to it
     assert envelope_tail_integral(tail, 0.0, 0.5) == envelope_tail_integral(tail, 0.0, 1.0)
+    # the one rule every tail closes through, at the exponents of the
+    # profile: q = p - alpha (C, C*, B), 2q (C^2, B^2), q - 1/2 (E) and p
+    # (a's mean); s = lo e^u turns each tail into an exponential decay
+    # mpmath resolves to the relative precision asked of it, as long as the
+    # decay rate x - 1 is not within 1e-9 of 0
+    q = p - alpha
+    for x in (q, 2.0 * q, q - 0.5, p):
+        got = _power_tail(3.0, x, lo)
+        if x <= 1.0:
+            assert got == math.inf
+            continue
+        if x - 1.0 < 1e-9:
+            assert math.isfinite(got) and got > 0.0
+            continue
+        with mpmath.workdps(30):
+            ref = 3 * mpmath.mpf(lo) ** (1 - x) * mpmath.quad(
+                lambda u: mpmath.exp((1 - x) * u), [0, mpmath.inf])
+        assert got == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_tail_validation():
