@@ -8,8 +8,8 @@ and nothing carries a timestamp. Run provenance lives in a separate
 run_meta.json sidecar so byte-identical reruns stay byte-identical.
 
 Exit codes: 0 success, 1 hypothesis failure, 2 input or config error
-(a coefficient above its declared envelope included), 3 non-convergence,
-4 verification failure.
+(a coefficient above its declared envelope, or an envelope that holds only
+past --tmax, included), 3 non-convergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -390,6 +390,11 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.coeff is None:
             raise ValueError("a coefficient file is required (--coeff PATH)")
         coeff = load_coefficient(cfg.coeff, _guard_t_max(cfg))
+        if coeff.envelope.valid_from > cfg.tmax:
+            raise ValueError(
+                f"envelope valid_from={coeff.envelope.valid_from!r} lies past "
+                f"--tmax={cfg.tmax!r}, so nothing bounds a(t) between them"
+            )
         ok, excess = check_envelope(coeff, _grid(cfg))
         if not ok:
             raise ValueError(

@@ -38,10 +38,16 @@ one scan and one refinement, with a evaluated once per node.
 
 Integrals over [horizon, infinity) are never chased numerically: they are
 closed in one rule, _power_tail (int_lo^inf amp s^-q ds, inf for q <= 1),
-under the coefficient's declared power envelope A*t^(-p).  A Coefficient
-cannot be built without one, and the command line refuses a coefficient
-that exceeds its envelope at the grid nodes (exit 2), because the reported
-constants would silently drop their tails otherwise.
+under the coefficient's declared power envelope A*t^(-p).  It is the
+package's only closed form of an envelope tail, the solver's budgets
+included.  A zero envelope (A = 0) says a = 0 past valid_from, so its
+tails are 0 at any exponent; envelope_tail_integral refuses a lower limit
+below valid_from, where the envelope bounds nothing.  A gate that needs a
+tail the rule reads as inf raises EnvelopeError, which the solver's
+override does not bypass.  A Coefficient cannot be built without an
+envelope, and the command line refuses a coefficient that exceeds it at
+the grid nodes, or whose valid_from lies past --tmax (exit 2), because
+the reported constants would silently drop their tails otherwise.
 
 Suprema over t > 0 run a 128-points-per-decade logarithmic scan followed by
 golden-section refinement around the three leading candidates of each
@@ -71,6 +77,7 @@ from .meshfun import (
 from .specialfn import gamma
 
 __all__ = [
+    "EnvelopeError",
     "Thm1Report",
     "Thm2Report",
     "Thm3Report",
@@ -205,17 +212,37 @@ def _weighted_moment(fn, m: float, lo: float, hi: float, breakpoints=()) -> floa
     return float(np.dot(w.ravel(), _call(fn, s.ravel())))
 
 
+class EnvelopeError(ValueError):
+    """A tail past the horizon that the coefficient's envelope cannot close."""
+
+
 def _power_tail(amp: float, q: float, lo: float) -> float:
-    """Closed form of integral_lo^inf amp s^(-q) ds; inf when divergent (q <= 1)."""
+    """Closed form of integral_lo^inf amp s^(-q) ds: 0 if amp = 0, inf if q <= 1."""
+    if amp == 0.0:
+        return 0.0
     if q <= 1.0:
         return math.inf
     return amp * lo ** (1.0 - q) / (q - 1.0)
 
 
 def envelope_tail_integral(envelope: TailModel, m: float, lo: float) -> float:
-    """Closed form of integral_lo^inf s^m * A s^(-p) ds; inf when divergent."""
-    return _power_tail(envelope.amplitude, envelope.exponent - m,
-                       max(lo, envelope.valid_from))
+    """Closed form of integral_lo^inf s^m * A s^(-p) ds; refused for lo < valid_from."""
+    if envelope.valid_from > lo:
+        raise EnvelopeError(
+            f"the envelope holds only from valid_from={envelope.valid_from!r}, "
+            f"past {lo!r}, so the gate cannot close its tail from {lo!r}"
+        )
+    return _power_tail(envelope.amplitude, envelope.exponent - m, lo)
+
+
+def _closed(tail: float, envelope: TailModel, need: str) -> float:
+    """A tail the rule closed; an EnvelopeError when it read inf."""
+    if math.isinf(tail):
+        raise EnvelopeError(
+            f"coefficient envelope decays like t^-{envelope.exponent!r}; {need}, "
+            "so the gate cannot close its tail"
+        )
+    return tail
 
 
 def _breakpoints(a: Coefficient, lo: float, hi: float) -> np.ndarray:
@@ -413,7 +440,7 @@ class Lemma1Profile(JsonReport):
     @cached_property
     def D_star(self) -> GridFunction:
         A, p = self.envelope.amplitude, self.envelope.exponent
-        beyond = 2.0 * A * self.grid.t_max ** (self.alpha - p) / (p - 2.0) if p > 2.0 else 0.0
+        beyond = 2.0 * A * self.grid.t_max ** (self.alpha - p) / (p - 2.0) if p > 2.0 else math.inf
         return GridFunction(self.grid, _running_max_from_right(self.D.pointwise_values(), beyond))
 
     def to_json_dict(self) -> dict:
@@ -428,17 +455,12 @@ class Lemma1Profile(JsonReport):
 # split-time contraction (bounded solutions)
 # --------------------------------------------------------------------------
 
-def _split_time_envelope(a: Coefficient, al: float, T: float, t_max: float) -> TailModel:
-    """a's envelope, once T lies in (0, t_max) and the s^alpha |a| tail converges."""
+def _split_time_tail(a: Coefficient, al: float, T: float, t_max: float) -> float:
+    """The s^alpha |a| tail past t_max, once T lies in (0, t_max) and it closes."""
     if not 0.0 < T < t_max:
         raise ValueError(f"split time T={T!r} must lie in (0, t_max={t_max!r})")
-    env = a.envelope
-    if env.exponent <= 1.0 + al:
-        raise ValueError(
-            f"coefficient envelope decays like t^-{env.exponent!r}; "
-            f"the weighted tail needs decay faster than t^-{1.0 + al!r}"
-        )
-    return env
+    return _closed(envelope_tail_integral(a.envelope, al, t_max), a.envelope,
+                   f"the weighted tail needs decay faster than t^-{1.0 + al!r}")
 
 
 def thm1_constants(a: Coefficient, alpha: float, T: float,
@@ -448,25 +470,22 @@ def thm1_constants(a: Coefficient, alpha: float, T: float,
     C(j) = integral_0^T s^j |a| ds + integral_T^inf s^(j+alpha) |a| ds,
     k = max(1, T^alpha) * C0 / Gamma(1+alpha).  The j=1 tail needs the
     stronger decay p > 2 + alpha; when only p > 1 + alpha holds, C1 is
-    reported as inf and tail_ok goes false.  Weaker decay makes C0 itself
-    diverge, which is a hard error.
+    inf and tail_ok goes false.  Weaker decay makes C0 itself diverge,
+    which is an EnvelopeError.
     """
     al = as_alpha(alpha)
-    env = _split_time_envelope(a, al, T, t_max)
+    tail0 = _split_time_tail(a, al, T, t_max)
     zs = _breakpoints(a, 0.0, t_max)
     afun = lambda s: np.abs(a(s))
 
     C0 = (_weighted_moment(afun, 0.0, 0.0, T, zs)
           + _weighted_moment(afun, al, T, t_max, zs)
-          + envelope_tail_integral(env, al, t_max))
-    tail1 = envelope_tail_integral(env, 1.0 + al, t_max)
+          + tail0)
+    tail1 = envelope_tail_integral(a.envelope, 1.0 + al, t_max)
+    C1 = (_weighted_moment(afun, 1.0, 0.0, T, zs)
+          + _weighted_moment(afun, 1.0 + al, T, t_max, zs)
+          + tail1)
     tail_ok = math.isfinite(tail1)
-    if tail_ok:
-        C1 = (_weighted_moment(afun, 1.0, 0.0, T, zs)
-              + _weighted_moment(afun, 1.0 + al, T, t_max, zs)
-              + tail1)
-    else:
-        C1 = math.inf
     k = max(1.0, T ** al) * C0 / gamma(1.0 + al)
     status = _classify(k)
     return Thm1Report(
@@ -501,7 +520,7 @@ def thm2_constants(a: Coefficient, alpha: float, T: float,
     tracks the extra decay p > 2 + alpha the asymptotic expansion needs.
     """
     al = as_alpha(alpha)
-    env = _split_time_envelope(a, al, T, t_max)
+    tail0 = _split_time_tail(a, al, T, t_max)
     q = _origin_exponent(a, T)
     if q <= al:
         raise ValueError(
@@ -515,10 +534,9 @@ def thm2_constants(a: Coefficient, alpha: float, T: float,
     eps = 1e-5 * T
     head = 0.0 if math.isinf(q) else float(np.abs(a(eps))) * eps ** (-al) / (q - al)
     origin_part = head + _weighted_moment(afun, -1.0 - al, eps, T, zs)
-    tail_part = (_weighted_moment(afun, al, T, t_max, zs)
-                 + envelope_tail_integral(env, al, t_max))
+    tail_part = _weighted_moment(afun, al, T, t_max, zs) + tail0
     k4 = max(1.0, T) / gamma(1.0 + al) * (origin_part + tail_part)
-    tail_ok = math.isfinite(envelope_tail_integral(env, 1.0 + al, t_max))
+    tail_ok = math.isfinite(envelope_tail_integral(a.envelope, 1.0 + al, t_max))
     status = _classify(k4)
     return Thm2Report(
         alpha=al, T=T, horizon=t_max, k4=k4, origin_exponent=q,
@@ -707,11 +725,8 @@ def thm3_constants(a: Coefficient, alpha: float,
     """
     al = as_alpha(alpha)
     env = a.envelope
-    if env.exponent <= al:
-        raise ValueError(
-            f"coefficient envelope decays like t^-{env.exponent!r}; "
-            f"the s^(alpha-1) tail needs decay faster than t^-{al!r}"
-        )
+    weighted_tail = _closed(envelope_tail_integral(env, al - 1.0, t_max), env,
+                            f"the s^(alpha-1) tail needs decay faster than t^-{al!r}")
     zs = _breakpoints(a, 0.0, t_max)
     afun = lambda s: np.abs(a(s))
 
@@ -727,8 +742,7 @@ def thm3_constants(a: Coefficient, alpha: float,
 
     (chi, chi_arg), (sup_value, _) = _sup_scan(_chi_function(both, al, t_max, zs),
                                                _SCAN_FLOOR, t_max)
-    weighted_l1 = (_weighted_moment(afun, al - 1.0, 0.0, t_max, zs)
-                   + envelope_tail_integral(env, al - 1.0, t_max))
+    weighted_l1 = _weighted_moment(afun, al - 1.0, 0.0, t_max, zs) + weighted_tail
     k3 = (weighted_l1 + chi) / gamma(al)
 
     first_moment = (_weighted_moment(afun, 1.0, 0.0, t_max, zs)
@@ -771,7 +785,8 @@ def lemma1_profile(a: Coefficient, alpha: float,
     B(t) = t^alpha ||a||_Linf(t, inf), C(t) = int_0^t a(s)(t-s)^(alpha-1) ds,
     starred versions are sup_{s>=t}, E(t) = ||C||_L2(t, inf).  Past the
     horizon the tails take |C| <= K t^(alpha-p), K = A 2^(p-alpha)
-    (1/alpha + 2/(p-2)) for p > 2 and inf otherwise.  That is no bound when
+    (1/alpha + 2/(p-2)) for p > 2 and inf otherwise (0 when A = 0); an
+    infinite K makes C's sup, C* and D* inf as well.  That is no bound when
     a's mean m0 or first moment m1 is nonzero, for then
     C(t) ~ m0 t^(alpha-1) + (1-alpha) m1 t^(alpha-2).
     """
@@ -801,11 +816,13 @@ def lemma1_profile(a: Coefficient, alpha: float,
     B_star = GridFunction(grid, bstar_vals)
 
     # C via the product-integration convolution; past the horizon
-    # |C|, and so C*, take K s^-q
+    # |C|, and so C*, take K s^-q.  K's 2/(p-2) term is the envelope's
+    # first moment, which for p <= 2 is inf, or 0 for a zero envelope
     C = _assemble(grid, *_conv_power_kernel(fa, al - 1.0))
-    K = A * 2.0 ** (p - al) * (1.0 / al + 2.0 / (p - 2.0)) if p > 2.0 else math.inf
+    K = (A * 2.0 ** (p - al) * (1.0 / al + 2.0 / (p - 2.0)) if p > 2.0
+         else _power_tail(A, p - 1.0, 1.0))
     c_point = np.abs(C.pointwise_values())
-    c_tail_sup = K * t_max ** (-q) if math.isfinite(K) else 0.0
+    c_tail_sup = K * t_max ** (-q)
     cstar_vals = _running_max_from_right(c_point, c_tail_sup)
     C_star = GridFunction(grid, cstar_vals)
 
@@ -861,9 +878,11 @@ def lemma2_constants(profile: Lemma1Profile) -> Lemma2Report:
     ||C||_L1 + ||E||_L1), gamma = 2 / (1 - 2 ||C*||_L1).  gamma is only
     meaningful below the 2||C*||_L1 < 1 threshold; past it the comparison
     argument has no scale and this raises instead of reporting a negative.
+    An infinite ||C*||_L1 is the envelope's open tail: an EnvelopeError.
     """
-    m = profile.c_star_l1
-    if not math.isfinite(m) or 2.0 * m >= 1.0:
+    m = _closed(profile.c_star_l1, profile.envelope,
+                "||C*||_L1 needs decay faster than t^-2")
+    if 2.0 * m >= 1.0:
         raise ValueError(
             f"2*||C*||_L1 = {2.0 * m!r} >= 1: the comparison scale "
             "gamma = 2/(1 - 2||C*||_L1) is undefined"

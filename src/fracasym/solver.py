@@ -17,10 +17,12 @@ head taken in closed form.
 Everything happens on the truncation window [0, t_max]. Mass beyond the
 horizon is not invented: signed integrals stop at t_max and the envelope
 bound on the neglected tail is reported as tail_budget, in the units of
-the case metric. A coefficient whose envelope cannot close the required
-tail integral is refused outright; the attempt_anyway flag only bypasses
-a failed contraction estimate (sufficient, not necessary), never a
-divergent envelope.
+the case metric, each tail closed by the gate's one rule. Only the gate
+refuses an envelope: its EnvelopeError, for a tail the chain needs and
+cannot close, is raised whatever attempt_anyway says, which bypasses only
+the other gate errors and a failed contraction estimate (sufficient, not
+necessary). thm3's gate passes on k3 alone, so thm3 with envelope decay
+t^-p, alpha < p <= 2, still iterates, with tail_budget = inf.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ import numpy as np
 from .coeffexpr import Coefficient, coefficient_to_json_dict
 from .fracops import _conv_power_kernel, as_alpha, trusted_slice
 from .hypotheses import (
+    EnvelopeError,
     Lemma1Profile,
     _classify,
+    _power_tail,
+    envelope_tail_integral,
     lemma1_profile,
     lemma2_constants,
     thm1_constants,
@@ -198,27 +203,6 @@ def _conv_values(f: GridFunction, beta: float) -> np.ndarray:
     return vals
 
 
-def _product_exponent(spec: SolveSpec) -> float:
-    """Decay exponent q of a(t) x(t) past the horizon for a t^alpha-growth
-    iterate. A q the tail integral cannot close is refused before any
-    step, attempt_anyway or not."""
-    env = spec.coefficient.envelope
-    q = env.exponent - spec.alpha
-    if env.amplitude != 0.0 and not q > 1.0:
-        raise ValueError(
-            f"coefficient envelope decays like t^-{env.exponent!r}; against a "
-            f"t^{spec.alpha!r}-growth iterate the product tail t^-{q!r} is not "
-            "integrable, so the step cannot close its tail integral"
-        )
-    return q
-
-
-def _split_operand(spec: SolveSpec, _) -> SolveSpec:
-    """The split-time steps' operand, once its product tail closes."""
-    _product_exponent(spec)
-    return spec
-
-
 def _check_grid(x: GridFunction, spec: SolveSpec) -> None:
     """The cached samples of spec belong to spec.grid: refuse other grids."""
     if not x.grid.same_layout(spec.grid):
@@ -260,17 +244,13 @@ def _tail_coupling(spec: SolveSpec, x: GridFunction) -> np.ndarray:
 
 def _split_budget(spec: SolveSpec, x: GridFunction) -> float:
     """Metric-units bound on what ignoring the (t_max, inf) mass can move:
-    the envelope of a(t) times the growth of x, integrated past t_max."""
+    the envelope of a(t) times the growth of x (read from max(1, valid_from)
+    on, or at t_max when that lies past it), integrated past t_max."""
     env = spec.coefficient.envelope
-    neglected = 0.0
-    if env.amplitude != 0.0:
-        q = _product_exponent(spec)
-        t = x.grid.nodes
-        lo = max(1.0, env.valid_from)
-        sel = t >= lo
-        growth = float(np.max(np.abs(x.values[sel]) / t[sel] ** spec.alpha))
-        start = max(x.grid.t_max, lo)
-        neglected = env.amplitude * growth * start ** (1.0 - q) / (q - 1.0)
+    t = x.grid.nodes
+    sel = t >= min(max(1.0, env.valid_from), x.grid.t_max)
+    growth = float(np.max(np.abs(x.values[sel]) / t[sel] ** spec.alpha))
+    neglected = _power_tail(env.amplitude * growth, env.exponent - spec.alpha, x.grid.t_max)
     return max(1.0, spec.split**spec.alpha) * neglected / gamma(1.0 + spec.alpha)
 
 
@@ -473,32 +453,28 @@ def prop1_certify(y: GridFunction) -> dict:
 # --------------------------------------------------------------------------
 
 def _thm3_budget(spec: SolveSpec, y: GridFunction) -> float:
+    """The tails of thm3's gate past t_max: |b| times the first moment's, plus
+    the s^(alpha-1) one times the sup of y's inverse-square sweep."""
     env = spec.coefficient.envelope
-    if env.amplitude == 0.0:
-        return 0.0
     al = spec.alpha
     t_max = spec.grid.t_max
-    p = env.exponent
-    if p <= 2.0:
-        return math.inf
-    moment_tail = env.amplitude * t_max ** (2.0 - p) / (p - 2.0)
     t = spec.grid.nodes
     d0 = float(np.max(t[1:] ** (1.0 - al) * np.abs(y.values[1:])))
     sweep_sup = d0 / (2.0 - al)
-    w_tail = env.amplitude * sweep_sup * t_max ** (al - p) / (p - al)
-    return (abs(spec.b) * moment_tail + w_tail) / gamma(al)
+    w_tail = _power_tail(env.amplitude * sweep_sup, env.exponent - al + 1.0, t_max)
+    return (abs(spec.b) * envelope_tail_integral(env, 1.0, t_max) + w_tail) / gamma(al)
 
 
 def _lemma2_budget(spec: SolveSpec, g: Gate) -> float:
-    """Budget on the rescaled kernel; the comparison scale gamma falls back
-    to 2 when the gate raised before reporting it."""
-    if spec.coefficient.envelope.amplitude == 0.0:
+    """Budget on the rescaled kernel, C*(t_max) (s/t_max)^-q closed past the
+    horizon in u = s/t_max; the comparison scale gamma falls back to 2 when
+    the gate raised before reporting it."""
+    env = spec.coefficient.envelope
+    if env.amplitude == 0.0:
         return 0.0
-    q = spec.coefficient.envelope.exponent - spec.alpha
-    if q <= 1.0:
-        return math.inf
     gamma_scale = g.report.gamma if g.report is not None else 2.0
-    star_tail = float(g.profile.C_star.values[-1]) * spec.grid.t_max / (q - 1.0)
+    star_tail = _power_tail(float(g.profile.C_star.values[-1]) * spec.grid.t_max,
+                            env.exponent - spec.alpha, 1.0)
     return gamma_scale * star_tail * (1.0 + g.profile.c_sup) / gamma(spec.alpha)
 
 
@@ -579,7 +555,6 @@ CHAINS: dict[str, Chain] = {
             spec.grid, spec.a + spec.b * spec.grid.nodes**spec.alpha),
         step=lambda x, spec: step_thm1(x, spec),
         metric="sup_over_t_alpha_after_T",
-        operand=_split_operand,
         budget=lambda spec, x, g: _split_budget(spec, x),
         flags=("tail_ok",),
         head=(1, lambda al: (0.0, al)),
@@ -591,7 +566,6 @@ CHAINS: dict[str, Chain] = {
         seed=_singular_seed,
         step=lambda x, spec: step_thm2(x, spec),
         metric="sup_over_t_alpha_after_T",
-        operand=_split_operand,
         budget=lambda spec, x, g: _split_budget(spec, x),
         flags=("tail_ok",),
         head=(2, lambda al: (al - 1.0, al)),
@@ -658,8 +632,9 @@ def _gate_on(chain: Chain, profile, coefficient: Coefficient, alpha: float,
 def solve(spec: SolveSpec) -> SolveResult:
     """Iterate the case's step map from its affine seed to the fixed point.
 
-    Raises when the contraction estimate fails, unless attempt_anyway is
-    set, in which case divergence is a legitimate observable outcome.
+    Raises when the gate raises or the contraction estimate fails, unless
+    attempt_anyway is set, in which case divergence is a legitimate
+    observable outcome; an EnvelopeError is raised either way.
     Non-convergence at the iteration cap does not raise: the trace comes
     back with converged=False and the ratio comparison filled in.
     """
@@ -668,8 +643,8 @@ def solve(spec: SolveSpec) -> SolveResult:
     try:
         g = _gate_on(chain, profile, spec.coefficient, spec.alpha, spec.split,
                      spec.grid)
-    except ValueError:
-        if not spec.attempt_anyway:
+    except ValueError as e:
+        if isinstance(e, EnvelopeError) or not spec.attempt_anyway:
             raise
         g = Gate(None, math.nan, False, profile)
     if not g.passed and not spec.attempt_anyway:

@@ -18,6 +18,7 @@ from scipy.special import gamma as sp_gamma
 
 from fracasym.coeffexpr import Coefficient
 from fracasym.hypotheses import (
+    EnvelopeError,
     _breakpoints,
     _conv_function,
     _gj_rule,
@@ -157,6 +158,20 @@ class TestSplitTimeConstants:
         a = power_coeff("0.01 / (1+t)^1.4", 0.01, 1.4)
         with pytest.raises(ValueError, match="decays like"):
             thm1_constants(a, AL, T=1.0)
+
+    def test_zero_envelope_is_never_refused(self):
+        # A = 0 says a = 0 past valid_from, so every tail is 0 whatever p says
+        rep = thm1_constants(power_coeff("0", 0.0, 1.2), AL, T=1.0)
+        assert rep.C0 == 0.0 and rep.C1 == 0.0
+        assert rep.tail_ok and rep.passed
+
+    def test_envelope_past_the_horizon_is_refused(self):
+        # nothing bounds a on (t_max, valid_from), so no tail can be closed
+        a = power_coeff("0.01 / (1+t)^3.5", 0.01, 3.5, valid_from=1e4)
+        with pytest.raises(EnvelopeError, match="valid_from"):
+            thm1_constants(a, AL, T=1.0)
+        with pytest.raises(EnvelopeError, match="valid_from"):
+            thm3_constants(a, AL)
 
     def test_weak_decay_reports_infinite_C1(self):
         # decay beyond t^-(1+alpha) but not t^-(2+alpha): C0 finite, C1 not
@@ -326,6 +341,13 @@ class TestIntegrabilityProfile:
         p = mean_zero_profile
         assert p.C_star.values[0] == p.c_sup
         assert p.E.values[0] == p.c_l2
+        # for p <= 2 nothing bounds C past the horizon, so its sup reads inf
+        # with its norms, and so do C* and D* at the horizon
+        slow = lemma1_profile(power_coeff("0.01 / (1+t)^1.5", 0.01, 1.5), AL,
+                              grid=make_graded_grid(HOR, 1024))
+        assert slow.C_star.values[0] == slow.c_sup == math.inf
+        assert math.isinf(slow.c_l1) and math.isinf(slow.c_star_l1) and math.isinf(slow.e_l1)
+        assert slow.C_star.values[-1] == slow.D_star.values[-1] == math.inf
 
     def test_scalar_norms_finite_and_flags(self, mean_zero_profile):
         p = mean_zero_profile

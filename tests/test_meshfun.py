@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracasym.hypotheses import _power_tail, envelope_tail_integral
+from fracasym.hypotheses import EnvelopeError, _power_tail, envelope_tail_integral
 from fracasym.meshfun import (
     GradedGrid,
     GridFunction,
@@ -70,12 +70,15 @@ def test_doubling_n_nests_the_grid():
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(1.0, 8.0), alpha=st.floats(0.05, 0.95), lo=st.floats(1.0, 1e3))
 @example(p=6.0, alpha=0.5, lo=100.0)
+@example(p=1.2, alpha=0.5, lo=1.0)
 def test_power_tail_closed_form(p, alpha, lo):
     tail = TailModel(kind="power", amplitude=3.0, exponent=2.5, valid_from=1.0)
     # int_2^inf 3 s^-2.5 ds = 3 * 2^-1.5 / 1.5
     assert envelope_tail_integral(tail, 0.0, 2.0) == pytest.approx(3.0 * 2.0**-1.5 / 1.5, rel=1e-14)
-    # lower limits inside valid_from clamp up to it
-    assert envelope_tail_integral(tail, 0.0, 0.5) == envelope_tail_integral(tail, 0.0, 1.0)
+    # the envelope bounds nothing below valid_from, so a lower limit there
+    # is refused instead of clamped up to it
+    with pytest.raises(EnvelopeError, match="valid_from"):
+        envelope_tail_integral(tail, 0.0, 0.5)
     # the one rule every tail closes through, at the exponents of the
     # profile: q = p - alpha (C, C*, B), 2q (C^2, B^2), q - 1/2 (E) and p
     # (a's mean); s = lo e^u turns each tail into an exponential decay
@@ -83,6 +86,8 @@ def test_power_tail_closed_form(p, alpha, lo):
     # decay rate x - 1 is not within 1e-9 of 0
     q = p - alpha
     for x in (q, 2.0 * q, q - 0.5, p):
+        # a zero envelope has no tail at any exponent, divergent or not
+        assert _power_tail(0.0, x, lo) == 0.0
         got = _power_tail(3.0, x, lo)
         if x <= 1.0:
             assert got == math.inf

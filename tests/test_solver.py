@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracasym.hypotheses import envelope_tail_integral, lemma1_profile, thm1_constants
+from fracasym.hypotheses import (
+    EnvelopeError,
+    envelope_tail_integral,
+    lemma1_profile,
+    thm1_constants,
+)
 from fracasym.meshfun import (
     GridFunction,
     TailModel,
@@ -503,9 +508,27 @@ class TestGateAndRefusals:
         assert res.predicted_k > 1.0
 
     def test_tail_closure_refusal_survives_the_override(self):
-        thin = make_power_coefficient("0.01 / (1+t)^1.2", 0.01, 1.2)
-        with pytest.raises(ValueError, match="cannot close its tail"):
-            solve(SolveSpec("thm1", ALPHA, 1.0, 1.0, thin, attempt_anyway=True))
+        # each chain's gate refuses the envelope that cannot close the tail
+        # it needs: thm1's s^alpha |a|, thm3's s^(alpha-1) |a| and lemma2's
+        # ||C*||_L1; the cases run in one test, under the test's one id
+        for case, a, b, text, amplitude, exponent in [
+            ("thm1", 1.0, 1.0, "0.01 / (1+t)^1.2", 0.01, 1.2),
+            ("thm3", 0.3, 1.0, "0.005 / (1+t)^0.4", 0.005, 0.4),
+            ("lemma2", 0.0, 0.0, "0.01 / (1+t)^1.4", 0.01, 1.4),
+        ]:
+            thin = make_power_coefficient(text, amplitude, exponent)
+            with pytest.raises(EnvelopeError, match="cannot close its tail"):
+                solve(SolveSpec(case, ALPHA, a, b, thin, grid=make_graded_grid(n=512),
+                                attempt_anyway=True))
+
+    def test_horizon_below_one_closes_its_tail(self):
+        # the growth of x is read at the last node when t_max < 1, and the
+        # tail closes from t_max
+        a = make_power_coefficient("0.01 / (1+t)^3.5", 0.01, 3.5, valid_from=0.1)
+        res = solve(SolveSpec("thm1", ALPHA, 1.0, 1.0, a, grid=make_graded_grid(0.8, 256),
+                              split=0.5))
+        assert res.converged
+        assert res.tail_budget == pytest.approx(0.018682088, rel=1e-6)
 
 
 # --------------------------------------------------------------------------

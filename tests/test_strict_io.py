@@ -65,17 +65,24 @@ def test_non_finite_input_exits_2_before_writing(tmp_path, capsys, flags, config
 
 def test_coefficient_above_its_envelope_exits_2_before_writing(tmp_path, capsys):
     # |a| = 0.5/(1+t)^2 lies far above 0.001 t^-4 past t = 1, so every tail
-    # the gate closes with that envelope would be too small
-    coeff = tmp_path / "coeff.json"
-    coeff.write_text('{"expr": "0.5/(1+t)^2", '
-                     '"envelope": {"A": 0.001, "p": 4.0, "valid_from": 1.0}}')
-    out = tmp_path / "out"
-    argv = ["check", "--case", "thm1", "--coeff", str(coeff), "--nodes", "64",
-            "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "envelope" in err
-    assert not out.exists()
+    # the gate closes with that envelope would be too small; an envelope
+    # that holds only from t = 1e4 bounds nothing on (100, 1e4), where no
+    # grid node lies either
+    for name, text in [
+        ("above", '{"expr": "0.5/(1+t)^2", '
+                  '"envelope": {"A": 0.001, "p": 4.0, "valid_from": 1.0}}'),
+        ("past-tmax", '{"expr": "0.01/(1+t)^3.5", '
+                      '"envelope": {"A": 0.01, "p": 3.5, "valid_from": 1e4}}'),
+    ]:
+        coeff = tmp_path / f"{name}.json"
+        coeff.write_text(text)
+        out = tmp_path / name
+        argv = ["check", "--case", "thm1", "--coeff", str(coeff), "--nodes", "64",
+                "--tmax", "100", "--out", str(out)]
+        assert main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "envelope" in err, name
+        assert not out.exists(), name
 
 
 _TABLE = '[[0, 0.001], [1, %s], [2, 0], [200, 0]]'
