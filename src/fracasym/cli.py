@@ -28,7 +28,7 @@ import numpy as np
 from .coeffexpr import Coefficient, check_envelope, load_coefficient
 from .fracops import as_alpha, peeled_integral
 from .meshfun import GradedGrid, GridFunction, make_graded_grid, write_csv, write_json
-from .solver import CHAINS, SOLVE_CASES, SolveSpec, gate, solve
+from .solver import CHAINS, SOLVE_CASES, SolveSpec, gate, gates, solve
 from .verify import asymptotic_fit, boundary_limits, chain_head, residual
 
 __all__ = ["main", "RunConfig"]
@@ -347,31 +347,33 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    cells = [
-        (al, amp, T)
-        for al in axes["alpha"]
-        for amp in axes["amp"]
-        for T in axes["T"]
-    ]
     header = ["alpha", "amp", "T", "k", "passed", "observed_ratio", "error"]
     out_path = os.path.join(cfg.out, f"sweep_{cfg.case}.csv")
     grid = _grid(cfg)
 
-    def cell_row(cell: tuple[float, float, float]) -> list:
-        al, amp, T = (float(c) for c in cell)
-        cell_cfg = replace(cfg, alpha=al, T=T, override_hypotheses=True)
+    # the cells of one (alpha, amp) share a coefficient and one gates call
+    rows = []
+    splits = [float(T) for T in axes["T"]]
+    pairs = itertools.product(map(float, axes["alpha"]), map(float, axes["amp"])) if splits else ()
+    for al, amp in pairs:
+        as_alpha(al)  # an order out of range is bad input, as in the config
         try:
             scaled = _scaled_coefficient(coeff, amp, _guard_t_max(cfg))
-            g = gate(cfg.case, scaled, al, T, grid)
-            ratio = ""
-            if cfg.sweep_ratios:
-                ratio = repr(solve(_solve_spec(cell_cfg, scaled, grid)).observed_ratio)
-            return [repr(al), repr(amp), repr(T), repr(g.k),
-                    str(g.passed), ratio, ""]
+            results = gates(cfg.case, scaled, al, splits, grid)
         except ValueError as e:
-            return [repr(al), repr(amp), repr(T), "", "False", "", str(e)]
-
-    rows = [cell_row(cell) for cell in cells]
+            results = [e] * len(splits)
+        for T, g in zip(splits, results):
+            cell = [repr(al), repr(amp), repr(T)]
+            try:
+                if isinstance(g, ValueError):
+                    raise g
+                ratio = ""
+                if cfg.sweep_ratios:
+                    cell_cfg = replace(cfg, alpha=al, T=T, override_hypotheses=True)
+                    ratio = repr(solve(_solve_spec(cell_cfg, scaled, grid)).observed_ratio)
+                rows.append(cell + [repr(g.k), str(g.passed), ratio, ""])
+            except ValueError as e:
+                rows.append(cell + ["", "False", "", str(e)])
     with open(out_path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -10,10 +10,12 @@ alone by the Golub-Welsch method (Golub & Welsch, Math. Comp. 23, 1969),
 with one Newton step on the nodes; nodes are good to about 1e-16 and
 weights to about 1e-13 relative (see _gj_rule).
 
-Two rules do all the quadrature.  A plain integral of fn(s) s^m over an
-interval (_weighted_moment) runs on one geometric panelization, cut at the
-breakpoints, with the coefficient called once on all its nodes.  The
-weakly singular convolutions int_0^t |a(s)| s^m (t-s)^e ds, thm3's chi
+Two rules do all the quadrature.  Plain integrals of fn(s) s^m are the
+rows of one batched rule (_moments; _weighted_moment is its one-row case):
+a block of rows shares its panels and all nodes but the Gauss-Jacobi heads,
+fn is called once per node, and each row is reduced on its own; thm1 and
+thm2 run all the split times of a sweep through it at once.  The weakly
+singular convolutions int_0^t |a(s)| s^m (t-s)^e ds, thm3's chi
 (m = e = alpha - 1) and the divergence demonstration's F (m = 0,
 e = alpha - 1), run on one rule for a batch of points t (_conv_function).
 Each t is a row: its nodes carry weights with the kernel factors folded
@@ -163,28 +165,18 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray, e: float):
 
     A panel that starts at y = 0 takes the Gauss-Jacobi rule of the weight;
     any other takes Gauss-Legendre with y^e folded into its weights. The
-    Jacobi rule exists for e > -1 only, so it is built only when some
-    panel starts at 0.
+    Jacobi rule exists for e > -1 only, so it is built, and its nodes and
+    weights written, only on the rows that start at 0.
     """
-    head = (lo == 0.0)[:, None]
-    gj_x, gj_w = _gj_rule(e) if head.any() else (_GL_NODES, _GL_WEIGHTS)
+    head = lo == 0.0
     half = 0.5 * (hi - lo)[:, None]
-    y = lo[:, None] + half * (np.where(head, gj_x, _GL_NODES) + 1.0)
-    return y, np.where(head, half ** (e + 1.0) * gj_w, half * _GL_WEIGHTS * y ** e)
-
-
-def _edges(lo: float, hi: float, breakpoints=()) -> np.ndarray:
-    """Geometric panel edges over [lo, hi] with the breakpoints inside it inserted.
-
-    6 panels to a decade, at least 8; from lo = 0 the panels grade down
-    to 1e-12 hi, and [0, 1e-12 hi] is the first panel.
-    """
-    anchor = max(lo, hi * 1e-12) if lo <= 0.0 else lo
-    decades = math.log10(hi / anchor) if hi > anchor else 0.0
-    count = max(8, math.ceil(decades * 6)) + 1
-    edges = np.concatenate([np.geomspace(anchor, hi, count),
-                            np.asarray(breakpoints, dtype=float), [lo, hi]])
-    return np.unique(edges[(edges >= lo) & (edges <= hi)])
+    y, w = lo[:, None] + half * (_GL_NODES + 1.0), half * _GL_WEIGHTS
+    # y^e on every row: selecting the Legendre rows costs more than it saves
+    w *= y ** e
+    if head.any():
+        gj_x, gj_w = _gj_rule(e)
+        y[head], w[head] = half[head] * (gj_x + 1.0), half[head] ** (e + 1.0) * gj_w
+    return y, w
 
 
 def _sorted_edges(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,13 +195,56 @@ def _call(fn, s: np.ndarray) -> np.ndarray:
                           axis=-1)
 
 
+def _moments(fn, exponents, lo, hi, breakpoints=()) -> np.ndarray:
+    """integral of fn(s) s^m over [lo_j, hi_j] (lo_j >= 0; m > -1 where lo_j = 0),
+    one row per m of exponents and one column per interval j.
+
+    Panels are geometric, 6 to a decade and at least 8, cut at the breakpoints;
+    from lo = 0 they grade down to a first panel [0, 1e-12 hi]. A block of at
+    most _NODE_CAP nodes takes one _panel_nodes call per exponent and one
+    call of fn, on the nodes its rows share and on their own Gauss-Jacobi
+    heads. Each row is reduced by its own np.dot in its own node order.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo).astype(float), np.asarray(hi, dtype=float))
+    out = np.zeros((len(exponents), lo.size))
+    live = np.flatnonzero(hi > lo)
+    cuts = np.sort(np.asarray(breakpoints, dtype=float))
+    anchor = np.where(lo <= 0.0, np.maximum(lo, hi * 1e-12), lo)
+    count = np.array([max(8, math.ceil(math.log10(h / a) * 6)) if h > a else 8
+                      for a, h in zip(anchor.tolist(), hi.tolist())], dtype=int) + 1
+    first, last = np.searchsorted(cuts, lo), np.searchsorted(cuts, hi, "right")
+    geometric = np.full((lo.size, count.max(initial=0)), np.nan)
+    for n in set(count[live].tolist()):
+        rows = live[count[live] == n]
+        geometric[rows, :n] = np.geomspace(anchor[rows], hi[rows], n).T
+    # at most this many nodes per interval: its panels and its extra heads
+    size = _GL_NODES.size * (count + last - first + (len(exponents) - 1) * (lo == 0.0))
+    per = max(1, _NODE_CAP // int(size[live].max(initial=1)))
+    for b in (live[i:i + per] for i in range(0, live.size, per)):
+        span = cuts[first[b].min():last[b].max()]
+        table = np.column_stack([geometric[b], lo[b], np.broadcast_to(span, (b.size, span.size))])
+        table[~((table >= lo[b, None]) & (table <= hi[b, None]))] = np.nan
+        edges, owner = _sorted_edges(table)
+        inner = owner[1:] == owner[:-1]
+        plo, phi = edges[:-1][inner], edges[1:][inner]
+        ends = np.searchsorted(owner[1:][inner], np.arange(b.size + 1))
+        head = plo == 0.0
+        ys, ws = zip(*(_panel_nodes(plo, phi, m) for m in exponents))
+        values = _call(fn, np.concatenate([ys[0].ravel()] + [y[head].ravel() for y in ys[1:]]))
+        vals = values[:ys[0].size].reshape(ys[0].shape)
+        heads = values[ys[0].size:].reshape(len(ys) - 1, head.sum(), _GL_NODES.size)
+        for i, w in enumerate(ws):
+            if i:  # the shared nodes, and the Gauss-Jacobi heads of exponent i
+                vals = vals.copy()
+                vals[head] = heads[i - 1]
+            for j, p, q in zip(b.tolist(), ends[:-1].tolist(), ends[1:].tolist()):
+                out[i, j] = np.dot(w[p:q].ravel(), vals[p:q].ravel())
+    return out
+
+
 def _weighted_moment(fn, m: float, lo: float, hi: float, breakpoints=()) -> float:
-    """integral of fn(s) * s^m over [lo, hi]; needs m > -1 when lo = 0."""
-    if hi <= lo:
-        return 0.0
-    edges = _edges(lo, hi, breakpoints)
-    s, w = _panel_nodes(edges[:-1], edges[1:], m)
-    return float(np.dot(w.ravel(), _call(fn, s.ravel())))
+    """integral of fn(s) * s^m over [lo, hi]: the one-row case of _moments."""
+    return float(_moments(fn, [m], lo, hi, breakpoints)[0, 0])
 
 
 class EnvelopeError(ValueError):
@@ -455,94 +490,106 @@ class Lemma1Profile(JsonReport):
 # split-time contraction (bounded solutions)
 # --------------------------------------------------------------------------
 
-def _split_time_tail(a: Coefficient, al: float, T: float, t_max: float) -> float:
-    """The s^alpha |a| tail past t_max, once T lies in (0, t_max) and it closes."""
-    if not 0.0 < T < t_max:
-        raise ValueError(f"split time T={T!r} must lie in (0, t_max={t_max!r})")
-    return _closed(envelope_tail_integral(a.envelope, al, t_max), a.envelope,
-                   f"the weighted tail needs decay faster than t^-{1.0 + al!r}")
+def _per_split(a: Coefficient, al: float, T, t_max: float, build):
+    """The report for the split time T, or a list of reports and ValueErrors
+    for a sequence T: build(splits, tail) reports the splits in (0, t_max),
+    once the s^alpha |a| tail past t_max closes."""
+    splits = list(T) if np.ndim(T) else [T]
+    try:
+        tail = _closed(envelope_tail_integral(a.envelope, al, t_max), a.envelope,
+                       f"the weighted tail needs decay faster than t^-{1.0 + al!r}")
+    except ValueError as e:
+        tail = e
+    out = [tail if 0.0 < t < t_max else
+           ValueError(f"split time T={t!r} must lie in (0, t_max={t_max!r})") for t in splits]
+    kept = [i for i, r in enumerate(out) if not isinstance(r, ValueError)]
+    for i, r in zip(kept, build([splits[i] for i in kept], tail) if kept else ()):
+        out[i] = r
+    if not np.ndim(T) and isinstance(out[0], ValueError):
+        raise out[0]
+    return out if np.ndim(T) else out[0]
 
 
-def thm1_constants(a: Coefficient, alpha: float, T: float,
-                   t_max: float = 100.0) -> Thm1Report:
+def thm1_constants(a: Coefficient, alpha: float, T, t_max: float = 100.0):
     """C0, C1 and the contraction constant k for the split time T.
 
     C(j) = integral_0^T s^j |a| ds + integral_T^inf s^(j+alpha) |a| ds,
     k = max(1, T^alpha) * C0 / Gamma(1+alpha).  The j=1 tail needs the
     stronger decay p > 2 + alpha; when only p > 1 + alpha holds, C1 is
     inf and tail_ok goes false.  Weaker decay makes C0 itself diverge,
-    which is an EnvelopeError.
+    which is an EnvelopeError.  A sequence T gives a list (_per_split).
     """
     al = as_alpha(alpha)
-    tail0 = _split_time_tail(a, al, T, t_max)
-    zs = _breakpoints(a, 0.0, t_max)
-    afun = lambda s: np.abs(a(s))
 
-    C0 = (_weighted_moment(afun, 0.0, 0.0, T, zs)
-          + _weighted_moment(afun, al, T, t_max, zs)
-          + tail0)
-    tail1 = envelope_tail_integral(a.envelope, 1.0 + al, t_max)
-    C1 = (_weighted_moment(afun, 1.0, 0.0, T, zs)
-          + _weighted_moment(afun, 1.0 + al, T, t_max, zs)
-          + tail1)
-    tail_ok = math.isfinite(tail1)
-    k = max(1.0, T ** al) * C0 / gamma(1.0 + al)
-    status = _classify(k)
-    return Thm1Report(
-        alpha=al, T=T, horizon=t_max, C0=C0, C1=C1, k=k,
-        tail_ok=tail_ok, k_status=status,
-        passed=(status == "pass") and tail_ok,
-    )
+    def build(splits, tail0):
+        zs = _breakpoints(a, 0.0, t_max)
+        afun = lambda s: np.abs(a(s))
+        tail1 = envelope_tail_integral(a.envelope, 1.0 + al, t_max)
+        tail_ok = math.isfinite(tail1)
+        head = _moments(afun, [0.0, 1.0], 0.0, splits, zs).tolist()
+        body = _moments(afun, [al, 1.0 + al], splits, t_max, zs).tolist()
+        reports = []
+        for T, h0, h1, b0, b1 in zip(splits, *head, *body):
+            C0, C1 = h0 + b0 + tail0, h1 + b1 + tail1
+            k = max(1.0, T ** al) * C0 / gamma(1.0 + al)
+            status = _classify(k)
+            reports.append(Thm1Report(alpha=al, T=T, horizon=t_max, C0=C0, C1=C1, k=k,
+                                      tail_ok=tail_ok, k_status=status,
+                                      passed=(status == "pass") and tail_ok))
+        return reports
+
+    return _per_split(a, al, T, t_max, build)
 
 
 # --------------------------------------------------------------------------
 # s^(-1-alpha)-weighted contraction (t^alpha-dominant solutions)
 # --------------------------------------------------------------------------
 
-def _origin_exponent(a: Coefficient, T: float) -> float:
-    """Local power of |a| near 0, fitted log-log on a decade of probes."""
-    probes = np.geomspace(1e-6 * T, 1e-5 * T, 12)
-    vals = np.abs(a(probes))
-    if np.all(vals < 1e-300):
-        return math.inf
-    if np.any(vals < 1e-300):
-        return 0.0
-    slope = np.polyfit(np.log(probes), np.log(vals), 1)[0]
-    return float(slope)
+def _origin_exponents(a: Coefficient, splits: np.ndarray) -> tuple[list, np.ndarray]:
+    """Local power of |a| near 0, fitted log-log on a decade of probes below
+    each split T, and |a(1e-5 T)|; one coefficient call for every split."""
+    probes = np.geomspace(1e-6 * splits, 1e-5 * splits, 12, axis=1)
+    vals = np.abs(_call(a, np.concatenate([probes.ravel(), 1e-5 * splits])))
+    powers = [math.inf if np.all(v < 1e-300) else 0.0 if np.any(v < 1e-300)
+              else float(np.polyfit(np.log(x), np.log(v), 1)[0])
+              for x, v in zip(probes, vals[:probes.size].reshape(probes.shape))]
+    return powers, vals[probes.size:]
 
 
-def thm2_constants(a: Coefficient, alpha: float, T: float,
-                   t_max: float = 100.0) -> Thm2Report:
+def thm2_constants(a: Coefficient, alpha: float, T, t_max: float = 100.0):
     """k4 = max(1,T)/Gamma(1+alpha) * (int_0^T |a| s^(-1-alpha) + int_T^inf s^alpha |a|).
 
     The origin integral only converges when |a| vanishes at 0 faster than
     t^alpha; the fitted local exponent gates that and is reported.  tail_ok
     tracks the extra decay p > 2 + alpha the asymptotic expansion needs.
+    A sequence T gives a list (_per_split).
     """
     al = as_alpha(alpha)
-    tail0 = _split_time_tail(a, al, T, t_max)
-    q = _origin_exponent(a, T)
-    if q <= al:
-        raise ValueError(
-            f"|a(t)| ~ t^{q:.4f} near 0, so the s^-(1+alpha) weight "
-            f"diverges (needs local growth beyond t^{al!r})"
-        )
-    zs = _breakpoints(a, 0.0, t_max)
-    afun = lambda s: np.abs(a(s))
-    # the weight s^(-1-alpha) sits below the Jacobi range, so the first
-    # sliver closes under the fitted local power: |a| ~ |a(eps)| (s/eps)^q
-    eps = 1e-5 * T
-    head = 0.0 if math.isinf(q) else float(np.abs(a(eps))) * eps ** (-al) / (q - al)
-    origin_part = head + _weighted_moment(afun, -1.0 - al, eps, T, zs)
-    tail_part = _weighted_moment(afun, al, T, t_max, zs) + tail0
-    k4 = max(1.0, T) / gamma(1.0 + al) * (origin_part + tail_part)
-    tail_ok = math.isfinite(envelope_tail_integral(a.envelope, 1.0 + al, t_max))
-    status = _classify(k4)
-    return Thm2Report(
-        alpha=al, T=T, horizon=t_max, k4=k4, origin_exponent=q,
-        tail_ok=tail_ok, k_status=status,
-        passed=(status == "pass") and tail_ok,
-    )
+
+    def build(splits, tail0):
+        qs, a_eps = _origin_exponents(a, np.asarray(splits, dtype=float))
+        reports = [ValueError(f"|a(t)| ~ t^{q:.4f} near 0, so the s^-(1+alpha) weight "
+                              f"diverges (needs local growth beyond t^{al!r})") for q in qs]
+        fit = [i for i, q in enumerate(qs) if q > al]
+        Ts = [splits[i] for i in fit]
+        zs = _breakpoints(a, 0.0, t_max) if fit else ()
+        afun = lambda s: np.abs(a(s))
+        tail_ok = math.isfinite(envelope_tail_integral(a.envelope, 1.0 + al, t_max))
+        # the weight s^(-1-alpha) sits below the Jacobi range, so the first
+        # sliver closes under the fitted local power: |a| ~ |a(eps)| (s/eps)^q
+        origin = _moments(afun, [-1.0 - al], [1e-5 * T for T in Ts], Ts, zs)[0].tolist()
+        body = _moments(afun, [al], Ts, t_max, zs)[0].tolist()
+        for i, T, o, b in zip(fit, Ts, origin, body):
+            q, eps = qs[i], 1e-5 * T
+            head = 0.0 if math.isinf(q) else float(a_eps[i]) * eps ** (-al) / (q - al)
+            k4 = max(1.0, T) / gamma(1.0 + al) * ((head + o) + (b + tail0))
+            status = _classify(k4)
+            reports[i] = Thm2Report(alpha=al, T=T, horizon=t_max, k4=k4, origin_exponent=q,
+                                    tail_ok=tail_ok, k_status=status,
+                                    passed=(status == "pass") and tail_ok)
+        return reports
+
+    return _per_split(a, al, T, t_max, build)
 
 
 # --------------------------------------------------------------------------
@@ -732,8 +779,9 @@ def thm3_constants(a: Coefficient, alpha: float,
 
     # the s-weighted sup hypothesis is chi of the pushed coefficient
     # t^(2-alpha) a(t); its certificate is the L_inf/L1/amplitude chain,
-    # which needs |pushed| <= amp/t^alpha past 1, i.e. envelope decay
-    # beyond t^-(3-alpha)
+    # which needs the rule to close the s^(2-alpha) |a| tail: envelope
+    # decay beyond t^-(3-alpha), or a zero envelope. The 513-point scan of
+    # the pushed coefficient runs only for a chain that closes
     pushed_abs = lambda s: np.abs(s ** (2.0 - al) * a(s))
 
     def both(s: np.ndarray) -> np.ndarray:
@@ -742,21 +790,20 @@ def thm3_constants(a: Coefficient, alpha: float,
 
     (chi, chi_arg), (sup_value, _) = _sup_scan(_chi_function(both, al, t_max, zs),
                                                _SCAN_FLOOR, t_max)
-    weighted_l1 = _weighted_moment(afun, al - 1.0, 0.0, t_max, zs) + weighted_tail
+    l1, m1 = _moments(afun, [al - 1.0, 1.0], 0.0, t_max, zs)[:, 0].tolist()
+    weighted_l1 = l1 + weighted_tail
     k3 = (weighted_l1 + chi) / gamma(al)
 
-    first_moment = (_weighted_moment(afun, 1.0, 0.0, t_max, zs)
-                    + envelope_tail_integral(env, 1.0, t_max))
+    first_moment = m1 + envelope_tail_integral(env, 1.0, t_max)
     moment_ok = math.isfinite(first_moment)
 
-    if env.exponent > 3.0 - al:
+    sup_chain = envelope_tail_integral(env, 2.0 - al, t_max)
+    if math.isfinite(sup_chain):
         chain_amp = env.amplitude * max(1.0, env.valid_from) ** (2.0 - env.exponent)
         sup_chain = (_sup_scan(pushed_abs, _SCAN_FLOOR, 1.0)[0] / al
                      + _weighted_moment(pushed_abs, 0.0, 1.0, t_max, zs)
-                     + envelope_tail_integral(env, 2.0 - al, t_max)
+                     + sup_chain
                      + chain_amp * 2.0 ** (1.0 - al) / al)
-    else:
-        sup_chain = math.inf
     sup_ok = math.isfinite(sup_chain)
 
     status = _classify(k3)
@@ -938,11 +985,8 @@ def f_l1_divergence(a: Coefficient, alpha: float, T: float,
 
     rows = []
     running = 0.0
-    prev = T
-    for t in ts:
-        if t > prev:
-            running += _weighted_moment(f2, 0.0, prev, t, 0.5 * zs)
-            prev = t
+    for t, piece in zip(ts, _moments(f2, [0.0], [T] + ts[:-1], ts, 0.5 * zs)[0].tolist()):
+        running += piece
         bound = ((2.0 * t - 0.5 * T) ** al - (1.5 * T) ** al) / (2.0 * al) \
             * window_mass
         rows.append({"t": t, "integral": running, "lower_bound": bound})

@@ -77,6 +77,7 @@ __all__ = [
     "reconstruct_prop1",
     "x_to_y",
     "gate",
+    "gates",
     "prop1_certify",
 ]
 
@@ -497,21 +498,22 @@ class Gate:
 class Chain:
     """One contraction chain, from its gate to the head verify checks.
 
-    The gate reads k_field and pass_field off the constants report;
-    flags names the report's booleans that the gate needs besides k, so
-    a refusal can say which hypothesis failed. requires is the (a, b)
-    predicate with its error message; operand is the step map's second
-    argument. head is the equation a thm chain
-    solves: the operator case and, at order alpha, the exponents e0, e1
-    of the solution head a t^e0 + b t^e1 (verify.chain_head derives the
-    rest). A chain without one names in verify_as the (chain, a, b)
-    whose head checks its solution.
+    constants maps a list of split times to a report or ValueError each;
+    a chain that ignores the split repeats one report. The gate
+    reads k_field and pass_field off a report; flags names the report's
+    booleans that the gate needs besides k, so a refusal can say which
+    hypothesis failed. requires is the (a, b) predicate with its error
+    message; operand is the step map's second argument. head is the
+    equation a thm chain solves: the operator case and, at order alpha,
+    the exponents e0, e1 of the solution head a t^e0 + b t^e1
+    (verify.chain_head derives the rest). A chain without one names in
+    verify_as the (chain, a, b) whose head checks its solution.
     Entries call traced layers (constants, steps, reconstructions) by
     module-global name at call time and never hold those functions, so
     instrumentation that rebinds the names reaches every call.
     """
 
-    constants: Callable[[Coefficient, float, float, GradedGrid, Any], Any]
+    constants: Callable[[Coefficient, float, list, GradedGrid, Any], Any]
     k_field: str
     seed: Callable[[SolveSpec, Any], GridFunction]
     step: Callable[[GridFunction, Any], GridFunction]
@@ -548,7 +550,7 @@ def _prop1_solution(spec: SolveSpec, y: GridFunction) -> tuple[GridFunction, dic
 
 CHAINS: dict[str, Chain] = {
     "thm1": Chain(
-        constants=lambda c, al, T, grid, _: thm1_constants(c, al, T, t_max=grid.t_max),
+        constants=lambda c, al, Ts, grid, _: thm1_constants(c, al, Ts, t_max=grid.t_max),
         k_field="k",
         requires=_NONZERO_PAIR,
         seed=lambda spec, _: GridFunction(
@@ -560,7 +562,7 @@ CHAINS: dict[str, Chain] = {
         head=(1, lambda al: (0.0, al)),
     ),
     "thm2": Chain(
-        constants=lambda c, al, T, grid, _: thm2_constants(c, al, T, t_max=grid.t_max),
+        constants=lambda c, al, Ts, grid, _: thm2_constants(c, al, Ts, t_max=grid.t_max),
         k_field="k4",
         requires=_NONZERO_PAIR,
         seed=_singular_seed,
@@ -571,7 +573,7 @@ CHAINS: dict[str, Chain] = {
         head=(2, lambda al: (al - 1.0, al)),
     ),
     "thm3": Chain(
-        constants=lambda c, al, T, grid, _: thm3_constants(c, al, t_max=grid.t_max),
+        constants=lambda c, al, Ts, grid, _: [thm3_constants(c, al, t_max=grid.t_max)] * len(Ts),
         k_field="k3",
         requires=(lambda a, b: b != 0.0, "the linear-growth case needs b != 0"),
         seed=lambda spec, _: GridFunction(
@@ -584,7 +586,7 @@ CHAINS: dict[str, Chain] = {
     ),
     "lemma2": Chain(
         profile=lambda c, al, grid: lemma1_profile(c, al, grid=grid),
-        constants=lambda c, al, T, grid, profile: lemma2_constants(profile),
+        constants=lambda c, al, Ts, grid, profile: [lemma2_constants(profile)] * len(Ts),
         k_field="k1",
         pass_field="pass_k1",
         payload=lambda g: {**g.report.to_json_dict(),
@@ -609,20 +611,34 @@ CHAINS: dict[str, Chain] = {
 SOLVE_CASES = tuple(CHAINS)
 
 
+def gates(case: str, coefficient: Coefficient, alpha: float, splits,
+          grid: GradedGrid) -> list:
+    """One chain's gate at each split time, on one rule for all of them: a
+    Gate, or the ValueError that leaves its constants undefined there."""
+    chain = CHAINS[case]
+    profile = chain.profile(coefficient, alpha, grid)
+    return _gates_on(chain, profile, coefficient, alpha, list(splits), grid)
+
+
 def gate(case: str, coefficient: Coefficient, alpha: float, split: float,
          grid: GradedGrid) -> Gate:
     """Evaluate one chain's gate; ValueError when its constants are undefined."""
-    chain = CHAINS[case]
-    profile = chain.profile(coefficient, alpha, grid)
-    return _gate_on(chain, profile, coefficient, alpha, split, grid)
+    g, = gates(case, coefficient, alpha, [split], grid)
+    if isinstance(g, ValueError):
+        raise g
+    return g
 
 
-def _gate_on(chain: Chain, profile, coefficient: Coefficient, alpha: float,
-             split: float, grid: GradedGrid) -> Gate:
-    """The gate of chain on an integrability profile already built."""
-    report = chain.constants(coefficient, alpha, split, grid, profile)
-    return Gate(report, float(getattr(report, chain.k_field)),
-                bool(getattr(report, chain.pass_field)), profile)
+def _gates_on(chain: Chain, profile, coefficient: Coefficient, alpha: float,
+              splits: list, grid: GradedGrid) -> list:
+    """The gates of chain on an integrability profile already built."""
+    try:
+        reports = chain.constants(coefficient, alpha, splits, grid, profile)
+    except ValueError as e:
+        reports = [e] * len(splits)
+    return [r if isinstance(r, ValueError) else
+            Gate(r, float(getattr(r, chain.k_field)), bool(getattr(r, chain.pass_field)), profile)
+            for r in reports]
 
 
 # --------------------------------------------------------------------------
@@ -640,12 +656,10 @@ def solve(spec: SolveSpec) -> SolveResult:
     """
     chain = CHAINS[spec.case]
     profile = chain.profile(spec.coefficient, spec.alpha, spec.grid)
-    try:
-        g = _gate_on(chain, profile, spec.coefficient, spec.alpha, spec.split,
-                     spec.grid)
-    except ValueError as e:
-        if isinstance(e, EnvelopeError) or not spec.attempt_anyway:
-            raise
+    g, = _gates_on(chain, profile, spec.coefficient, spec.alpha, [spec.split], spec.grid)
+    if isinstance(g, ValueError):
+        if isinstance(g, EnvelopeError) or not spec.attempt_anyway:
+            raise g
         g = Gate(None, math.nan, False, profile)
     if not g.passed and not spec.attempt_anyway:
         failed = "".join(f"; {flag}: false" for flag in chain.flags

@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracasym.cli import _read_artifact_csv, main
-from fracasym.coeffexpr import Coefficient
+from fracasym.coeffexpr import Coefficient, load_coefficient
+from fracasym.hypotheses import _NODE_CAP
 from fracasym.meshfun import make_graded_grid, write_csv
+from fracasym.solver import gate
 
 NODES = "512"
 
@@ -57,6 +59,12 @@ def slow_file(tmp_path_factory):
 def mean_zero_file(tmp_path_factory):
     d = tmp_path_factory.mktemp("coeffmz")
     return _write_coeff(d / "meanzero.json", "0.01 * (1 - t) * exp(-t)", 7.0, 6.0)
+
+
+@pytest.fixture(scope="module")
+def quad_file(tmp_path_factory):
+    d = tmp_path_factory.mktemp("coeffquad")
+    return _write_coeff(d / "quad.json", "0.01 * t^2 / (1+t)^6", 0.01, 4.0)
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +363,49 @@ class TestSweep:
         assert rc == 0
         assert len(_read_sweep(tmp_path / "sweep" / "sweep_thm1.csv")) == 128
         assert len(windows) == 1
+
+    @pytest.mark.parametrize("case, name, axis", [
+        ("thm1", "slow_file", "T=0.5:4:16"),
+        ("thm1", "mean_zero_file", "T=0.5:50:16"),
+        # cells at and past t_max = 100 are refused one by one
+        ("thm2", "quad_file", "T=0.5:140:16"),
+        # |a(0)| > 0: every cell is refused at the origin
+        ("thm2", "slow_file", "T=0.5:4:4"),
+        ("thm3", "heavy_file", "T=0.5:4:3"),
+        ("lemma2", "mean_zero_file", "T=0.5:4:3"),
+    ])
+    def test_t_sweep_cells_equal_the_single_gate(self, request, tmp_path, case, name, axis):
+        path = request.getfixturevalue(name)
+        rc = main(["sweep", "--coeff", path, "--case", case, "--sweep", axis,
+                   "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 0
+        coeff = load_coefficient(path)
+        grid = make_graded_grid(100.0, int(NODES), 2.0)
+        for row in _read_sweep(tmp_path / f"sweep_{case}.csv"):
+            try:
+                g = gate(case, coeff, 0.5, float(row["T"]), grid)
+                want = [repr(g.k), str(g.passed), ""]
+            except ValueError as e:
+                want = ["", "False", str(e)]
+            assert [row["k"], row["passed"], row["error"]] == want
+
+    def test_t_sweep_calls_the_coefficient_per_block_of_cells(self, tmp_path, slow_file,
+                                                             monkeypatch):
+        sizes = []
+        call = Coefficient.__call__
+
+        def counted(self, t):
+            sizes.append(np.size(t))
+            return call(self, t)
+
+        monkeypatch.setattr(Coefficient, "__call__", counted)
+        rc = main(["sweep", "--coeff", slow_file, "--case", "thm1",
+                   "--sweep", "T=0.5:4:128", "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(_read_sweep(tmp_path / "sweep_thm1.csv")) == 128
+        # four calls a cell when each cell ran its gate alone (515 in all)
+        assert len(sizes) <= 64
+        assert max(sizes) <= _NODE_CAP
 
     def test_unknown_parameter_rejected(self, tmp_path, slow_file):
         rc = main(["sweep", "--coeff", slow_file, "--case", "thm1",

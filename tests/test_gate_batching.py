@@ -243,6 +243,67 @@ def test_batched_integral_is_exact_on_polynomials(coeffs, width, offset, cuts):
 
 
 # --------------------------------------------------------------------------
+# the batched integral rule against the scalar rule it replaced
+# --------------------------------------------------------------------------
+
+def _scalar_edges(lo, hi, breakpoints=()):
+    anchor = max(lo, hi * 1e-12) if lo <= 0.0 else lo
+    decades = math.log10(hi / anchor) if hi > anchor else 0.0
+    count = max(8, math.ceil(decades * 6)) + 1
+    edges = np.concatenate([np.geomspace(anchor, hi, count),
+                            np.asarray(breakpoints, dtype=float), [lo, hi]])
+    return np.unique(edges[(edges >= lo) & (edges <= hi)])
+
+
+def _scalar_panel_nodes(lo, hi, e):
+    head = (lo == 0.0)[:, None]
+    gj_x, gj_w = hyp._gj_rule(e) if head.any() else (_X, _W)
+    half = 0.5 * (hi - lo)[:, None]
+    y = lo[:, None] + half * (np.where(head, gj_x, _X) + 1.0)
+    # both weights are computed on every row: a head panel of subnormal
+    # width (a cut at 5e-324) overflows in the Legendre weight it discards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return y, np.where(head, half ** (e + 1.0) * gj_w, half * _W * y ** e)
+
+
+def _scalar_moment(fn, m, lo, hi, breakpoints=()):
+    """The scalar rule the batched one replaced: one interval, one exponent,
+    one coefficient call on all its nodes and one np.dot."""
+    if hi <= lo:
+        return 0.0
+    edges = _scalar_edges(lo, hi, breakpoints)
+    s, w = _scalar_panel_nodes(edges[:-1], edges[1:], m)
+    return float(np.dot(w.ravel(), fn(s.ravel())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponents=st.lists(st.floats(-0.95, 3.0), min_size=1, max_size=3),
+       spans=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 20.0)),
+                                st.one_of(st.just(0.0), st.floats(1e-6, 80.0))),
+                      min_size=1, max_size=12),
+       cuts=st.lists(st.floats(0.0, 100.0), max_size=10))
+def test_batched_rows_equal_the_scalar_rule(exponents, spans, cuts):
+    # each row of the batch equals the scalar rule's value bit for bit,
+    # whatever the other rows, the block they fall in and the shared nodes
+    fn = lambda s: np.abs(np.exp(-0.3 * s) * np.cos(s) / (1.0 + s) ** 1.5)
+    lo = [a for a, _ in spans]
+    hi = [a + width for a, width in spans]
+    got = hyp._moments(fn, exponents, lo, hi, cuts)
+    want = [[_scalar_moment(fn, m, a, b, cuts) for a, b in zip(lo, hi)] for m in exponents]
+    assert got.tolist() == want
+
+
+def test_batched_rows_on_dense_cuts_equal_the_scalar_rule(heavy_tail_coeff):
+    # intervals past the node cap alone, split into several coefficient calls
+    fn = lambda s: np.abs(heavy_tail_coeff(s))
+    lo, hi = [0.0, 0.0, 0.5, 3.0], [100.0, 2.0, 100.0, 4.0]
+    got = hyp._moments(fn, [0.0, 1.0], lo, hi, _DENSE_CUTS)
+    want = [[_scalar_moment(fn, m, a, b, _DENSE_CUTS) for a, b in zip(lo, hi)]
+            for m in (0.0, 1.0)]
+    assert got.tolist() == want
+
+
+# --------------------------------------------------------------------------
 # chi_argmax is where chi was evaluated, whatever order the brackets take
 # --------------------------------------------------------------------------
 

@@ -313,10 +313,37 @@ class TestLinearGrowthConstants:
                  + A * 2 ** (1 - AL) / AL)
         assert 0.0 < rep.chi <= chain
 
+    def test_zero_envelope_closes_the_sup_chain(self):
+        # A = 0 closes the s^(2-alpha) tail at any p, so the chain bound
+        # is the zero coefficient's 0, not inf
+        rep = thm3_constants(power_coeff("0", 0.0, 2.0), AL)
+        assert rep.sup_ok and rep.sup_chain_bound == 0.0
+
     def test_rejects_divergent_weighted_mass(self):
         a = power_coeff("0.01 / (1+t)^0.3", 0.01, 0.3)
         with pytest.raises(ValueError, match="decays like"):
             thm3_constants(a, AL)
+
+
+@pytest.mark.parametrize("constants, name", [
+    (thm1_constants, "slow_decay"),
+    (thm1_constants, "mean_zero_coeff"),
+    (thm2_constants, "origin_quadratic"),
+    (thm2_constants, "slow_decay"),  # refused at the origin at every T
+])
+def test_a_sequence_of_splits_reports_each_split_alone(request, constants, name):
+    # in-range splits, a repeat, and splits outside (0, t_max) that raise
+    a = request.getfixturevalue(name)
+    splits = [0.5, 1.0, 0.0, 3.7, HOR, 150.0, 1.0, 42.0]
+    batch = constants(a, AL, splits)
+    assert len(batch) == len(splits)
+    for T, got in zip(splits, batch):
+        try:
+            want = constants(a, AL, T)
+        except ValueError as e:
+            assert isinstance(got, ValueError) and str(got) == str(e)
+        else:
+            assert got == want
 
 
 # --------------------------------------------------------------------------
