@@ -328,19 +328,6 @@ def _guard_t_max(cfg: RunConfig) -> float:
     return max(100.0, cfg.tmax)
 
 
-def _scaled_coefficient(coeff: Coefficient, lam: float, guard_t_max: float) -> Coefficient:
-    if lam == 1.0:
-        return coeff
-    env = replace(coeff.envelope, amplitude=coeff.envelope.amplitude * abs(lam))
-    if coeff.text is not None:
-        return Coefficient.from_expression(
-            f"{lam!r} * ({coeff.text})", env, alpha_context=coeff.alpha_context,
-            guard_t_max=guard_t_max,
-        )
-    scaled = np.column_stack([coeff.samples[:, 0], coeff.samples[:, 1] * lam])
-    return Coefficient.from_samples(scaled, env, alpha_context=coeff.alpha_context)
-
-
 def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
     try:
         axes = _parse_sweep_ranges(cfg)
@@ -351,14 +338,23 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
     out_path = os.path.join(cfg.out, f"sweep_{cfg.case}.csv")
     grid = _grid(cfg)
 
-    # the cells of one (alpha, amp) share a coefficient and one gates call
+    # one scaled coefficient per amp, whose sign-change search serves every
+    # amp and alpha; the cells of one (alpha, amp) share one gates call
     rows = []
     splits = [float(T) for T in axes["T"]]
-    pairs = itertools.product(map(float, axes["alpha"]), map(float, axes["amp"])) if splits else ()
-    for al, amp in pairs:
+    amps = [float(amp) for amp in axes["amp"]] if splits else []
+    scaled_by_amp = []
+    for amp in amps:
+        try:
+            scaled_by_amp.append(coeff.scaled(amp, _guard_t_max(cfg)))
+        except ValueError as e:
+            scaled_by_amp.append(e)
+    for al, (amp, scaled) in itertools.product(map(float, axes["alpha"]),
+                                               zip(amps, scaled_by_amp)):
         as_alpha(al)  # an order out of range is bad input, as in the config
         try:
-            scaled = _scaled_coefficient(coeff, amp, _guard_t_max(cfg))
+            if isinstance(scaled, ValueError):
+                raise scaled
             results = gates(cfg.case, scaled, al, splits, grid)
         except ValueError as e:
             results = [e] * len(splits)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -284,6 +284,12 @@ class Coefficient:
     interpolated linearly (tables should cover [0, t_max]; outside their
     span the end values are held). The envelope asserts
     |a(t)| <= amplitude * t^(-exponent) for t >= valid_from.
+
+    scaled(lam) is lam * a. For lam != 0 it shares this coefficient's
+    sign-change memo (the dict itself), since lam * a changes sign where a
+    does (away from underflow): the first search of a window serves every
+    amplitude. lam = 0 gives a = 0, which has no sign changes, so it gets
+    a memo of its own.
     """
 
     text: str | None
@@ -311,17 +317,22 @@ class Coefficient:
         c = Coefficient(text=text, expr=expr, samples=None, envelope=envelope,
                         alpha_context=alpha_context)
         # nonzero-denominator / domain guard on [0, guard_t_max]
+        probe = c._finite_probe(guard_t_max)
+        _reject_vanishing_denominators(expr, probe, guard_t_max)
+        return c
+
+    def _finite_probe(self, guard_t_max: float) -> np.ndarray:
+        """The guard's probe of [0, guard_t_max]; refuses a non-finite value there."""
         probe = np.concatenate(
             [np.array([0.0]), np.geomspace(1e-9, guard_t_max, 2048)]
         )
-        vals = c(probe)
+        vals = self(probe)
         if not np.all(np.isfinite(vals)):
             bad = probe[~np.isfinite(vals)][0]
             raise ValueError(
                 f"expression is not finite on [0, {guard_t_max}]: fails near t={bad!r}"
             )
-        _reject_vanishing_denominators(expr, probe, guard_t_max)
-        return c
+        return probe
 
     @staticmethod
     def from_samples(
@@ -338,6 +349,28 @@ class Coefficient:
             raise ValueError("sample times must be strictly increasing")
         return Coefficient(text=None, expr=None, samples=arr, envelope=envelope,
                            alpha_context=alpha_context)
+
+    def scaled(self, lam: float, guard_t_max: float = 100.0) -> "Coefficient":
+        """lam * a, its envelope amplitude times |lam|; self for lam = 1.
+
+        An expression becomes the tree that f"{lam!r} * ({text})" parses to,
+        with that text, and passes the finiteness probe on [0, guard_t_max];
+        its denominators are this coefficient's, already scanned. A table
+        scales its sample values.
+        """
+        if lam == 1.0:
+            return self
+        env = replace(self.envelope, amplitude=self.envelope.amplitude * abs(lam))
+        if self.expr is None:
+            scaled = np.column_stack([self.samples[:, 0], self.samples[:, 1] * lam])
+            c = Coefficient.from_samples(scaled, env, alpha_context=self.alpha_context)
+        else:
+            c = Coefficient(text=f"{lam!r} * ({self.text})", expr=Binary("*", Num(lam), self.expr),
+                            samples=None, envelope=env, alpha_context=self.alpha_context)
+            c._finite_probe(guard_t_max)
+        if lam != 0.0:
+            object.__setattr__(c, "_zeros", self._zeros)
+        return c
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)

@@ -14,7 +14,9 @@ Two rules do all the quadrature.  Plain integrals of fn(s) s^m are the
 rows of one batched rule (_moments; _weighted_moment is its one-row case):
 a block of rows shares its panels and all nodes but the Gauss-Jacobi heads,
 fn is called once per node, and each row is reduced on its own; thm1 and
-thm2 run all the split times of a sweep through it at once.  The weakly
+thm2 run all the split times of a sweep through it at once.  fn may return
+rows, one integrand each, as in the convolutions below: lemma1_profile
+reads a's mean and the mass of |a| from one call.  The weakly
 singular convolutions int_0^t |a(s)| s^m (t-s)^e ds, thm3's chi
 (m = e = alpha - 1) and the divergence demonstration's F (m = 0,
 e = alpha - 1), run on one rule for a batch of points t (_conv_function).
@@ -199,6 +201,11 @@ def _moments(fn, exponents, lo, hi, breakpoints=()) -> np.ndarray:
     """integral of fn(s) s^m over [lo_j, hi_j] (lo_j >= 0; m > -1 where lo_j = 0),
     one row per m of exponents and one column per interval j.
 
+    fn may return k rows, one integrand each, one column per node; the
+    result then has shape (k, exponents, intervals). With no interval of
+    positive width fn is never called, and the result is zeros of shape
+    (exponents, intervals).
+
     Panels are geometric, 6 to a decade and at least 8, cut at the breakpoints;
     from lo = 0 they grade down to a first panel [0, 1e-12 hi]. A block of at
     most _NODE_CAP nodes takes one _panel_nodes call per exponent and one
@@ -206,7 +213,7 @@ def _moments(fn, exponents, lo, hi, breakpoints=()) -> np.ndarray:
     heads. Each row is reduced by its own np.dot in its own node order.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo).astype(float), np.asarray(hi, dtype=float))
-    out = np.zeros((len(exponents), lo.size))
+    out = None
     live = np.flatnonzero(hi > lo)
     cuts = np.sort(np.asarray(breakpoints, dtype=float))
     anchor = np.where(lo <= 0.0, np.maximum(lo, hi * 1e-12), lo)
@@ -231,15 +238,20 @@ def _moments(fn, exponents, lo, hi, breakpoints=()) -> np.ndarray:
         head = plo == 0.0
         ys, ws = zip(*(_panel_nodes(plo, phi, m) for m in exponents))
         values = _call(fn, np.concatenate([ys[0].ravel()] + [y[head].ravel() for y in ys[1:]]))
-        vals = values[:ys[0].size].reshape(ys[0].shape)
-        heads = values[ys[0].size:].reshape(len(ys) - 1, head.sum(), _GL_NODES.size)
+        lead = values.shape[:-1]  # (k,) for k integrands, () for one
+        if out is None:
+            out = np.zeros(lead + (len(exponents), lo.size))
+        vals = values[..., :ys[0].size].reshape(lead + ys[0].shape)
+        heads = values[..., ys[0].size:].reshape(lead + (len(ys) - 1, head.sum(), _GL_NODES.size))
         for i, w in enumerate(ws):
             if i:  # the shared nodes, and the Gauss-Jacobi heads of exponent i
                 vals = vals.copy()
-                vals[head] = heads[i - 1]
-            for j, p, q in zip(b.tolist(), ends[:-1].tolist(), ends[1:].tolist()):
-                out[i, j] = np.dot(w[p:q].ravel(), vals[p:q].ravel())
-    return out
+                vals[..., head, :] = heads[..., i - 1, :, :]
+            for row_out, row_vals in zip(out.reshape((-1,) + out.shape[-2:]),
+                                         vals.reshape((-1,) + ys[0].shape)):
+                for j, p, q in zip(b.tolist(), ends[:-1].tolist(), ends[1:].tolist()):
+                    row_out[i, j] = np.dot(w[p:q].ravel(), row_vals[p:q].ravel())
+    return np.zeros((len(exponents), lo.size)) if out is None else out
 
 
 def _weighted_moment(fn, m: float, lo: float, hi: float, breakpoints=()) -> float:
@@ -547,13 +559,24 @@ def thm1_constants(a: Coefficient, alpha: float, T, t_max: float = 100.0):
 
 def _origin_exponents(a: Coefficient, splits: np.ndarray) -> tuple[list, np.ndarray]:
     """Local power of |a| near 0, fitted log-log on a decade of probes below
-    each split T, and |a(1e-5 T)|; one coefficient call for every split."""
+    each split T, and |a(1e-5 T)|; one coefficient call for every split.
+
+    The power is the least-squares slope from centred sums along each row:
+    inf where |a| underflows at every probe, 0 where it does at some. The
+    sums run left to right (np.add.accumulate), since numpy's sum along
+    rows rounds differently with the number of rows, so a split's fit does
+    not depend on the other splits.
+    """
     probes = np.geomspace(1e-6 * splits, 1e-5 * splits, 12, axis=1)
     vals = np.abs(_call(a, np.concatenate([probes.ravel(), 1e-5 * splits])))
-    powers = [math.inf if np.all(v < 1e-300) else 0.0 if np.any(v < 1e-300)
-              else float(np.polyfit(np.log(x), np.log(v), 1)[0])
-              for x, v in zip(probes, vals[:probes.size].reshape(probes.shape))]
-    return powers, vals[probes.size:]
+    v = vals[:probes.size].reshape(probes.shape)
+    tiny = v < 1e-300
+    row_sum = lambda z: np.add.accumulate(z, axis=1)[:, -1]
+    x, y = np.log(probes), np.log(np.where(tiny, 1.0, v))
+    x -= row_sum(x)[:, None] / x.shape[1]
+    slope = row_sum(x * (y - row_sum(y)[:, None] / y.shape[1])) / row_sum(x * x)
+    powers = np.where(tiny.all(axis=1), math.inf, np.where(tiny.any(axis=1), 0.0, slope))
+    return powers.tolist(), vals[probes.size:]
 
 
 def thm2_constants(a: Coefficient, alpha: float, T, t_max: float = 100.0):
@@ -847,7 +870,6 @@ def lemma1_profile(a: Coefficient, alpha: float,
     q = p - al  # past the horizon B <= A s^-q, and C is taken as <= K s^-q
     t_max = grid.t_max
     zs = _breakpoints(a, 0.0, t_max)
-    afun = lambda s: np.abs(a(s))
     # a is sampled on the grid once, for B, C and a later read of D
     fa = GridFunction.from_callable(grid, a)
 
@@ -894,11 +916,14 @@ def lemma1_profile(a: Coefficient, alpha: float,
     intermed0 = math.isfinite(c_star_l1)
     intermed2 = math.isfinite(e_l1)
 
-    # mean-zero check: grid integral of the signed coefficient + tail bound
-    mean_value = _weighted_moment(lambda s: np.asarray(a(s), dtype=float),
-                                  0.0, 0.0, t_max, zs)
+    # mean-zero check: integral of the signed coefficient + tail bound,
+    # against the mass of |a|; both rows on one rule, a evaluated once
+    def signed_and_abs(s: np.ndarray) -> np.ndarray:
+        a_s = np.asarray(a(s), dtype=float)
+        return np.stack([a_s, np.abs(a_s)])
+
+    mean_value, abs_mass = _moments(signed_and_abs, [0.0], 0.0, t_max, zs)[:, 0, 0].tolist()
     mean_tail = envelope_tail_integral(env, 0.0, t_max)
-    abs_mass = _weighted_moment(afun, 0.0, 0.0, t_max, zs)
     mean_zero = (math.isfinite(mean_tail)
                  and abs(mean_value) <= 1e-6 * (1.0 + abs_mass) + mean_tail)
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from fracasym.cli import _read_artifact_csv, main
 from fracasym.coeffexpr import Coefficient, load_coefficient
 from fracasym.hypotheses import _NODE_CAP
-from fracasym.meshfun import make_graded_grid, write_csv
+from fracasym.meshfun import TailModel, make_graded_grid, write_csv
 from fracasym.solver import gate
 
 NODES = "512"
@@ -388,6 +388,47 @@ class TestSweep:
             except ValueError as e:
                 want = ["", "False", str(e)]
             assert [row["k"], row["passed"], row["error"]] == want
+
+    def test_amp_sweep_searches_sign_changes_once(self, tmp_path, mean_zero_file,
+                                                  monkeypatch):
+        windows = []
+        search = Coefficient._sign_changes
+
+        def counted(self, lo, hi):
+            windows.append((lo, hi))
+            return search(self, lo, hi)
+
+        monkeypatch.setattr(Coefficient, "_sign_changes", counted)
+        rc = main(["sweep", "--coeff", mean_zero_file, "--case", "lemma2",
+                   "--sweep", "amp=0.5:2:8", "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(_read_sweep(tmp_path / "sweep_lemma2.csv")) == 8
+        # one search per scaled coefficient before they shared it (8 in all)
+        assert windows == [(0.0, 100.0)]
+
+    @pytest.mark.parametrize("case, name", [
+        ("thm1", "slow_file"), ("thm3", "heavy_file"), ("lemma2", "mean_zero_file")])
+    def test_amp_sweep_cells_equal_the_single_gate(self, request, tmp_path, case, name):
+        path = request.getfixturevalue(name)
+        rc = main(["sweep", "--coeff", path, "--case", case, "--sweep", "amp=-1:2:4",
+                   "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 0
+        coeff = load_coefficient(path)
+        env = coeff.envelope
+        grid = make_graded_grid(100.0, int(NODES), 2.0)
+        rows = _read_sweep(tmp_path / f"sweep_{case}.csv")
+        assert [row["amp"] for row in rows] == ["-1.0", "0.0", "1.0", "2.0"]
+        for row in rows:
+            amp = float(row["amp"])
+            scaled = Coefficient.from_expression(
+                f"{amp!r} * ({coeff.text})",
+                TailModel("power", env.amplitude * abs(amp), env.exponent, env.valid_from))
+            try:
+                g = gate(case, scaled, 0.5, 1.0, grid)
+                want = [repr(g.k), str(g.passed), ""]
+            except ValueError as e:
+                want = ["", "False", str(e)]
+            assert [row["k"], row["passed"], row["error"]] == want, amp
 
     def test_t_sweep_calls_the_coefficient_per_block_of_cells(self, tmp_path, slow_file,
                                                              monkeypatch):

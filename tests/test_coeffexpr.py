@@ -214,6 +214,95 @@ def test_a_run_of_exact_zeros_to_the_window_edge_counts_once():
     assert (profile.n_zeros, profile.t0, profile.T0) == (1, 1.0, 1.0)
 
 
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+BENCH_NAMES = ("heavy_tail", "origin_quadratic", "sign_change", "slow_decay")
+SCALES = (-2.0, -0.5, 1e-5, 0.5, 2.0)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _scaled_text(c, lam):
+    env = TailModel("power", c.envelope.amplitude * abs(lam), c.envelope.exponent,
+                    c.envelope.valid_from)
+    return Coefficient.from_expression(f"{lam!r} * ({c.text})", env,
+                                       alpha_context=c.alpha_context)
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_scaled_coefficient_evaluates_like_its_text(name):
+    c = load_coefficient(str(INPUTS / f"{name}.json"))
+    probe = np.concatenate([[0.0], np.geomspace(1e-9, 100.0, 2048)])
+    nodes = make_graded_grid().nodes
+    for lam in SCALES:
+        scaled, parsed = c.scaled(lam), _scaled_text(c, lam)
+        assert (scaled.text, scaled.envelope, scaled.alpha_context) == (
+            parsed.text, parsed.envelope, parsed.alpha_context)
+        for t in (probe, nodes):
+            assert _same_bits(scaled(t), parsed(t)), lam
+
+
+def test_scaled_coefficient_is_refused_where_it_overflows():
+    c = Coefficient.from_expression("exp(t)", ENV)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError) as want:
+            _scaled_text(c, 1e300)
+        with pytest.raises(ValueError) as got:
+            c.scaled(1e300)
+    assert str(got.value) == str(want.value)
+    assert c.scaled(1.0) is c
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_scaled_coefficients_share_one_sign_change_search(name, monkeypatch):
+    c = load_coefficient(str(INPUTS / f"{name}.json"))
+    fresh = {lam: _scaled_text(c, lam).zeros(0.0, 100.0) for lam in SCALES}
+    searches = []
+    search = Coefficient._sign_changes
+
+    def counted(self, lo, hi):
+        searches.append((lo, hi))
+        return search(self, lo, hi)
+
+    monkeypatch.setattr(Coefficient, "_sign_changes", counted)
+    for lam in SCALES:
+        scaled = c.scaled(lam)
+        assert scaled._zeros is c._zeros
+        assert _same_bits(scaled.zeros(0.0, 100.0), fresh[lam]), lam
+    assert searches == [(0.0, 100.0)]
+
+
+def test_a_zero_scale_has_no_zeros_and_its_own_memo():
+    c = Coefficient.from_expression("(1 - t)*exp(-t)", ENV)
+    zs = c.zeros(0.0, 10.0)
+    for lam in (0.0, -0.0):
+        zero = c.scaled(lam)
+        assert zero._zeros is not c._zeros
+        assert zero.zeros(0.0, 10.0) == []
+        assert c.zeros(0.0, 10.0) == zs
+    table = Coefficient.from_samples([[0.0, 1.0], [2.0, -1.0]], ENV)
+    assert table.zeros(0.0, 2.0) == pytest.approx([1.0], abs=1e-14)
+    assert table.scaled(0.0).zeros(0.0, 2.0) == []
+
+
+def test_a_scaled_table_shares_its_zeros_within_the_bracket():
+    ts = np.geomspace(1e-3, 30.0, 97)
+    samples = np.column_stack([ts, np.cos(3.0 * ts) / (1.0 + ts) ** 2])
+    table = Coefficient.from_samples(samples, ENV)
+    zs = table.zeros(0.0, 30.0)
+    assert len(zs) >= 10
+    for lam in SCALES + (1.37, -3.1):
+        scaled = table.scaled(lam)
+        assert _same_bits(scaled.samples[:, 1], samples[:, 1] * lam)
+        own = Coefficient.from_samples(scaled.samples, scaled.envelope).zeros(0.0, 30.0)
+        shared = scaled.zeros(0.0, 30.0)
+        assert len(shared) == len(own)
+        for z, ref in zip(shared, own):
+            assert abs(z - ref) <= 1e-14 + 1e-15 * abs(ref), (lam, z, ref)
+
+
 def test_envelope_check_passes_and_fails():
     grid = make_graded_grid(t_max=50.0, n=512, grading=2.0)
     ok_env = TailModel(kind="power", amplitude=0.01, exponent=3.5, valid_from=1.0)

@@ -293,6 +293,35 @@ def test_batched_rows_equal_the_scalar_rule(exponents, spans, cuts):
     assert got.tolist() == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(exponents=st.lists(st.floats(-0.95, 3.0), min_size=1, max_size=3),
+       spans=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 20.0)),
+                                st.one_of(st.just(0.0), st.floats(1e-6, 80.0))),
+                      min_size=1, max_size=12),
+       cuts=st.lists(st.floats(0.0, 100.0), max_size=10))
+def test_integrand_rows_equal_each_integrand_alone(exponents, spans, cuts):
+    # an integrand that returns two rows is called once per block, and each
+    # row equals a call of its own integrand bit for bit
+    signed = lambda s: np.exp(-0.3 * s) * np.cos(s) / (1.0 + s) ** 1.5
+    calls = []
+
+    def both(s):
+        calls.append(s.size)
+        a = signed(s)
+        return np.stack([a, np.abs(a)])
+
+    lo = [a for a, _ in spans]
+    hi = [a + width for a, width in spans]
+    got = hyp._moments(both, exponents, lo, hi, cuts)
+    alone = [hyp._moments(f, exponents, lo, hi, cuts) for f in (signed, lambda s: np.abs(signed(s)))]
+    if not any(width > 0.0 for _, width in spans):
+        assert calls == [] and got.tolist() == alone[0].tolist() == np.zeros((len(exponents), len(lo))).tolist()
+        return
+    assert got.shape == (2, len(exponents), len(lo))
+    assert [row.tolist() for row in got] == [a.tolist() for a in alone]
+    assert max(calls) <= hyp._NODE_CAP
+
+
 def test_batched_rows_on_dense_cuts_equal_the_scalar_rule(heavy_tail_coeff):
     # intervals past the node cap alone, split into several coefficient calls
     fn = lambda s: np.abs(heavy_tail_coeff(s))
@@ -347,3 +376,36 @@ def test_overridden_lemma2_gate_builds_one_profile(monkeypatch):
                           attempt_anyway=True))
     assert math.isnan(res.predicted_k)
     assert len(calls) == 1
+
+
+# --------------------------------------------------------------------------
+# thm2's origin fit: one least-squares slope per split, batched
+# --------------------------------------------------------------------------
+
+_ORIGIN_COEFFS = [
+    make_power_coefficient("0.01 * t^2 / (1+t)^6", 0.01, 4.0),
+    make_power_coefficient("0.01 / (1+t)^3.5", 0.01, 3.5),
+    make_power_coefficient("t^2.5 * exp(-t)", 10.0, 4.0),
+    # |a| = 0 below 1e-7 and at t = 1e-6 and beyond: all, some and no
+    # probes of a split below the threshold
+    Coefficient.from_samples([[0.0, 0.0], [1e-7, 0.0], [1e-6, 1e-6], [1.0, 0.0]],
+                             make_power_coefficient("0", 0.0, 2.0).envelope),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(_ORIGIN_COEFFS) - 1),
+       splits=st.lists(st.floats(1e-3, 200.0), min_size=1, max_size=40))
+def test_origin_fit_of_each_split_alone_equals_the_batch(which, splits):
+    a = _ORIGIN_COEFFS[which]
+    powers, a_eps = hyp._origin_exponents(a, np.array(splits))
+    for T, q, v in zip(splits, powers, a_eps.tolist()):
+        [q_alone], [v_alone] = hyp._origin_exponents(a, np.array([T]))
+        assert (q, v) == (q_alone, v_alone.item())
+        # the centred slope is the least-squares line polyfit finds
+        x = np.geomspace(1e-6 * T, 1e-5 * T, 12)
+        y = np.abs(a(x))
+        if np.all(y >= 1e-300):
+            assert abs(q - np.polyfit(np.log(x), np.log(y), 1)[0]) <= 1e-12 * max(1.0, abs(q))
+        else:
+            assert q == (math.inf if np.all(y < 1e-300) else 0.0)

@@ -17,11 +17,13 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gamma as sp_gamma
 
 from fracasym.coeffexpr import Coefficient
+from fracasym import hypotheses as hyp_module
 from fracasym.hypotheses import (
     EnvelopeError,
     _breakpoints,
     _conv_function,
     _gj_rule,
+    _weighted_moment,
     Lemma1Profile,
     f_l1_divergence,
     lemma1_profile,
@@ -358,6 +360,39 @@ class TestIntegrabilityProfile:
         assert p.n_zeros == 1
         assert p.t0 == pytest.approx(1.0, abs=1e-9)
         assert p.T0 == 1.0
+
+    @pytest.mark.parametrize("text, A, p", [
+        ("0.01 * (1 - t) * exp(-t)", 7.0, 6.0),
+        # hundreds of sign changes: more nodes than one call of a takes
+        ("0.01 * sin(20 * t) * exp(-t / 20)", 1e9, 6.0),
+    ])
+    def test_mean_and_mass_share_one_rule_call(self, text, A, p, monkeypatch):
+        a = power_coeff(text, A, p)
+        grid = make_graded_grid(HOR, 512)
+        zs = _breakpoints(a, 0.0, HOR)
+        mean = _weighted_moment(lambda s: np.asarray(a(s), dtype=float), 0.0, 0.0, HOR, zs)
+        mass = _weighted_moment(lambda s: np.abs(a(s)), 0.0, 0.0, HOR, zs)
+        rules, sizes = [], []
+        moments = hyp_module._moments
+
+        def counted(fn, *args):
+            def calls(s):
+                sizes.append(s.size)
+                return fn(s)
+            out = moments(calls, *args)
+            rules.append(out)
+            return out
+
+        monkeypatch.setattr(hyp_module, "_moments", counted)
+        prof = lemma1_profile(a, AL, grid=grid)
+        # one rule call reads both rows; each block of nodes is one call of a
+        [rows] = rules
+        assert len(sizes) == math.ceil(sum(sizes) / hyp_module._NODE_CAP)
+        assert max(sizes) <= hyp_module._NODE_CAP
+        assert rows.shape == (2, 1, 1)
+        assert (prof.mean_value, rows[1, 0, 0]) == (mean, mass)
+        tail = prof.mean_tail_bound
+        assert prof.mean_zero == (math.isfinite(tail) and abs(mean) <= 1e-6 * (1.0 + mass) + tail)
 
     def test_envelopes_non_increasing(self, mean_zero_profile):
         p = mean_zero_profile
