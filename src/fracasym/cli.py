@@ -39,8 +39,6 @@ EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_VERIFY = 4
 
-_SWEEP_PARAMS = ("alpha", "amp", "T")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -74,22 +72,24 @@ class RunConfig:
             raise ValueError("need at least 16 nodes")
 
 
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
+_CONFIG_KEYS = set(_CONFIG_DEFAULTS)
+# set only in a --config file; every other RunConfig field is also a flag
+_CONFIG_ONLY = ("max_iterations", "tolerance", "residual_tolerance", "sweep_ratios")
+# the flags whose options their field's default does not tell
+_FLAG_OPTIONS = {"case": {"choices": SOLVE_CASES},
+                 "override_hypotheses": {"action": "store_true"},
+                 "sweep": {"action": "append", "metavar": "param=lo:hi:steps"}}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # a flag left out parses to None, so it never overrides the config file
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", type=str, default=None)
-    shared.add_argument("--coeff", type=str, default=None)
-    shared.add_argument("--alpha", type=float, default=None)
-    shared.add_argument("--case", type=str, choices=SOLVE_CASES, default=None)
-    shared.add_argument("--a", type=float, default=None)
-    shared.add_argument("--b", type=float, default=None)
-    shared.add_argument("--T", type=float, default=None)
-    shared.add_argument("--tmax", type=float, default=None)
-    shared.add_argument("--nodes", type=int, default=None)
-    shared.add_argument("--grading", type=float, default=None)
-    shared.add_argument("--out", type=str, default=None)
-    shared.add_argument("--override-hypotheses", action="store_true", default=None)
-    shared.add_argument("--sweep", action="append", default=None,
-                        metavar="param=lo:hi:steps")
+    for key, default in _CONFIG_DEFAULTS.items():
+        if key not in _CONFIG_ONLY:
+            shared.add_argument("--" + key.replace("_", "-"), default=None, **_FLAG_OPTIONS.get(
+                key, {"type": str if default is None else type(default)}))
 
     p = argparse.ArgumentParser(
         prog="fracasym",
@@ -97,18 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification for fractional asymptotic integration",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("check", "evaluate the contraction constants and pass flags"),
-        ("solve", "iterate the integral map to its fixed point"),
-        ("verify", "residual, asymptotic fit and boundary limits of a solution"),
-        ("sweep", "tabulate constants over a parameter grid"),
-    ]:
+    for name, (_, doc) in _COMMANDS.items():
         sub.add_parser(name, parents=[shared], help=doc)
     return p
-
-
-_CONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
-_CONFIG_KEYS = set(_CONFIG_DEFAULTS)
 
 
 def _config_type_ok(key: str, val) -> bool:
@@ -138,13 +129,7 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
         if mistyped:
             raise ValueError(f"config values of the wrong type: {mistyped}")
         merged.update(raw)
-    for key in ("coeff", "alpha", "case", "a", "b", "T", "tmax", "nodes",
-                "grading", "out", "sweep"):
-        val = getattr(ns, key)
-        if val is not None:
-            merged[key] = val
-    if ns.override_hypotheses is not None:
-        merged["override_hypotheses"] = True
+    merged.update((k, v) for k, v in vars(ns).items() if k in _CONFIG_KEYS and v is not None)
     if "sweep" in merged:
         merged["sweep"] = tuple(merged["sweep"])
     return RunConfig(command=ns.command, **merged)
@@ -172,8 +157,7 @@ def cmd_check(cfg: RunConfig, coeff: Coefficient) -> int:
     for name in cases:
         try:
             g = gate(name, coeff, cfg.alpha, cfg.T, grid)
-            passed = g.passed
-            payload = {**CHAINS[name].payload(g), "passed": passed}
+            payload, passed = g.report, g.passed
         except ValueError as e:
             payload, passed = {"error": str(e), "passed": False}, False
         write_json(os.path.join(cfg.out, f"check_{name}.json"), payload)
@@ -309,15 +293,14 @@ def _parse_sweep_ranges(cfg: RunConfig) -> dict[str, np.ndarray]:
     }
     for entry in cfg.sweep:
         name, _, rng = entry.partition("=")
-        if name not in _SWEEP_PARAMS:
-            raise ValueError(
-                f"sweep parameter must be one of {_SWEEP_PARAMS}, got {name!r}"
-            )
+        if name not in axes:
+            raise ValueError(f"sweep parameter must be one of {tuple(axes)}, got {name!r}")
         parts = rng.split(":")
         if len(parts) != 3:
             raise ValueError(f"sweep range must be lo:hi:steps, got {rng!r}")
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        if steps < 0 or not (math.isfinite(lo) and math.isfinite(hi)):
+        # hi - lo is finite exactly when lo, hi and every point between are
+        if steps < 0 or not math.isfinite(hi - lo):
             raise ValueError(f"bad sweep range {rng!r}")
         axes[name] = np.linspace(lo, hi, steps)
     return axes
@@ -334,7 +317,7 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    header = ["alpha", "amp", "T", "k", "passed", "observed_ratio", "error"]
+    header = [*axes, "k", "passed", "observed_ratio", "error"]
     out_path = os.path.join(cfg.out, f"sweep_{cfg.case}.csv")
     grid = _grid(cfg)
 
@@ -377,6 +360,14 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "check": (cmd_check, "evaluate the contraction constants and pass flags"),
+    "solve": (cmd_solve, "iterate the integral map to its fixed point"),
+    "verify": (cmd_verify, "residual, asymptotic fit and boundary limits of a solution"),
+    "sweep": (cmd_sweep, "tabulate constants over a parameter grid"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -409,13 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     try:
-        if cfg.command == "check":
-            return cmd_check(cfg, coeff)
-        if cfg.command == "solve":
-            return cmd_solve(cfg, coeff)
-        if cfg.command == "verify":
-            return cmd_verify(cfg, coeff)
-        return cmd_sweep(cfg, coeff)
+        return _COMMANDS[cfg.command][0](cfg, coeff)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,7 +4,9 @@ Expressions are built from numbers, the time variable t, binary + - * / ^,
 unary minus, and exp/sin/cos/abs. Precedence from tightest to loosest:
 power, unary minus, * and /, + and -. Power is right associative and its
 exponent may carry an explicit sign (so "t^-2" works even though unary
-minus binds looser than power elsewhere).
+minus binds looser than power elsewhere). Neither the tree (a level per
+operator or function) nor the operands (a level per parenthesis, function,
+unary minus or exponent) may nest deeper than MAX_DEPTH levels.
 
 A Coefficient pairs the evaluator with a decay envelope |a(t)| <= A t^-p
 for t >= valid_from. The envelope is what lets hypothesis constants close
@@ -31,6 +33,7 @@ __all__ = [
     "Unary",
     "Binary",
     "ParseError",
+    "MAX_DEPTH",
     "parse_coefficient",
     "print_expr",
     "eval_expr",
@@ -78,6 +81,12 @@ class ParseError(ValueError):
 
 _FUNCTIONS = ("exp", "sin", "cos", "abs")
 
+# an operand level costs the parser at most five frames (sum, term, unary,
+# power, atom), a tree level the evaluator, printer and denominator scan one:
+# well inside Python's default recursion limit of 1000
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than MAX_DEPTH = {MAX_DEPTH} levels"
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -111,6 +120,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # operands open: the calls of parse_unary on the stack
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -150,11 +160,17 @@ class _Parser:
 
     # unary := '-' unary | power
     def parse_unary(self) -> Expr:
-        kind, tok, _ = self.peek()
+        kind, tok, off = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, off)
         if kind == "op" and tok == "-":
             self.advance()
-            return Unary("neg", self.parse_unary())
-        return self.parse_power()
+            node = Unary("neg", self.parse_unary())
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     # power := atom ('^' signed_unary)?   (right associative)
     def parse_power(self) -> Expr:
@@ -190,13 +206,26 @@ class _Parser:
         raise ParseError(f"expected a value, got {tok or 'end of input'!r}", off)
 
 
+def _tree_depth(node: Expr) -> int:
+    """Levels of the tree, one level at a time: a flat sum is as deep as it is long."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [c for n in level for c in ((n.arg,) if isinstance(n, Unary) else
+                                           (n.left, n.right) if isinstance(n, Binary) else ())]
+    return depth
+
+
 def parse_coefficient(text: str) -> Expr:
-    """Parse an expression in t; raises ParseError with a byte offset."""
+    """Parse an expression in t; raises ParseError with a byte offset, at
+    the end of the input for a tree deeper than MAX_DEPTH."""
     p = _Parser(text)
     node = p.parse_sum()
     kind, tok, off = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {tok!r}", off)
+    if _tree_depth(node) > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, off)
     return node
 
 
@@ -330,7 +359,7 @@ class Coefficient:
         if not np.all(np.isfinite(vals)):
             bad = probe[~np.isfinite(vals)][0]
             raise ValueError(
-                f"expression is not finite on [0, {guard_t_max}]: fails near t={bad!r}"
+                f"expression is not finite on [0, {guard_t_max}]: fails near t={float(bad)!r}"
             )
         return probe
 

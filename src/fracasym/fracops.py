@@ -70,6 +70,7 @@ from .specialfn import gamma
 __all__ = [
     "as_alpha",
     "OPERATOR_CASES",
+    "convolve",
     "frac_integral",
     "peeled_integral",
     "rl_derivative",
@@ -449,17 +450,18 @@ def _conv_power_kernel(
 def _assemble(grid: GradedGrid, reg_values: np.ndarray, e_out: float,
               c_out: float) -> GridFunction:
     """Headed grid function from a regular part and an analytic head."""
-    vals = reg_values.copy()
-    if c_out != 0.0:
-        if e_out == 0.0:
-            vals += c_out
-        else:
-            vals[1:] += c_out * grid.nodes[1:] ** e_out
-            vals[0] = c_out  # node 0 stores the coefficient, remainder -> 0
-            return GridFunction(grid, vals, head_exponent=e_out)
-    if e_out != 0.0 and c_out == 0.0:
-        e_out = 0.0
-    return GridFunction(grid, vals, head_exponent=e_out)
+    if c_out != 0.0 and e_out != 0.0:
+        vals = reg_values.copy()
+        vals[1:] += c_out * grid.nodes[1:] ** e_out
+        vals[0] = c_out  # node 0 stores the coefficient, remainder -> 0
+        return GridFunction(grid, vals, head_exponent=e_out)
+    # a constant head, or none
+    return GridFunction(grid, reg_values + c_out if c_out != 0.0 else reg_values.copy())
+
+
+def convolve(f: GridFunction, beta: float, kernel_origin: float = 1.0) -> GridFunction:
+    """int_0^t (kernel_origin*t - s)^beta f(s) ds, head assembled in closed form."""
+    return _assemble(f.grid, *_conv_power_kernel(f, beta, kernel_origin))
 
 
 def peeled_integral(f: GridFunction, order: float) -> tuple[np.ndarray, float, float]:
@@ -579,28 +581,10 @@ def apply_operator(
     whole = _assemble(x.grid, *(peeled_integral(x, mu) if inner is None else inner))
     if case == 2:
         return grid_gradient(grid_gradient(whole))
+    # both terms carry the head t^(e - alpha) of x's head t^e, or none; the
+    # exponent is read once, off D^alpha x, where the first term's own
+    # path rounds it differently
     first = grid_gradient(grid_gradient(frac_integral(times_t(x), mu)))
     second = grid_gradient(whole)
-    if first.head_exponent == second.head_exponent:
-        return GridFunction(
-            x.grid,
-            first.values - 2.0 * second.values,
-            head_exponent=first.head_exponent,
-        )
-    return _combine_mixed(first, second)
-
-
-def _combine_mixed(first: GridFunction, second: GridFunction) -> GridFunction:
-    """first - 2*second when the analytic heads came out with different
-    exponents (possible when one head vanished); fall back to plain values
-    with the origin marked by the surviving head."""
-    vals = first.values - 2.0 * second.values
-    if second.head_coefficient == 0.0:
-        return GridFunction(first.grid, vals, head_exponent=first.head_exponent)
-    if first.head_coefficient == 0.0:
-        vals[0] = -2.0 * second.head_coefficient
-        return GridFunction(first.grid, vals, head_exponent=second.head_exponent)
-    raise ValueError(
-        "incompatible singular heads "
-        f"(t^{first.head_exponent!r} vs t^{second.head_exponent!r})"
-    )
+    return GridFunction(x.grid, first.values - 2.0 * second.values,
+                        head_exponent=second.head_exponent)

@@ -69,7 +69,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .coeffexpr import Coefficient
-from .fracops import _assemble, _conv_power_kernel, as_alpha
+from .fracops import as_alpha, convolve
 from .meshfun import (
     GradedGrid,
     GridFunction,
@@ -425,7 +425,8 @@ class Thm3Report(JsonReport):
 
 @dataclass(frozen=True)
 class Lemma2Report(JsonReport):
-    """Contraction constants read off a Lemma-1 style integrability profile."""
+    """Contraction constants read off a Lemma-1 style integrability profile,
+    with the profile's mean-zero flag; passed is pass_k1."""
 
     k1: float
     k2: float
@@ -434,6 +435,8 @@ class Lemma2Report(JsonReport):
     pass_k2: bool
     k1_status: str
     k2_status: str
+    mean_zero: bool
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -481,8 +484,8 @@ class Lemma1Profile(JsonReport):
     @cached_property
     def D(self) -> GridFunction:
         """|int_0^t a(s)(2t-s)^(alpha-1) ds| at the nodes."""
-        conv = _conv_power_kernel(self.a, self.alpha - 1.0, kernel_origin=2.0)
-        return GridFunction(self.grid, np.abs(_assemble(self.grid, *conv).values))
+        conv = convolve(self.a, self.alpha - 1.0, kernel_origin=2.0)
+        return GridFunction(self.grid, np.abs(conv.values))
 
     @cached_property
     def D_star(self) -> GridFunction:
@@ -887,7 +890,7 @@ def lemma1_profile(a: Coefficient, alpha: float,
     # C via the product-integration convolution; past the horizon
     # |C|, and so C*, take K s^-q.  K's 2/(p-2) term is the envelope's
     # first moment, which for p <= 2 is inf, or 0 for a zero envelope
-    C = _assemble(grid, *_conv_power_kernel(fa, al - 1.0))
+    C = convolve(fa, al - 1.0)
     K = (A * 2.0 ** (p - al) * (1.0 / al + 2.0 / (p - 2.0)) if p > 2.0
          else _power_tail(A, p - 1.0, 1.0))
     c_point = np.abs(C.pointwise_values())
@@ -898,8 +901,8 @@ def lemma1_profile(a: Coefficient, alpha: float,
     # E(t) = sqrt(integral_t^inf C^2); past the horizon E(t)^2 is at most
     # the C^2 tail, so E(t) <= sqrt(K^2/(2q-1)) t^(1/2-q)
     E = GridFunction(grid, np.sqrt(_right_cumtrapz(t, c_point ** 2)
-                                   + _power_tail(K ** 2, 2.0 * q, t_max)))
-    e_amp = math.sqrt(_power_tail(K ** 2, 2.0 * q, 1.0))
+                                   + _power_tail(K * K, 2.0 * q, t_max)))
+    e_amp = math.sqrt(_power_tail(K * K, 2.0 * q, 1.0))
 
     # scalar norms; an infinite tail propagates by itself
     c_l1_tail = _power_tail(K, q, t_max)
@@ -909,7 +912,7 @@ def lemma1_profile(a: Coefficient, alpha: float,
     c_star_l1 = float(np.trapezoid(cstar_vals, t)) + c_l1_tail
     e_l1 = float(np.trapezoid(E.values, t)) + _power_tail(e_amp, q - 0.5, t_max)
     b_l1 = float(np.trapezoid(b_point, t)) + _power_tail(A, q, t_max)
-    b_l2 = math.sqrt(float(np.trapezoid(b_point ** 2, t)) + _power_tail(A ** 2, 2.0 * q, t_max))
+    b_l2 = math.sqrt(float(np.trapezoid(b_point ** 2, t)) + _power_tail(A * A, 2.0 * q, t_max))
     b_sup = float(max(b_point.max(), b_tail_sup))
 
     intermed1 = math.isfinite(c_l1) and math.isfinite(c_sup)
@@ -967,6 +970,7 @@ def lemma2_constants(profile: Lemma1Profile) -> Lemma2Report:
         k1=k1, k2=k2, gamma=gam,
         pass_k1=(s1 == "pass"), pass_k2=(s2 == "pass"),
         k1_status=s1, k2_status=s2,
+        mean_zero=bool(profile.mean_zero), passed=(s1 == "pass"),
     )
 
 

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
 from .coeffexpr import Coefficient, coefficient_to_json_dict
-from .fracops import _conv_power_kernel, as_alpha, trusted_slice
+from .fracops import as_alpha, convolve, trusted_slice
 from .hypotheses import (
     EnvelopeError,
     Lemma1Profile,
@@ -142,24 +142,27 @@ class SolveSpec:
         sa[0] = 0.0
         sa[1:] = grid.nodes[1:] * self.a_nodes
         sa_fun = GridFunction(grid, sa)
-        conv = _conv_values(sa_fun, self.alpha - 1.0)
+        conv = convolve(sa_fun, self.alpha - 1.0).values
         return _frozen(sa), integrate(sa_fun), _frozen(conv)
 
+    @cached_property
+    def head(self) -> GridFunction:
+        """The solution head a t^e0 + b t^e1 that the case's Chain.head
+        declares, node 0 holding a; the split-time chains seed and step
+        from it."""
+        e0, e1 = CHAINS[self.case].head[1](self.alpha)
+        t = self.grid.nodes[1:]
+        vals = np.empty(self.grid.n + 1)
+        vals[1:] = self.a * t**e0 + self.b * t**e1
+        vals[0] = self.a
+        return GridFunction(self.grid, _frozen(vals), head_exponent=e0)
+
     def echo(self) -> dict:
-        return {
-            "case": self.case,
-            "alpha": self.alpha,
-            "a": self.a,
-            "b": self.b,
-            "split": self.split,
-            "t_max": self.grid.t_max,
-            "n": self.grid.n,
-            "grading": self.grid.grading,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "attempt_anyway": self.attempt_anyway,
-            "coefficient": coefficient_to_json_dict(self.coefficient),
-        }
+        """Every field, the grid as its layout and the coefficient as its JSON."""
+        g = self.grid
+        return {**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "grid"},
+                "t_max": g.t_max, "n": g.n, "grading": g.grading,
+                "coefficient": coefficient_to_json_dict(self.coefficient)}
 
 
 @dataclass(frozen=True)
@@ -191,18 +194,6 @@ class SolveResult(JsonReport):
 # --------------------------------------------------------------------------
 # split-time steps (thm1, thm2)
 # --------------------------------------------------------------------------
-
-def _conv_values(f: GridFunction, beta: float) -> np.ndarray:
-    """Actual node values of int_0^t (t-s)^beta f(s) ds (node 0 by limit,
-    which is 0 whenever the image exponent is positive)."""
-    quad, e_out, c_out = _conv_power_kernel(f, beta)
-    if c_out == 0.0:
-        return quad
-    vals = quad.copy()
-    vals[1:] += c_out * f.grid.nodes[1:] ** e_out
-    vals[0] = c_out if e_out == 0.0 else 0.0
-    return vals
-
 
 def _check_grid(x: GridFunction, spec: SolveSpec) -> None:
     """The cached samples of spec belong to spec.grid: refuse other grids."""
@@ -238,7 +229,7 @@ def _tail_coupling(spec: SolveSpec, x: GridFunction) -> np.ndarray:
     al = spec.alpha
     g = _coefficient_times(spec, x)
     total = integrate(g)
-    K = _conv_values(g, al)
+    K = convolve(g, al).pointwise_values()
     t = x.grid.nodes
     return (t**al * total - K) / (al * gamma(al))
 
@@ -255,26 +246,23 @@ def _split_budget(spec: SolveSpec, x: GridFunction) -> float:
     return max(1.0, spec.split**spec.alpha) * neglected / gamma(1.0 + spec.alpha)
 
 
+def _split_step(x: GridFunction, spec: SolveSpec) -> GridFunction:
+    """spec.head + coupling. The coupling vanishes at 0 faster than the
+    head, so node 0 keeps a: the value for thm1, the t^(al-1) coefficient
+    for thm2."""
+    head = spec.head
+    return GridFunction(x.grid, head.values + _tail_coupling(spec, x),
+                        head_exponent=head.head_exponent)
+
+
 def step_thm1(x: GridFunction, spec: SolveSpec) -> GridFunction:
     """One application of the bounded-growth integral map: a + b t^al + coupling."""
-    t = x.grid.nodes
-    vals = spec.a + spec.b * t**spec.alpha + _tail_coupling(spec, x)
-    return GridFunction(x.grid, vals)
+    return _split_step(x, spec)
 
 
 def step_thm2(x: GridFunction, spec: SolveSpec) -> GridFunction:
-    """As step_thm1 with the singular head a t^(al-1) + b t^al.
-
-    The image always carries exactly a as its t^(al-1) coefficient: the
-    coupling term vanishes at 0 faster than t^(al-1), so the weighted
-    origin limit is a for every iterate.
-    """
-    al = spec.alpha
-    t = x.grid.nodes
-    vals = _tail_coupling(spec, x)
-    vals[1:] += spec.a * t[1:] ** (al - 1.0) + spec.b * t[1:] ** al
-    vals[0] = spec.a
-    return GridFunction(x.grid, vals, head_exponent=al - 1.0)
+    """As step_thm1 with the singular head a t^(al-1) + b t^al."""
+    return _split_step(x, spec)
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +324,7 @@ def step_thm3(y: GridFunction, spec: SolveSpec) -> GridFunction:
     w[0] = c_w
     w_fun = GridFunction(grid, w, head_exponent=al - 1.0 if c_w != 0.0 else 0.0)
     coupling_mass = integrate(w_fun)
-    conv_w = _conv_values(w_fun, al - 1.0)
+    conv_w = convolve(w_fun, al - 1.0).values
 
     head = spec.a + (spec.b * moment1 - coupling_mass) / ga
     vals = np.empty(grid.n + 1)
@@ -499,14 +487,15 @@ class Chain:
     """One contraction chain, from its gate to the head verify checks.
 
     constants maps a list of split times to a report or ValueError each;
-    a chain that ignores the split repeats one report. The gate
-    reads k_field and pass_field off a report; flags names the report's
-    booleans that the gate needs besides k, so a refusal can say which
-    hypothesis failed. requires is the (a, b) predicate with its error
-    message; operand is the step map's second argument. head is the
-    equation a thm chain solves: the operator case and, at order alpha,
-    the exponents e0, e1 of the solution head a t^e0 + b t^e1
-    (verify.chain_head derives the rest). A chain without one names in
+    a chain that ignores the split repeats one report, and a report is
+    what check writes. The gate reads k_field and passed off a report;
+    flags names the report's booleans that the gate needs besides k, so
+    a refusal can say which hypothesis failed. requires is the (a, b)
+    predicate with its error message; operand is the step map's second
+    argument. head is the equation a thm chain solves: the operator case
+    and, at order alpha, the exponents e0, e1 of the solution head
+    a t^e0 + b t^e1 (SolveSpec.head builds it for the split-time steps,
+    verify.chain_head derives the rest). A chain without one names in
     verify_as the (chain, a, b) whose head checks its solution.
     Entries call traced layers (constants, steps, reconstructions) by
     module-global name at call time and never hold those functions, so
@@ -519,10 +508,8 @@ class Chain:
     step: Callable[[GridFunction, Any], GridFunction]
     metric: str
     budget: Callable[[SolveSpec, GridFunction, Gate], float]
-    pass_field: str = "passed"
     flags: tuple[str, ...] = ()
     profile: Callable[[Coefficient, float, GradedGrid], Any] = lambda c, al, grid: None
-    payload: Callable[[Gate], dict] = lambda g: g.report.to_json_dict()
     requires: tuple[Callable[[float, float], bool], str] = (lambda a, b: True, "")
     operand: Callable[[SolveSpec, Gate], Any] = lambda spec, g: spec
     reconstruct: Callable[[SolveSpec, GridFunction], tuple] = lambda spec, y: (y, {})
@@ -535,14 +522,6 @@ _NONZERO_PAIR = (lambda a, b: a**2 + b**2 > 0.0,
                  "the scalar pair (a, b) must not both vanish")
 
 
-def _singular_seed(spec: SolveSpec, _) -> GridFunction:
-    al, t = spec.alpha, spec.grid.nodes
-    vals = np.empty(spec.grid.n + 1)
-    vals[1:] = spec.a * t[1:] ** (al - 1.0) + spec.b * t[1:] ** al
-    vals[0] = spec.a
-    return GridFunction(spec.grid, vals, head_exponent=al - 1.0)
-
-
 def _prop1_solution(spec: SolveSpec, y: GridFunction) -> tuple[GridFunction, dict]:
     x, diag = reconstruct_prop1(y)
     return x, {"kernel_rescale": 1.0 / gamma(spec.alpha), **diag}
@@ -553,8 +532,7 @@ CHAINS: dict[str, Chain] = {
         constants=lambda c, al, Ts, grid, _: thm1_constants(c, al, Ts, t_max=grid.t_max),
         k_field="k",
         requires=_NONZERO_PAIR,
-        seed=lambda spec, _: GridFunction(
-            spec.grid, spec.a + spec.b * spec.grid.nodes**spec.alpha),
+        seed=lambda spec, _: spec.head,
         step=lambda x, spec: step_thm1(x, spec),
         metric="sup_over_t_alpha_after_T",
         budget=lambda spec, x, g: _split_budget(spec, x),
@@ -565,7 +543,7 @@ CHAINS: dict[str, Chain] = {
         constants=lambda c, al, Ts, grid, _: thm2_constants(c, al, Ts, t_max=grid.t_max),
         k_field="k4",
         requires=_NONZERO_PAIR,
-        seed=_singular_seed,
+        seed=lambda spec, _: spec.head,
         step=lambda x, spec: step_thm2(x, spec),
         metric="sup_over_t_alpha_after_T",
         budget=lambda spec, x, g: _split_budget(spec, x),
@@ -588,9 +566,6 @@ CHAINS: dict[str, Chain] = {
         profile=lambda c, al, grid: lemma1_profile(c, al, grid=grid),
         constants=lambda c, al, Ts, grid, profile: [lemma2_constants(profile)] * len(Ts),
         k_field="k1",
-        pass_field="pass_k1",
-        payload=lambda g: {**g.report.to_json_dict(),
-                           "mean_zero": bool(g.profile.mean_zero)},
         # The reported constants (k1, gamma, C*) describe the raw kernel;
         # the iteration runs on the kernel divided by Gamma(alpha), which
         # is what makes the reconstructed antiderivative solve the
@@ -637,7 +612,7 @@ def _gates_on(chain: Chain, profile, coefficient: Coefficient, alpha: float,
     except ValueError as e:
         reports = [e] * len(splits)
     return [r if isinstance(r, ValueError) else
-            Gate(r, float(getattr(r, chain.k_field)), bool(getattr(r, chain.pass_field)), profile)
+            Gate(r, float(getattr(r, chain.k_field)), bool(r.passed), profile)
             for r in reports]
 
 

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracasym.cli import _read_artifact_csv, main
+from fracasym.cli import RunConfig, _build_parser, _read_artifact_csv, main
 from fracasym.coeffexpr import Coefficient, load_coefficient
 from fracasym.hypotheses import _NODE_CAP
 from fracasym.meshfun import TailModel, make_graded_grid, write_csv
@@ -448,6 +449,25 @@ class TestSweep:
         assert len(sizes) <= 64
         assert max(sizes) <= _NODE_CAP
 
+    def test_overflowing_range_rejected(self, tmp_path, slow_file, capsys):
+        rc = main(["sweep", "--coeff", slow_file, "--case", "thm1",
+                   "--sweep", "amp=-1e308:1e308:3",
+                   "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "bad sweep range" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_thm1.csv").exists()
+
+    def test_overflowing_amplitude_becomes_an_error_cell(self, tmp_path, heavy_file):
+        # K^2 of lemma1_profile overflows to inf instead of raising
+        with np.errstate(over="ignore"):
+            rc = main(["sweep", "--coeff", heavy_file, "--case", "lemma2",
+                       "--sweep", "amp=1e308:1e308:1", "--nodes", "256",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        cell, = _read_sweep(tmp_path / "sweep_lemma2.csv")
+        assert cell["passed"] == "False" and cell["k"] == ""
+        assert cell["error"].startswith("2*||C*||_L1 = ")
+
     def test_unknown_parameter_rejected(self, tmp_path, slow_file):
         rc = main(["sweep", "--coeff", slow_file, "--case", "thm1",
                    "--sweep", "beta=0:1:3",
@@ -487,6 +507,27 @@ class TestConfig:
         bad.write_text("{not json")
         rc = main(["check", "--coeff", str(bad), "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_every_flag_is_a_run_config_field(self):
+        # the flags are built from RunConfig: every field that is not
+        # config-only has one, named after it, and no other flag exists
+        # besides --config
+        config_only = {"max_iterations", "tolerance", "residual_tolerance", "sweep_ratios"}
+        want = {f.name for f in fields(RunConfig)} - {"command"} - config_only
+        parser = _build_parser()
+        for command in ("check", "solve", "verify", "sweep"):
+            got = set(vars(parser.parse_args([command]))) - {"command", "config"}
+            assert got == want, command
+        for key in want:  # each flag is spelled like its field
+            value = {"case": ["thm1"], "override_hypotheses": []}.get(key, ["1"])
+            ns = parser.parse_args(["check", "--" + key.replace("_", "-"), *value])
+            assert getattr(ns, key) is not None, key
+
+    def test_deep_expression_exits_2_before_writing(self, tmp_path):
+        coeff = _write_coeff(tmp_path / "deep.json", "-" * 3000 + "0.01/(1+t)^3.5", 0.01, 3.5)
+        rc = main(["check", "--coeff", coeff, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_case_rejected_by_the_parser(self, tmp_path, slow_file, capsys):
         rc = main(["solve", "--coeff", slow_file, "--case", "thm9",

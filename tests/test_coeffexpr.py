@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracasym.coeffexpr import (
+    MAX_DEPTH,
     Coefficient,
     ParseError,
     check_envelope,
@@ -75,6 +76,30 @@ def test_parse_errors_carry_offsets():
         parse_coefficient("1 @ 2")
 
 
+@pytest.mark.parametrize("text", [
+    "-" * 3000 + "0.01/(1+t)^3.5",
+    "(" * 5000 + "t" + ")" * 5000,
+    " + ".join(["t"] * 3000),  # flat, so only its tree is deep
+], ids=["unary-minus", "parentheses", "flat-sum"])
+def test_deep_expressions_are_refused(text):
+    with pytest.raises(ParseError, match=f"MAX_DEPTH = {MAX_DEPTH}"):
+        parse_coefficient(text)
+
+
+def test_expressions_at_the_depth_bound_parse_print_and_evaluate():
+    for text in ("-" * (MAX_DEPTH - 1) + "t", "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+                 " + ".join(["t"] * MAX_DEPTH), "t^" * (MAX_DEPTH - 1) + "t"):
+        node = parse_coefficient(text)
+        assert parse_coefficient(print_expr(node)) == node
+        assert np.isfinite(eval_expr(node, np.array([1.0])))
+    # a denominator as deep as the bound allows goes through the pole scan
+    c = Coefficient.from_expression("1/(2" + " + t" * (MAX_DEPTH - 2) + ")", ENV)
+    assert c(1.0) == 1.0 / MAX_DEPTH
+    for text in ("-" * MAX_DEPTH + "t", " + ".join(["t"] * (MAX_DEPTH + 1))):
+        with pytest.raises(ParseError):
+            parse_coefficient(text)
+
+
 def test_printer_round_trips():
     texts = [
         "0.01/(1+t)^3.5",
@@ -121,6 +146,13 @@ def test_expression_guard_rejects_poles_in_range():
         Coefficient.from_expression("t^0.5/(5 - t)", ENV, guard_t_max=10.0)
     # a pole past the guard horizon is accepted
     Coefficient.from_expression("1/(200 - t)", ENV, guard_t_max=100.0)
+
+
+def test_non_finite_probe_names_a_plain_float():
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError) as err:
+            Coefficient.from_expression("1/t", ENV)
+    assert str(err.value).endswith("fails near t=0.0")
 
 
 def test_sample_coefficient_interpolates_and_clamps():

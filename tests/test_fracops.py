@@ -214,6 +214,21 @@ def test_operators_annihilate_their_null_spaces(case, alpha):
         assert np.abs(out.values[sl]).max() <= 1e-8
 
 
+def test_case3_heads_agree_at_every_order():
+    # both terms of O3 x = d/dt D^alpha(t x) - 2 D^alpha x carry x's head
+    # exponent minus alpha; rounded along two paths and compared with ==,
+    # they used to refuse x = t as "incompatible singular heads" at 0.3
+    g = make_graded_grid(t_max=100.0, n=1024, grading=2.0)
+    sl = trusted_slice(g)
+    window = (g.nodes[sl] >= 2.0) & (g.nodes[sl] <= 0.98 * g.t_max)
+    one_plus_t = GridFunction.from_callable(g, lambda s: 1.0 + s)
+    for alpha in (k / 100 for k in range(5, 96)):
+        apply_operator(3, one_plus_t, alpha)
+        for e in (1.0, alpha - 1.0):  # the null generators t and t^(alpha-1)
+            out = apply_operator(3, monomial(g, e), alpha).values[sl]
+            assert np.abs(out[window]).max() <= 1e-10, (alpha, e)
+
+
 def test_operator_values_on_a_known_polynomial():
     # case 2 on x = t^(1+alpha): O2 x = d/dt D^alpha x
     # D^alpha t^(1+alpha) = Gamma(2+alpha)/Gamma(2) t, so O2 x = Gamma(2+alpha)

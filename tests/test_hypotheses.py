@@ -504,6 +504,14 @@ class TestProfileConstants:
         # the comparison-scale inequality the gamma form must satisfy
         assert 1.0 + 2.0 * rep.gamma * 0.2 < rep.gamma
 
+    def test_report_carries_what_check_writes(self, mean_zero_profile):
+        rep = lemma2_constants(mean_zero_profile)
+        d = rep.to_json_dict()
+        assert d["mean_zero"] is True and d["mean_zero"] is mean_zero_profile.mean_zero
+        assert d["passed"] is rep.pass_k1 is True
+        failing = lemma2_constants(synthetic_profile(c_sup=0.7))
+        assert failing.passed is failing.pass_k1 is False
+
     def test_zero_profile_gives_gamma_two(self, zero_coeff):
         rep = lemma2_constants(lemma1_profile(zero_coeff, AL))
         assert rep.k1 == 0.0 and rep.k2 == 0.0 and rep.gamma == 2.0

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracasym.fracops import convolve
 from fracasym.hypotheses import (
     EnvelopeError,
     envelope_tail_integral,
@@ -40,7 +41,7 @@ from fracasym.solver import (
     step_thm3,
     x_to_y,
 )
-from fracasym.solver import _conv_values, _inverse_square_sweep
+from fracasym.solver import _inverse_square_sweep
 from fracasym.specialfn import gamma
 
 from conftest import ALPHA, make_power_coefficient
@@ -404,7 +405,7 @@ class TestTailEstimates:
         g_abs = GridFunction(grid, np.abs(slow_decay_coeff(t) * xv))
         tail = TailModel("power", 0.01 * growth, 3.5 - ALPHA, 1.0)
         total = integrate(g_abs) + envelope_tail_integral(tail, 0.0, grid.t_max)
-        conv = _conv_values(g_abs, ALPHA)
+        conv = convolve(g_abs, ALPHA).pointwise_values()
         lhs = (t[1:] ** ALPHA * total - conv[1:]) / ALPHA
         rhs = (2.0 * report.C1 / ALPHA) * dist * t[1:] ** (ALPHA - 1.0)
         past = t[1:] >= 1.0
