@@ -28,7 +28,7 @@ import numpy as np
 from .coeffexpr import Coefficient, check_envelope, load_coefficient
 from .fracops import as_alpha, peeled_integral
 from .meshfun import GradedGrid, GridFunction, make_graded_grid, write_csv, write_json
-from .solver import CHAINS, SOLVE_CASES, SolveSpec, gate, gates, solve
+from .solver import CHAINS, SOLVE_CASES, Gate, SolveSpec, gates, solve
 from .verify import asymptotic_fit, boundary_limits, chain_head, residual
 
 __all__ = ["main", "RunConfig"]
@@ -155,13 +155,10 @@ def cmd_check(cfg: RunConfig, coeff: Coefficient) -> int:
     grid = _grid(cfg)
     all_pass = True
     for name in cases:
-        try:
-            g = gate(name, coeff, cfg.alpha, cfg.T, grid)
-            payload, passed = g.report, g.passed
-        except ValueError as e:
-            payload, passed = {"error": str(e), "passed": False}, False
+        g, = gates(name, coeff, cfg.alpha, [cfg.T], grid)
+        payload = g.report if g.error is None else {"error": str(g.error), "passed": False}
         write_json(os.path.join(cfg.out, f"check_{name}.json"), payload)
-        all_pass = all_pass and passed
+        all_pass = all_pass and g.passed
     return EXIT_OK if all_pass else EXIT_HYPOTHESIS
 
 
@@ -322,37 +319,32 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
     grid = _grid(cfg)
 
     # one scaled coefficient per amp, whose sign-change search serves every
-    # amp and alpha; the cells of one (alpha, amp) share one gates call
+    # amp and alpha, or the Gate of its refusal; the cells of one
+    # (alpha, amp) share one gates call
     rows = []
     splits = [float(T) for T in axes["T"]]
     amps = [float(amp) for amp in axes["amp"]] if splits else []
-    scaled_by_amp = []
+    scalings = []
     for amp in amps:
         try:
-            scaled_by_amp.append(coeff.scaled(amp, _guard_t_max(cfg)))
+            scalings.append((coeff.scaled(amp, _guard_t_max(cfg)), None))
         except ValueError as e:
-            scaled_by_amp.append(e)
-    for al, (amp, scaled) in itertools.product(map(float, axes["alpha"]),
-                                               zip(amps, scaled_by_amp)):
+            scalings.append((None, Gate(None, math.nan, False, error=e)))
+    for al, (amp, (scaled, refused)) in itertools.product(map(float, axes["alpha"]),
+                                                         zip(amps, scalings)):
         as_alpha(al)  # an order out of range is bad input, as in the config
-        try:
-            if isinstance(scaled, ValueError):
-                raise scaled
-            results = gates(cfg.case, scaled, al, splits, grid)
-        except ValueError as e:
-            results = [e] * len(splits)
-        for T, g in zip(splits, results):
+        block = [refused] * len(splits) if refused else gates(cfg.case, scaled, al, splits, grid)
+        for T, g in zip(splits, block):
             cell = [repr(al), repr(amp), repr(T)]
-            try:
-                if isinstance(g, ValueError):
-                    raise g
-                ratio = ""
-                if cfg.sweep_ratios:
-                    cell_cfg = replace(cfg, alpha=al, T=T, override_hypotheses=True)
+            error, ratio = g.error, ""
+            if error is None and cfg.sweep_ratios:
+                cell_cfg = replace(cfg, alpha=al, T=T, override_hypotheses=True)
+                try:
                     ratio = repr(solve(_solve_spec(cell_cfg, scaled, grid)).observed_ratio)
-                rows.append(cell + [repr(g.k), str(g.passed), ratio, ""])
-            except ValueError as e:
-                rows.append(cell + ["", "False", "", str(e)])
+                except ValueError as e:
+                    error = e
+            rows.append(cell + (["", "False", "", str(error)] if error is not None
+                                else [repr(g.k), str(g.passed), ratio, ""]))
     with open(out_path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

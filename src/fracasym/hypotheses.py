@@ -173,8 +173,10 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray, e: float):
     head = lo == 0.0
     half = 0.5 * (hi - lo)[:, None]
     y, w = lo[:, None] + half * (_GL_NODES + 1.0), half * _GL_WEIGHTS
-    # y^e on every row: selecting the Legendre rows costs more than it saves
-    w *= y ** e
+    # y^e on every row: selecting the Legendre rows costs more than it saves;
+    # only a row from 0 can hold y = 0, and the Jacobi rule overwrites it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w *= y ** e
     if head.any():
         gj_x, gj_w = _gj_rule(e)
         y[head], w[head] = half[head] * (gj_x + 1.0), half[head] ** (e + 1.0) * gj_w
@@ -774,16 +776,6 @@ def _chi_function(afun, alpha: float, t_hi: float, zeros: np.ndarray):
     return chi
 
 
-def _chi_values(afun, alpha: float, ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """t^(1-alpha) * integral_0^t afun(s) s^(alpha-1) (t-s)^(alpha-1) ds at each t.
-
-    The rule is _conv_function's, with its left half built up to max(ts);
-    a value depends on its own t only, not on the other points of ts.
-    """
-    ts = np.asarray(ts, dtype=float)
-    return _chi_function(afun, alpha, float(ts.max()), zeros)(ts)
-
-
 def thm3_constants(a: Coefficient, alpha: float,
                    t_max: float = 100.0) -> Thm3Report:
     """chi, k3 and the moment/sup hypotheses for linearly growing solutions.
@@ -851,6 +843,7 @@ def _running_max_from_right(values: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum.accumulate(out[::-1])[::-1]
 
 
+@np.errstate(over="ignore")  # a norm past the float range reads inf: the gate refuses it
 def lemma1_profile(a: Coefficient, alpha: float,
                    grid: GradedGrid | None = None) -> Lemma1Profile:
     """The Lemma1Profile of a on grid, with one kernel call (C).

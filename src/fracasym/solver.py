@@ -17,12 +17,14 @@ head taken in closed form.
 Everything happens on the truncation window [0, t_max]. Mass beyond the
 horizon is not invented: signed integrals stop at t_max and the envelope
 bound on the neglected tail is reported as tail_budget, in the units of
-the case metric, each tail closed by the gate's one rule. Only the gate
-refuses an envelope: its EnvelopeError, for a tail the chain needs and
-cannot close, is raised whatever attempt_anyway says, which bypasses only
-the other gate errors and a failed contraction estimate (sufficient, not
-necessary). thm3's gate passes on k3 alone, so thm3 with envelope decay
-t^-p, alpha < p <= 2, still iterates, with tail_budget = inf.
+the case metric, each tail closed by the gate's one rule. A solve, a
+check and a block of sweep cells make one gates() call per chain, whose
+Gate per split carries a refusal as its error. Only the gate refuses an
+envelope: its EnvelopeError, for a tail the chain needs and cannot close,
+is raised whatever attempt_anyway says, which bypasses only the other
+refusals and a failed contraction estimate (sufficient, not necessary).
+thm3's gate passes on k3 alone, so thm3 with envelope decay t^-p,
+alpha < p <= 2, still iterates, with tail_budget = inf.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ __all__ = [
     "reconstruct_thm3",
     "reconstruct_prop1",
     "x_to_y",
-    "gate",
     "gates",
     "prop1_certify",
 ]
@@ -457,7 +458,7 @@ def _thm3_budget(spec: SolveSpec, y: GridFunction) -> float:
 def _lemma2_budget(spec: SolveSpec, g: Gate) -> float:
     """Budget on the rescaled kernel, C*(t_max) (s/t_max)^-q closed past the
     horizon in u = s/t_max; the comparison scale gamma falls back to 2 when
-    the gate raised before reporting it."""
+    the gate refused before reporting it."""
     env = spec.coefficient.envelope
     if env.amplitude == 0.0:
         return 0.0
@@ -473,13 +474,16 @@ def _lemma2_budget(spec: SolveSpec, g: Gate) -> float:
 
 @dataclass(frozen=True)
 class Gate:
-    """Constants report, contraction constant k and pass flag of a chain,
-    plus the integrability profile the mean-zero chain iterates on."""
+    """A chain's verdict at one split: its constants report, contraction
+    constant k and pass flag, the integrability profile the mean-zero chain
+    iterates on, and error, the ValueError that refused the split (report
+    None, k nan, passed False) or None."""
 
     report: Any
     k: float
     passed: bool
     profile: Lemma1Profile | None = None
+    error: ValueError | None = None
 
 
 @dataclass(frozen=True)
@@ -587,33 +591,26 @@ SOLVE_CASES = tuple(CHAINS)
 
 
 def gates(case: str, coefficient: Coefficient, alpha: float, splits,
-          grid: GradedGrid) -> list:
-    """One chain's gate at each split time, on one rule for all of them: a
-    Gate, or the ValueError that leaves its constants undefined there."""
+          grid: GradedGrid) -> list[Gate]:
+    """One chain's Gate at each split time, all on one constants call; a
+    refused split's Gate carries the ValueError (k nan, the profile kept).
+    The profile is built outside that refusal: from the command line it
+    cannot raise, since valid_from <= --tmax is checked before any gate."""
     chain = CHAINS[case]
     profile = chain.profile(coefficient, alpha, grid)
-    return _gates_on(chain, profile, coefficient, alpha, list(splits), grid)
-
-
-def gate(case: str, coefficient: Coefficient, alpha: float, split: float,
-         grid: GradedGrid) -> Gate:
-    """Evaluate one chain's gate; ValueError when its constants are undefined."""
-    g, = gates(case, coefficient, alpha, [split], grid)
-    if isinstance(g, ValueError):
-        raise g
-    return g
-
-
-def _gates_on(chain: Chain, profile, coefficient: Coefficient, alpha: float,
-              splits: list, grid: GradedGrid) -> list:
-    """The gates of chain on an integrability profile already built."""
+    splits = list(splits)
     try:
         reports = chain.constants(coefficient, alpha, splits, grid, profile)
     except ValueError as e:
         reports = [e] * len(splits)
-    return [r if isinstance(r, ValueError) else
-            Gate(r, float(getattr(r, chain.k_field)), bool(r.passed), profile)
-            for r in reports]
+    out = []
+    for r in reports:
+        match r:
+            case ValueError():
+                out.append(Gate(None, math.nan, False, profile, r))
+            case _:
+                out.append(Gate(r, float(getattr(r, chain.k_field)), bool(r.passed), profile))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -623,19 +620,16 @@ def _gates_on(chain: Chain, profile, coefficient: Coefficient, alpha: float,
 def solve(spec: SolveSpec) -> SolveResult:
     """Iterate the case's step map from its affine seed to the fixed point.
 
-    Raises when the gate raises or the contraction estimate fails, unless
+    Raises the gate's refusal, or when the contraction estimate fails, unless
     attempt_anyway is set, in which case divergence is a legitimate
     observable outcome; an EnvelopeError is raised either way.
     Non-convergence at the iteration cap does not raise: the trace comes
     back with converged=False and the ratio comparison filled in.
     """
     chain = CHAINS[spec.case]
-    profile = chain.profile(spec.coefficient, spec.alpha, spec.grid)
-    g, = _gates_on(chain, profile, spec.coefficient, spec.alpha, [spec.split], spec.grid)
-    if isinstance(g, ValueError):
-        if isinstance(g, EnvelopeError) or not spec.attempt_anyway:
-            raise g
-        g = Gate(None, math.nan, False, profile)
+    g, = gates(spec.case, spec.coefficient, spec.alpha, [spec.split], spec.grid)
+    if g.error is not None and (isinstance(g.error, EnvelopeError) or not spec.attempt_anyway):
+        raise g.error
     if not g.passed and not spec.attempt_anyway:
         failed = "".join(f"; {flag}: false" for flag in chain.flags
                          if not getattr(g.report, flag))

@@ -82,10 +82,8 @@ class BoundaryLimits(JsonReport):
 
 
 def _window_slice(grid, lo: float, hi: float) -> slice:
-    t = grid.nodes
-    i0 = int(np.searchsorted(t, lo, side="left"))
-    i1 = int(np.searchsorted(t, hi, side="right"))
-    return slice(max(i0, 1), i1)
+    i1 = int(np.searchsorted(grid.nodes, hi, side="right"))
+    return slice(max(grid.index_at_or_above(lo), 1), i1)
 
 
 def chain_head(case: str, alpha: float) -> tuple:

@@ -111,7 +111,7 @@ def test_batched_chi_matches_per_panel_loop(request, name, cuts):
     coeff = request.getfixturevalue(name)
     zs = hyp._breakpoints(coeff, 0.0, 100.0) if cuts is None else cuts
     afun = lambda s: np.abs(coeff(s))
-    batched = hyp._chi_values(afun, ALPHA, _CHI_TS, zs)
+    batched = hyp._chi_function(afun, ALPHA, float(_CHI_TS.max()), zs)(_CHI_TS)
     ref = np.array([_ref_chi_point(afun, ALPHA, t, list(zs)) for t in _CHI_TS])
     np.testing.assert_allclose(batched, ref, rtol=1e-13, atol=0.0)
 
@@ -186,7 +186,8 @@ _CHI_ORACLE = [
 
 def _chi_at(coeff, ts):
     zs = hyp._breakpoints(coeff, 0.0, 1e6)
-    return hyp._chi_values(lambda s: np.abs(coeff(s)), ALPHA, np.asarray(ts, dtype=float), zs)
+    ts = np.asarray(ts, dtype=float)
+    return hyp._chi_function(lambda s: np.abs(coeff(s)), ALPHA, float(ts.max()), zs)(ts)
 
 
 @pytest.mark.parametrize("name, t, chi", _CHI_ORACLE)
@@ -340,7 +341,7 @@ def test_chi_argmax_attains_chi_in_any_bracket_order(heavy_tail_coeff, monkeypat
     rep = hyp.thm3_constants(heavy_tail_coeff, ALPHA)
     zs = hyp._breakpoints(heavy_tail_coeff, 0.0, 100.0)
     afun = lambda s: np.abs(heavy_tail_coeff(s))
-    at_argmax = hyp._chi_values(afun, ALPHA, np.array([rep.chi_argmax]), zs)[0]
+    at_argmax = hyp._chi_function(afun, ALPHA, rep.chi_argmax, zs)(np.array([rep.chi_argmax]))[0]
     assert at_argmax == pytest.approx(rep.chi, rel=1e-14)
 
     refine = hyp._golden_refine

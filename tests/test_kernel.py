@@ -249,7 +249,7 @@ def kernel_calls(monkeypatch):
 def test_lemma2_gate_convolves_once_and_d_on_first_read(kernel_calls, sign_change_coeff):
     # the gate decides on C; D, the doubled-argument convolution no gate
     # reads, costs one more call on the profile's first read and no more
-    g = solver.gate("lemma2", sign_change_coeff, ALPHA, 1.0, make_graded_grid(n=512))
+    g = solver.gates("lemma2", sign_change_coeff, ALPHA, [1.0], make_graded_grid(n=512))[0]
     assert len(kernel_calls) == 1
     d, d_star = g.profile.D, g.profile.D_star
     assert len(kernel_calls) == 2

@@ -7,6 +7,7 @@ stationarity, seed independence and the proof-chain tail estimates are
 property-tested with seeded random inputs.
 """
 
+import csv
 import json
 import math
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracasym.cli import main
 from fracasym.fracops import convolve
 from fracasym.hypotheses import (
     EnvelopeError,
@@ -32,6 +34,7 @@ from fracasym.meshfun import (
 from fracasym.solver import (
     SOLVE_CASES,
     SolveSpec,
+    gates,
     reconstruct_prop1,
     reconstruct_thm3,
     solve,
@@ -521,6 +524,53 @@ class TestGateAndRefusals:
             with pytest.raises(EnvelopeError, match="cannot close its tail"):
                 solve(SolveSpec(case, ALPHA, a, b, thin, grid=make_graded_grid(n=512),
                                 attempt_anyway=True))
+
+    @pytest.mark.parametrize("case, text, amplitude, exponent, sweep, refused", [
+        # T = 150 lies past t_max = 100, after two good splits
+        ("thm1", "0.01 / (1+t)^3.5", 0.01, 3.5, "T=1:150:3", 2),
+        # |a(0)| > 0: no growth at the origin for the singular head
+        ("thm2", "0.005 / (1+t)^2.5", 0.005, 2.5, "T=0.5:2:3", 1),
+        # 2||C*||_L1 >= 1: the comparison scale is undefined
+        ("lemma2", "5.0 / (1+t)^3.5", 5.0, 3.5, "T=1:1:1", 0),
+    ])
+    def test_a_refused_split_is_a_gate_every_reader_reports(
+            self, tmp_path, case, text, amplitude, exponent, sweep, refused):
+        grid = make_graded_grid(n=512)
+        lo, hi, steps = map(float, sweep[2:].split(":"))
+        splits = np.linspace(lo, hi, int(steps)).tolist()
+        block = gates(case, make_power_coefficient(text, amplitude, exponent), ALPHA,
+                      splits, grid)
+        assert len(block) == len(splits)
+        g = block[refused]
+        assert isinstance(g.error, ValueError) and g.report is None
+        assert math.isnan(g.k) and g.passed is False
+        assert (g.profile is not None) == (case == "lemma2")
+        if case == "lemma2":
+            assert g.profile.C.grid.same_layout(grid)
+        if case == "thm1":
+            assert [o.error is None for o in block] == [True, True, False]
+
+        # check, the sweep cell and solve's refusal write the same text
+        path = tmp_path / "coeff.json"
+        path.write_text(json.dumps({"expr": text, "envelope": {
+            "A": amplitude, "p": exponent, "valid_from": 1.0}}))
+        T = repr(splits[refused])
+        args = ["--coeff", str(path), "--case", case, "--nodes", "512", "--out", str(tmp_path)]
+        assert main(["check", "--T", T, *args]) == 1
+        check = json.loads((tmp_path / f"check_{case}.json").read_text())
+        assert check == {"error": str(g.error), "passed": False}
+        assert main(["sweep", "--sweep", sweep, *args]) == 0
+        with open(tmp_path / f"sweep_{case}.csv") as fh:
+            cells = list(csv.DictReader(fh))
+        assert cells[refused]["error"] == str(g.error)
+        assert (cells[refused]["k"], cells[refused]["passed"]) == ("", "False")
+        if case == "thm1":
+            # a split past t_max is refused by SolveSpec before any gate
+            assert main(["solve", "--T", T, *args]) == 2
+            return
+        assert main(["solve", "--T", T, *args]) == 1
+        refusal = json.loads((tmp_path / f"solve_{case}.json").read_text())
+        assert refusal == {"error": str(g.error), "converged": False}
 
     def test_horizon_below_one_closes_its_tail(self):
         # the growth of x is read at the last node when t_max < 1, and the
