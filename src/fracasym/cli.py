@@ -270,7 +270,7 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
     head_vals = reference(t, a_true, b_true)
     weighted = t ** (1.0 - al) * np.abs(v[1:] - head_vals)
     write_csv(os.path.join(cfg.out, f"verify_{case}.csv"), "t,x,head,weighted_remainder",
-              [t, v[1:], head_vals, weighted])
+              [grid.node_texts[1:], v[1:], head_vals, weighted])
 
     if res.sup_residual > cfg.residual_tolerance:
         print(

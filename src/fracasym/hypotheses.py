@@ -507,6 +507,12 @@ class Lemma1Profile(JsonReport):
 # split-time contraction (bounded solutions)
 # --------------------------------------------------------------------------
 
+def _split_refusal(T: float, t_max: float) -> ValueError | None:
+    """The one refusal of a split time outside (0, t_max), or None."""
+    return None if 0.0 < T < t_max else ValueError(
+        f"split time T={T!r} must lie in (0, t_max={t_max!r})")
+
+
 def _per_split(a: Coefficient, al: float, T, t_max: float, build):
     """The report for the split time T, or a list of reports and ValueErrors
     for a sequence T: build(splits, tail) reports the splits in (0, t_max),
@@ -517,8 +523,7 @@ def _per_split(a: Coefficient, al: float, T, t_max: float, build):
                        f"the weighted tail needs decay faster than t^-{1.0 + al!r}")
     except ValueError as e:
         tail = e
-    out = [tail if 0.0 < t < t_max else
-           ValueError(f"split time T={t!r} must lie in (0, t_max={t_max!r})") for t in splits]
+    out = [_split_refusal(t, t_max) or tail for t in splits]
     kept = [i for i, r in enumerate(out) if not isinstance(r, ValueError)]
     for i, r in zip(kept, build([splits[i] for i in kept], tail) if kept else ()):
         out[i] = r

@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "json_ready",
     "write_json",
     "write_csv",
+    "float_texts",
     "JsonReport",
 ]
 
@@ -72,12 +74,20 @@ def write_json(path: str, v) -> None:
         fh.write("\n")
 
 
-def write_csv(path: str, header: str, columns: Sequence[np.ndarray]) -> None:
-    """A header line, then one row per index with every value as repr(float)."""
+def float_texts(column) -> Iterator[str]:
+    """repr(float) of each value of column, in order: the text of one CSV
+    column, formatted as it is read."""
+    return map(repr, np.asarray(column, dtype=np.float64).tolist())
+
+
+def write_csv(path: str, header: str, columns: Sequence[np.ndarray | list[str]]) -> None:
+    """A header line, then one row per index with every value as repr(float).
+    A column may be a list of those texts already, such as GradedGrid.node_texts."""
+    texts = [c if isinstance(c, list) else float_texts(c) for c in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns)):
-            fh.write(",".join(map(repr, row)) + "\n")
+        for row in zip(*texts):
+            fh.write(",".join(row) + "\n")
 
 
 class JsonReport:
@@ -100,7 +110,8 @@ def _right_cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GradedGrid:
-    """Nodes t_j = t_max * (j/n)^grading for j = 0..n."""
+    """Nodes t_j = t_max * (j/n)^grading for j = 0..n; their CSV texts,
+    node_texts, are formatted on first read and live as long as the grid."""
 
     t_max: float
     n: int
@@ -119,6 +130,11 @@ class GradedGrid:
             t = self.t_max * (j / self.n) ** self.grading
             t[-1] = self.t_max  # guard rounding at the right end
             object.__setattr__(self, "nodes", t)
+
+    @cached_property
+    def node_texts(self) -> list[str]:
+        """float_texts of the nodes: every CSV of the grid writes its t column from them."""
+        return list(float_texts(self.nodes))
 
     def same_layout(self, other: "GradedGrid") -> bool:
         return (
@@ -268,8 +284,9 @@ class GridFunction:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path: str) -> None:
-        """Two columns t,value; the first row carries the head coefficient."""
-        write_csv(path, "t,value", [self.grid.nodes, self.values])
+        """Two columns t,value; the first row carries the head coefficient.
+        The t column is the grid's node_texts, formatted once per grid."""
+        write_csv(path, "t,value", [self.grid.node_texts, self.values])
 
 
 @dataclass(frozen=True)

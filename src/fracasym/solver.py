@@ -44,6 +44,7 @@ from .hypotheses import (
     Lemma1Profile,
     _classify,
     _power_tail,
+    _split_refusal,
     envelope_tail_integral,
     lemma1_profile,
     lemma2_constants,
@@ -113,10 +114,9 @@ class SolveSpec:
         scalars_ok, why = CHAINS[self.case].requires
         if not scalars_ok(self.a, self.b):
             raise ValueError(why)
-        if not 0.0 < self.split < self.grid.t_max:
-            raise ValueError(
-                f"split time must lie inside (0, {self.grid.t_max!r}), got {self.split!r}"
-            )
+        refused = _split_refusal(self.split, self.grid.t_max)
+        if refused is not None:
+            raise refused
         if not self.tolerance > 0.0:
             raise ValueError("stop tolerance must be positive")
         if self.max_iterations < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracops import apply_operator, as_alpha, rl_derivative, trusted_slice
-from .meshfun import GridFunction, JsonReport, write_csv
+from .meshfun import GradedGrid, GridFunction, JsonReport, write_csv
 from .solver import CHAINS, prop1_certify
 
 __all__ = [
@@ -34,17 +34,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResidualReport(JsonReport):
-    """Sup and per-node values of the defect of the equation itself."""
+    """Sup and per-node values of the defect of the equation itself, at
+    the nodes of grid inside window."""
 
     case: int
     alpha: float
     sup_residual: float
     window: tuple[float, float]
-    t: np.ndarray
+    grid: GradedGrid
     values: np.ndarray
 
+    @property
+    def rows(self) -> slice:
+        """The node indices of the window."""
+        return _window_slice(self.grid, *self.window)
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.grid.nodes[self.rows]
+
     def to_csv(self, path: str) -> None:
-        write_csv(path, "t,residual", [self.t, self.values])
+        """Two columns t,residual; t is the window's rows of the grid's node_texts."""
+        write_csv(path, "t,residual", [self.grid.node_texts[self.rows], self.values])
 
 
 @dataclass(frozen=True)
@@ -121,14 +132,13 @@ def residual(x: GridFunction, case: int, a, alpha, inner=None) -> ResidualReport
     grid = x.grid
     lo, hi = 0.1, 0.98 * grid.t_max
     sl = _window_slice(grid, lo, hi)
-    t = grid.nodes[sl]
-    vals = op.values[sl] + np.asarray(a(t)) * x.values[sl]
+    vals = op.values[sl] + np.asarray(a(grid.nodes[sl])) * x.values[sl]
     return ResidualReport(
         case=case,
         alpha=al,
         sup_residual=float(np.max(np.abs(vals))),
         window=(lo, hi),
-        t=t,
+        grid=grid,
         values=vals,
     )
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from fracasym.cli import RunConfig, _build_parser, _read_artifact_csv, main
 from fracasym.coeffexpr import Coefficient, load_coefficient
 from fracasym.hypotheses import _NODE_CAP
-from fracasym.meshfun import TailModel, make_graded_grid, write_csv
+from fracasym.meshfun import TailModel, float_texts, make_graded_grid, write_csv
 from fracasym.solver import gates
 
 NODES = "512"
@@ -160,6 +160,16 @@ class TestSolve:
         assert rc == 0
         for name in ("solve_thm1.json", "fixed_point_thm1.csv"):
             assert (tmp_path / name).read_bytes() == (solved_dir / name).read_bytes()
+        # a rerun of verify rewrites every artifact byte for byte
+        verify = ["verify", "--coeff", slow_file, "--case", "thm1",
+                  "--nodes", NODES, "--out", str(tmp_path)]
+        assert main(verify) == 0
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                   if p.name != "run_meta.json"}
+        assert {"residual_thm1.csv", "verify_thm1.csv", "boundary_thm1.json"} <= set(written)
+        assert main(verify) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                if p.name != "run_meta.json"} == written
 
     def test_case_required(self, tmp_path, slow_file):
         rc = main(["solve", "--coeff", slow_file,
@@ -222,6 +232,64 @@ class TestVerify:
         write_csv(path, "t,value", [grid.nodes, want])
         got = _read_artifact_csv(path, grid)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(columns=st.lists(
+        st.tuples(*[st.one_of(st.floats(allow_nan=False),
+                              st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308 / 3,
+                                               math.inf, -math.inf]))] * 2),
+        min_size=1, max_size=17))
+    def test_a_text_column_writes_the_bytes_of_its_floats(self, tmp_path_factory, columns):
+        d = tmp_path_factory.mktemp("csv")
+        t, v = (np.array(c) for c in zip(*columns))
+        write_csv(str(d / "floats.csv"), "t,value", [t, v])
+        write_csv(str(d / "texts.csv"), "t,value", [list(float_texts(t)), v])
+        assert (d / "texts.csv").read_bytes() == (d / "floats.csv").read_bytes()
+        assert list(float_texts(t)) == [repr(float(c)) for c in t]
+
+    @pytest.mark.parametrize("case, coeff, a, b", [
+        ("thm1", "slow_file", "1", "1"),
+        ("thm2", "quad_file", "1", "1"),
+        ("thm3", "heavy_file", "0.3", "1"),
+        ("lemma2", "mean_zero_file", "0", "0"),
+    ])
+    def test_csv_rows_are_repr_of_the_grid_nodes_and_values(
+            self, request, tmp_path, case, coeff, a, b):
+        args = ["--coeff", request.getfixturevalue(coeff), "--case", case, "--a", a,
+                "--b", b, "--nodes", "1024", "--out", str(tmp_path)]
+        assert main(["solve", *args]) == 0
+        assert main(["verify", *args]) == 0
+        nodes = make_graded_grid(n=1024).nodes
+        lo, hi = json.loads((tmp_path / f"residual_{case}.json").read_text())["window"]
+        window = np.flatnonzero((nodes >= lo) & (nodes <= hi))
+        rows = {f"fixed_point_{case}.csv": range(1025), f"verify_{case}.csv": range(1, 1025),
+                f"residual_{case}.csv": window[window >= 1]}
+        if case in ("thm3", "lemma2"):
+            rows[f"solution_{case}.csv"] = range(1025)
+        for name, index in rows.items():
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            assert len(lines) == len(index), name
+            for j, line in zip(index, lines):
+                values = [float(c) for c in line.split(",")[1:]]
+                assert line == ",".join(repr(float(c)) for c in (nodes[j], *values)), name
+
+    def test_verify_writes_the_grid_node_texts_not_the_files(
+            self, tmp_path, slow_file, solved_dir):
+        # the reader accepts t cells within 1e-12 of the grid; verify's t
+        # columns are the grid's own texts, however the file spells them
+        lines = (solved_dir / "fixed_point_thm1.csv").read_text().splitlines()
+        spelled = [lines[0]] + [f"{float(t):.17e},{v}" for t, v in
+                                (line.split(",") for line in lines[1:])]
+        assert spelled[1:] != lines[1:]
+        written = {}
+        for name, text in (("repr", lines), ("e17", spelled)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "fixed_point_thm1.csv").write_text("\n".join(text) + "\n")
+            assert main(["verify", "--coeff", slow_file, "--case", "thm1",
+                         "--nodes", NODES, "--out", str(tmp_path / name)]) == 0
+            written[name] = [(tmp_path / name / f).read_bytes()
+                             for f in ("verify_thm1.csv", "residual_thm1.csv")]
+        assert written["e17"] == written["repr"]
 
     def test_malformed_artifact_row_is_named(self, tmp_path):
         grid = make_graded_grid(n=16)

@@ -166,6 +166,14 @@ def test_csv_export(tmp_path):
     assert float(t0) == 0.0 and float(v0) == 0.0
 
 
+def test_node_texts_are_formatted_once_per_grid():
+    g = small_grid(n=16)
+    assert g.node_texts is g.node_texts
+    assert g.node_texts == [repr(float(t)) for t in g.nodes]
+    # the texts belong to the grid: an equal grid formats its own
+    assert small_grid(n=16).node_texts is not g.node_texts
+
+
 # -- metrics ---------------------------------------------------------------
 
 

@@ -534,7 +534,7 @@ class TestGateAndRefusals:
         ("lemma2", "5.0 / (1+t)^3.5", 5.0, 3.5, "T=1:1:1", 0),
     ])
     def test_a_refused_split_is_a_gate_every_reader_reports(
-            self, tmp_path, case, text, amplitude, exponent, sweep, refused):
+            self, tmp_path, capsys, case, text, amplitude, exponent, sweep, refused):
         grid = make_graded_grid(n=512)
         lo, hi, steps = map(float, sweep[2:].split(":"))
         splits = np.linspace(lo, hi, int(steps)).tolist()
@@ -565,8 +565,11 @@ class TestGateAndRefusals:
         assert cells[refused]["error"] == str(g.error)
         assert (cells[refused]["k"], cells[refused]["passed"]) == ("", "False")
         if case == "thm1":
-            # a split past t_max is refused by SolveSpec before any gate
+            # a split past t_max is refused by SolveSpec before any gate,
+            # with check's text
+            capsys.readouterr()
             assert main(["solve", "--T", T, *args]) == 2
+            assert capsys.readouterr().err == f"error: {check['error']}\n"
             return
         assert main(["solve", "--T", T, *args]) == 1
         refusal = json.loads((tmp_path / f"solve_{case}.json").read_text())
