@@ -135,10 +135,6 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(command=ns.command, **merged)
 
 
-def _grid(cfg: RunConfig) -> GradedGrid:
-    return make_graded_grid(cfg.tmax, cfg.nodes, cfg.grading)
-
-
 def _write_meta(cfg: RunConfig) -> None:
     meta = {
         "tool": "fracasym",
@@ -150,9 +146,8 @@ def _write_meta(cfg: RunConfig) -> None:
     write_json(os.path.join(cfg.out, "run_meta.json"), meta)
 
 
-def cmd_check(cfg: RunConfig, coeff: Coefficient) -> int:
+def cmd_check(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
     cases = (cfg.case,) if cfg.case else SOLVE_CASES
-    grid = _grid(cfg)
     all_pass = True
     for name in cases:
         g, = gates(name, coeff, cfg.alpha, [cfg.T], grid)
@@ -177,8 +172,8 @@ def _solve_spec(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> SolveSp
     )
 
 
-def cmd_solve(cfg: RunConfig, coeff: Coefficient) -> int:
-    spec = _solve_spec(cfg, coeff, _grid(cfg))
+def cmd_solve(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
+    spec = _solve_spec(cfg, coeff, grid)
     try:
         result = solve(spec)
     except ValueError as e:
@@ -228,9 +223,8 @@ def _read_artifact_csv(path: str, grid: GradedGrid) -> np.ndarray:
     return v
 
 
-def cmd_verify(cfg: RunConfig, coeff: Coefficient) -> int:
+def cmd_verify(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
     case = cfg.case
-    grid = _grid(cfg)
     sol_path = os.path.join(cfg.out, f"solution_{case}.csv")
     if not os.path.exists(sol_path):
         sol_path = os.path.join(cfg.out, f"fixed_point_{case}.csv")
@@ -308,7 +302,7 @@ def _guard_t_max(cfg: RunConfig) -> float:
     return max(100.0, cfg.tmax)
 
 
-def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
+def cmd_sweep(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
     try:
         axes = _parse_sweep_ranges(cfg)
     except ValueError as e:
@@ -316,7 +310,6 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient) -> int:
         return EXIT_INPUT
     header = [*axes, "k", "passed", "observed_ratio", "error"]
     out_path = os.path.join(cfg.out, f"sweep_{cfg.case}.csv")
-    grid = _grid(cfg)
 
     # one scaled coefficient per amp, whose sign-change search serves every
     # amp and alpha, or the Gate of its refusal; the cells of one
@@ -376,7 +369,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"envelope valid_from={coeff.envelope.valid_from!r} lies past "
                 f"--tmax={cfg.tmax!r}, so nothing bounds a(t) between them"
             )
-        ok, excess = check_envelope(coeff, _grid(cfg))
+        # the one grid of the command: checked here, then handed to it
+        grid = make_graded_grid(cfg.tmax, cfg.nodes, cfg.grading)
+        ok, excess = check_envelope(coeff, grid)
         if not ok:
             raise ValueError(
                 f"|a(t)| exceeds its declared envelope A t^-p by up to {excess!r} "
@@ -392,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     try:
-        return _COMMANDS[cfg.command][0](cfg, coeff)
+        return _COMMANDS[cfg.command][0](cfg, coeff, grid)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -53,9 +53,9 @@ envelope, and the command line refuses a coefficient that exceeds it at
 the grid nodes, or whose valid_from lies past --tmax (exit 2), because
 the reported constants would silently drop their tails otherwise.
 
-Suprema over t > 0 run a 128-points-per-decade logarithmic scan followed by
-golden-section refinement around the three leading candidates of each
-function, which step in lockstep so each step is one batched evaluation.
+Suprema over t > 0 run a 128-points-per-decade logarithmic scan; the three
+leading candidates of each function then take safeguarded parabolic steps
+from the scan's own points, in lockstep, one batched evaluation per step.
 Pass/fail flags use a one-sided margin: a constant within 1e-9 of the
 threshold is reported as "inconclusive" rather than rounded to either side.
 """
@@ -303,35 +303,56 @@ def _breakpoints(a: Coefficient, lo: float, hi: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# sup over t > 0: log scan + golden-section polish
+# sup over t > 0: log scan + safeguarded parabolic polish
 # --------------------------------------------------------------------------
 
-def _golden_refine(fn, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
-                   iters: int = 40) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Golden-section maximum of row rows_i of a vectorized fn on [lo_i, hi_i].
+# the most refinement steps of a scan, each one call of the scanned function
+_REFINE_STEPS = 10
 
-    fn(x) holds one row of values per function, one column per point.
-    Returns the maximum, the point that attains it and the row, per
-    bracket. The brackets step in lockstep: each step evaluates fn once,
-    on one new point per bracket.
+
+def _parabolic_refine(fn, lo: np.ndarray, hi: np.ndarray, pts: np.ndarray, vals: np.ndarray,
+                      rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum of row rows_i of a vectorized fn on [lo_i, hi_i], from pts_i valued vals_i.
+
+    fn(x) holds one row per function, one column per point. Each step is
+    one call of fn, on one point per live bracket: the vertex of the
+    parabola through its best three points (Brent 1973, ch. 5), or a golden
+    step into the larger side where the vertex is outside the bracket, the
+    points are not concave or the move is below rounding. A bracket freezes
+    on its own values, once the parabola's maximum over it is within one
+    ulp of its best value. Returns the best value, its point (ties to the
+    smaller t) and the row, per bracket, after _REFINE_STEPS steps at most.
     """
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    cols = np.arange(rows.size)
-    row_fn = lambda x: fn(x)[rows, cols]
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = row_fn(c), row_fn(d)
-    for _ in range(iters):
-        left = fc > fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        x = np.where(left, b - inv * (b - a), a + inv * (b - a))
-        fx = row_fn(x)
-        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
-                        np.where(left, fx, fd), np.where(left, fc, fx))
-    at_c = fc >= fd  # c < d, so a tie keeps the smaller point
-    return np.where(at_c, fc, fd), np.where(at_c, c, d), rows
+    def best_three(pts, vals, span=(lo[:, None], hi[:, None])):
+        # a start point past the bracket, the third of an end bracket, ranks last
+        rank = np.where((span[0] <= pts) & (pts <= span[1]), -vals, np.inf)
+        keep = np.lexsort((pts, rank), axis=1)[:, :3]
+        return np.take_along_axis(pts, keep, 1), np.take_along_axis(vals, keep, 1)
+
+    pts, vals = best_three(pts, vals)
+    live = np.ones(rows.size, bool)
+    for _ in range(_REFINE_STEPS):
+        (x, w, v), (fx, fw, fv) = pts.T, vals.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1 = (fw - fx) / (w - x)
+            c2 = ((fv - fx) / (v - x) - d1) / (v - w)
+            model = lambda t: fx + (d1 + c2 * (t - w)) * (t - x)
+            u = 0.5 * (x + w - d1 / c2)
+            inside = (c2 < 0.0) & (lo < u) & (u < hi)
+            top = np.where(inside, model(u), np.maximum(model(lo), model(hi)))
+        live &= top - fx > np.spacing(np.abs(fx))
+        if not live.any():
+            break
+        golden = x + (3.0 - math.sqrt(5.0)) / 2.0 * np.where(hi - x >= x - lo, hi - x, lo - x)
+        u = np.where(inside & (np.abs(u - x) > 2.0 * np.spacing(x)), u, golden)
+        fu = np.full(rows.size, -np.inf)
+        fu[live] = fn(u[live])[rows[live], np.arange(np.count_nonzero(live))]
+        # a worse point becomes the end on its side; a better one moves the other end to x
+        up = (fu > fx) | ((fu == fx) & (u < x))
+        cut, low = np.where(up, x, u), up == (u >= x)
+        lo, hi = np.where(live & low, cut, lo), np.where(live & ~low, cut, hi)
+        pts, vals = best_three(np.column_stack([pts, u]), np.column_stack([vals, fu]))
+    return vals[:, 0], pts[:, 0], rows
 
 
 def _sup_scan(fn, lo: float, hi: float):
@@ -340,9 +361,10 @@ def _sup_scan(fn, lo: float, hi: float):
     A fn that returns k rows, one per function, scans the k functions on
     shared points and returns a list of k (sup, argmax) pairs. The top
     three scan points of each row are refined together, all 3k brackets
-    in one lockstep refinement. The argmax is the point where the
-    reported sup was evaluated; exact ties between scan points and
-    refined brackets go to the smaller t.
+    in one lockstep refinement; each spans its point's neighbours (one at
+    an end of the scan) and starts, at no call, from the three scan points
+    around it. The argmax is where the reported sup was evaluated; exact
+    ties between scan points and refined brackets go to the smaller t.
     """
     decades = math.log10(hi / lo)
     npts = max(16, int(math.ceil(decades * _SCAN_PER_DECADE))) + 1
@@ -350,10 +372,11 @@ def _sup_scan(fn, lo: float, hi: float):
     vals = fn(ts)
     table = np.atleast_2d(vals)
     order = np.argsort(table, axis=1)[:, ::-1][:, :3]
-    peaks, peak_at, peak_rows = _golden_refine(
+    rows = np.repeat(np.arange(table.shape[0]), order.shape[1])
+    start = np.clip(order, 1, npts - 2).reshape(-1, 1) + [-1, 0, 1]
+    peaks, peak_at, peak_rows = _parabolic_refine(
         lambda x: np.atleast_2d(fn(x)), ts[np.maximum(order - 1, 0)].ravel(),
-        ts[np.minimum(order + 1, npts - 1)].ravel(),
-        np.repeat(np.arange(table.shape[0]), order.shape[1]))
+        ts[np.minimum(order + 1, npts - 1)].ravel(), ts[start], table[rows[:, None], start], rows)
     sups = []
     for row, row_vals in enumerate(table):
         mine = peak_rows == row

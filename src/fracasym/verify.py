@@ -72,9 +72,6 @@ class AsymptoticReport(JsonReport):
     t: np.ndarray
     weighted_remainder: np.ndarray
 
-    def to_csv(self, path: str) -> None:
-        write_csv(path, "t,weighted_remainder", [self.t, self.weighted_remainder])
-
 
 @dataclass(frozen=True)
 class BoundaryLimits(JsonReport):

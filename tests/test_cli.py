@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from fracasym.cli import RunConfig, _build_parser, _read_artifact_csv, main
 from fracasym.coeffexpr import Coefficient, load_coefficient
 from fracasym.hypotheses import _NODE_CAP
-from fracasym.meshfun import TailModel, float_texts, make_graded_grid, write_csv
+from fracasym.meshfun import GradedGrid, TailModel, float_texts, make_graded_grid, write_csv
 from fracasym.solver import gates
 
 NODES = "512"
@@ -272,6 +272,22 @@ class TestVerify:
             for j, line in zip(index, lines):
                 values = [float(c) for c in line.split(",")[1:]]
                 assert line == ",".join(repr(float(c)) for c in (nodes[j], *values)), name
+
+    def test_a_command_builds_one_grid(self, tmp_path, slow_file, monkeypatch):
+        # the grid main checks the envelope on is the grid the command runs on
+        built = []
+        post_init = GradedGrid.__post_init__
+
+        def counted(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(GradedGrid, "__post_init__", counted)
+        args = ["--coeff", slow_file, "--case", "thm1", "--nodes", "1024", "--out", str(tmp_path)]
+        for command in ("solve", "verify"):
+            built.clear()
+            assert main([command, *args]) == 0
+            assert built == [1024], command
 
     def test_verify_writes_the_grid_node_texts_not_the_files(
             self, tmp_path, slow_file, solved_dir):

@@ -9,6 +9,7 @@ scale, and the 30-digit oracle takes over.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,11 +128,11 @@ def test_thm3_gate_calls_the_coefficient_in_batches(heavy_tail_coeff, monkeypatc
     monkeypatch.setattr(Coefficient, "__call__", counted)
     hyp.thm3_constants(heavy_tail_coeff, ALPHA)
     # chi and the pushed chi share one rule, one scan and one refinement,
-    # with a evaluated once per node: about 95 calls and 5.0e5 points in
-    # all, where a scan of each alone takes 187 calls and 869,393 points
-    assert len(sizes) <= 120
+    # with a evaluated once per node: 56 calls and 380,129 points in all;
+    # the refinement takes 4 of its calls
+    assert len(sizes) <= 70
     assert max(sizes) <= hyp._NODE_CAP
-    assert sum(sizes) <= 5.5e5
+    assert sum(sizes) <= 4.2e5
 
 
 @pytest.mark.parametrize("name", ["slow_decay_coeff", "origin_quadratic_coeff",
@@ -344,18 +345,171 @@ def test_chi_argmax_attains_chi_in_any_bracket_order(heavy_tail_coeff, monkeypat
     at_argmax = hyp._chi_function(afun, ALPHA, rep.chi_argmax, zs)(np.array([rep.chi_argmax]))[0]
     assert at_argmax == pytest.approx(rep.chi, rel=1e-14)
 
-    refine = hyp._golden_refine
+    refine = hyp._parabolic_refine
 
-    def reversed_brackets(fn, lo, hi, rows, *args):
+    def reversed_brackets(fn, *brackets):
         # results come back in reversed bracket order, each bracket with its
         # row: the scan must take each maximiser and its row from the
         # refinement, not from its bracket's slot
-        return refine(fn, lo[::-1], hi[::-1], rows[::-1], *args)
+        return refine(fn, *(b[::-1] for b in brackets))
 
-    monkeypatch.setattr(hyp, "_golden_refine", reversed_brackets)
+    monkeypatch.setattr(hyp, "_parabolic_refine", reversed_brackets)
     again = hyp.thm3_constants(heavy_tail_coeff, ALPHA)
     assert ((again.chi, again.chi_argmax, again.sup_value)
             == (rep.chi, rep.chi_argmax, rep.sup_value))
+
+
+# --------------------------------------------------------------------------
+# the parabolic refinement against the golden-section refinement it replaced
+# --------------------------------------------------------------------------
+
+def _golden(fn, lo, hi, pts, vals, rows):
+    """The 40-step golden-section refinement, 42 lockstep calls of fn; it
+    reads each bracket alone, not the scan points inside it."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    cols = np.arange(rows.size)
+    row_fn = lambda x: fn(x)[rows, cols]
+    a, b = lo, hi
+    c = b - inv * (b - a)
+    d = a + inv * (b - a)
+    fc, fd = row_fn(c), row_fn(d)
+    for _ in range(40):
+        left = fc > fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - inv * (b - a), a + inv * (b - a))
+        fx = row_fn(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    at_c = fc >= fd  # c < d, so a tie keeps the smaller point
+    return np.where(at_c, fc, fd), np.where(at_c, c, d), rows
+
+
+def _scan_only(fn, lo, hi, pts, vals, rows):
+    # no refinement: each bracket reports the best of its scan points
+    best = np.argmax(vals, axis=1)[:, None]
+    return (np.take_along_axis(vals, best, 1)[:, 0], np.take_along_axis(pts, best, 1)[:, 0],
+            rows)
+
+
+@pytest.fixture(scope="module")
+def horizon_coeff():
+    # chi still rises at the horizon: its sup is the scan's last point
+    return make_power_coefficient("0.01 / (1+t)^0.8", 0.01, 0.8)
+
+
+@pytest.fixture(scope="module")
+def bump_coeff():
+    # about one scan spacing wide at t = 3: the refinement adds 9% to chi
+    return make_power_coefficient("exp(-((t-3)/0.05)^2)", 1.0, 4.0, valid_from=5.0)
+
+
+_REFINED = ["slow_decay_coeff", "origin_quadratic_coeff", "heavy_tail_coeff",
+            "sign_change_coeff", "zero_coeff", "horizon_coeff", "bump_coeff"]
+
+
+@pytest.mark.parametrize("name", _REFINED)
+def test_parabolic_refinement_matches_the_golden_oracle(request, name, monkeypatch):
+    coeff = request.getfixturevalue(name)
+    rep = hyp.thm3_constants(coeff, ALPHA)
+    with monkeypatch.context() as m:
+        m.setattr(hyp, "_parabolic_refine", _golden)
+        oracle = hyp.thm3_constants(coeff, ALPHA)
+        m.setattr(hyp, "_parabolic_refine", _scan_only)
+        scan = hyp.thm3_constants(coeff, ALPHA)
+    for field in ("chi", "sup_value", "sup_chain_bound", "k3"):
+        got, want, floor = (getattr(r, field) for r in (rep, oracle, scan))
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0), field
+        assert got >= floor, field
+
+
+@pytest.mark.parametrize("name", _REFINED)
+def test_a_scan_refines_in_at_most_ten_calls(request, name, monkeypatch):
+    calls = []
+    refine = hyp._parabolic_refine
+
+    def counted(fn, *brackets):
+        calls.append(0)
+
+        def fn_counted(x):
+            calls[-1] += 1
+            return fn(x)
+
+        return refine(fn_counted, *brackets)
+
+    monkeypatch.setattr(hyp, "_parabolic_refine", counted)
+    hyp.thm3_constants(request.getfixturevalue(name), ALPHA)
+    # one refinement per scan: the joint chi and pushed chi scan, and the
+    # pushed coefficient's own where its chain closes; golden took 42 calls
+    assert 1 <= len(calls) <= 2
+    assert max(calls) <= 10
+
+
+def _assert_inside_and_above_the_start(lo, hi, pts, vals, best, best_at):
+    # each bracket's maximum lies inside it and is never below its start
+    # points inside it
+    assert np.all((lo <= best_at) & (best_at <= hi))
+    inside = (lo[:, None] <= pts) & (pts <= hi[:, None])
+    assert np.all(best >= np.where(inside, vals, -np.inf).max(axis=1))
+
+
+def test_an_end_bracket_reports_a_point_inside_it(monkeypatch):
+    # the first scan point is a candidate whose bracket [t0, t1] starts from
+    # t0, t1 and t2, and t2 is the highest of the three: the bracket must
+    # not report t2, which lies past it
+    ts = np.geomspace(hyp._SCAN_FLOOR, 1.0, 513)
+    table = np.full(ts.size, 0.01)
+    table[:4] = [0.9, 0.1, 0.95, 0.0]
+    fn = lambda t: np.interp(t, ts, table)
+    brackets = []
+    refine = hyp._parabolic_refine
+
+    def kept(fn, lo, hi, pts, vals, rows):
+        out = refine(fn, lo, hi, pts, vals, rows)
+        brackets.append((lo, hi, pts, vals, *out[:2]))
+        return out
+
+    monkeypatch.setattr(hyp, "_parabolic_refine", kept)
+    assert hyp._sup_scan(fn, hyp._SCAN_FLOOR, 1.0) == (0.95, ts[2])
+    [(lo, hi, pts, vals, best, best_at)] = brackets
+    assert (lo == ts[0]).tolist() == [False, True, True] and hi[1] == ts[1]
+    assert (best[1], best_at[1]) == (0.9, ts[0])
+    _assert_inside_and_above_the_start(lo, hi, pts, vals, best, best_at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.5, 40.0), peak=st.floats(-5.0, 3.0))
+def test_parabolic_refinement_finds_a_smooth_peak(p, peak):
+    # t^p e^(-t/q) with q = m/p, over its maximum m^p e^-p at t = m, written
+    # through log1p so it rounds to about one ulp; as written it carries
+    # about p ulps of rounding, which the oracle's 40 samples near the peak
+    # and the refinement's few sample differently
+    m = 10.0 ** peak
+
+    def fn(t):
+        r = t / m - 1.0
+        return np.exp(p * (np.log1p(r) - r))
+
+    brackets = []
+    refine = hyp._parabolic_refine
+
+    def kept(fn, lo, hi, pts, vals, rows):
+        out = refine(fn, lo, hi, pts, vals, rows)
+        brackets.append((lo, hi, pts, vals, out))
+        return out
+
+    with mock.patch.object(hyp, "_parabolic_refine", kept):
+        sup, at = hyp._sup_scan(fn, hyp._SCAN_FLOOR, 100.0)
+    with mock.patch.object(hyp, "_parabolic_refine", _golden):
+        want, _ = hyp._sup_scan(fn, hyp._SCAN_FLOOR, 100.0)
+    assert sup == pytest.approx(want, rel=4e-15, abs=0.0)
+    [(lo, hi, pts, vals, (best, best_at, _))] = brackets
+    _assert_inside_and_above_the_start(lo, hi, pts, vals, best, best_at)
+    if hyp._SCAN_FLOOR < m < 100.0:
+        assert sup == pytest.approx(1.0, rel=4e-15)
+        assert at == pytest.approx(m, rel=1e-6)
+    else:
+        assert at == (hyp._SCAN_FLOOR if m < 1.0 else 100.0)
 
 
 # --------------------------------------------------------------------------
