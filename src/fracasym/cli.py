@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +68,37 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.case is not None and self.case not in SOLVE_CASES:
             raise ValueError(f"case must be one of {SOLVE_CASES}, got {self.case!r}")
+        if self.command != "check" and self.case is None:
+            raise ValueError(f"{self.command} needs --case")
         as_alpha(self.alpha)
         if self.nodes < 16:
             raise ValueError("need at least 16 nodes")
+        if self.command == "sweep":
+            self.sweep_axes  # a bad range or order is bad input before anything is written
+
+    @cached_property
+    def sweep_axes(self) -> dict[str, np.ndarray]:
+        """The sweep's alpha, amp and T axes, each a single value unless swept."""
+        axes = {
+            "alpha": np.array([self.alpha]),
+            "amp": np.array([1.0]),
+            "T": np.array([self.T]),
+        }
+        for entry in self.sweep:
+            name, _, rng = entry.partition("=")
+            if name not in axes:
+                raise ValueError(f"sweep parameter must be one of {tuple(axes)}, got {name!r}")
+            parts = rng.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"sweep range must be lo:hi:steps, got {rng!r}")
+            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+            # hi - lo is finite exactly when lo, hi and every point between are
+            if steps < 0 or not math.isfinite(hi - lo):
+                raise ValueError(f"bad sweep range {rng!r}")
+            axes[name] = np.linspace(lo, hi, steps)
+        for al in axes["alpha"]:
+            as_alpha(al)  # an order out of range is bad input, as in the config
+        return axes
 
 
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
@@ -276,38 +305,13 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
     return EXIT_OK
 
 
-def _parse_sweep_ranges(cfg: RunConfig) -> dict[str, np.ndarray]:
-    axes = {
-        "alpha": np.array([cfg.alpha]),
-        "amp": np.array([1.0]),
-        "T": np.array([cfg.T]),
-    }
-    for entry in cfg.sweep:
-        name, _, rng = entry.partition("=")
-        if name not in axes:
-            raise ValueError(f"sweep parameter must be one of {tuple(axes)}, got {name!r}")
-        parts = rng.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"sweep range must be lo:hi:steps, got {rng!r}")
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        # hi - lo is finite exactly when lo, hi and every point between are
-        if steps < 0 or not math.isfinite(hi - lo):
-            raise ValueError(f"bad sweep range {rng!r}")
-        axes[name] = np.linspace(lo, hi, steps)
-    return axes
-
-
 def _guard_t_max(cfg: RunConfig) -> float:
     """Expressions are scanned for poles on [0, max(100, t_max)]."""
     return max(100.0, cfg.tmax)
 
 
 def cmd_sweep(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
-    try:
-        axes = _parse_sweep_ranges(cfg)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    axes = cfg.sweep_axes
     header = [*axes, "k", "passed", "observed_ratio", "error"]
     out_path = os.path.join(cfg.out, f"sweep_{cfg.case}.csv")
 
@@ -325,7 +329,6 @@ def cmd_sweep(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
             scalings.append((None, Gate(None, math.nan, False, error=e)))
     for al, (amp, (scaled, refused)) in itertools.product(map(float, axes["alpha"]),
                                                          zip(amps, scalings)):
-        as_alpha(al)  # an order out of range is bad input, as in the config
         block = [refused] * len(splits) if refused else gates(cfg.case, scaled, al, splits, grid)
         for T, g in zip(splits, block):
             cell = [repr(al), repr(amp), repr(T)]
@@ -382,10 +385,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     _write_meta(cfg)
-    if cfg.command != "check" and cfg.case is None:
-        print(f"error: {cfg.command} needs --case", file=sys.stderr)
-        return EXIT_INPUT
-
     try:
         return _COMMANDS[cfg.command][0](cfg, coeff, grid)
     except ValueError as e:

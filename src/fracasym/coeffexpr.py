@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .meshfun import GradedGrid, TailModel
+from .meshfun import GradedGrid, TailModel, write_json
 
 __all__ = [
     "Expr",
@@ -552,6 +552,4 @@ def load_coefficient(path: str, guard_t_max: float = 100.0) -> Coefficient:
 
 
 def save_coefficient(coeff: Coefficient, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(coefficient_to_json_dict(coeff), fh, indent=2)
-        fh.write("\n")
+    write_json(path, coefficient_to_json_dict(coeff))

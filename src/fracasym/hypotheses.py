@@ -54,8 +54,9 @@ the grid nodes, or whose valid_from lies past --tmax (exit 2), because
 the reported constants would silently drop their tails otherwise.
 
 Suprema over t > 0 run a 128-points-per-decade logarithmic scan; the three
-leading candidates of each function then take safeguarded parabolic steps
-from the scan's own points, in lockstep, one batched evaluation per step.
+highest local maxima of each function's scan then take safeguarded
+parabolic steps from the scan's own points, in lockstep, one batched
+evaluation per step.
 Pass/fail flags use a one-sided margin: a constant within 1e-9 of the
 threshold is reported as "inconclusive" rather than rounded to either side.
 """
@@ -73,7 +74,6 @@ from .fracops import as_alpha, convolve
 from .meshfun import (
     GradedGrid,
     GridFunction,
-    JsonReport,
     TailModel,
     _right_cumtrapz,
     make_graded_grid,
@@ -359,24 +359,29 @@ def _sup_scan(fn, lo: float, hi: float):
     """(sup, argmax) of a vectorized fn over [lo, hi] by log scan + refinement.
 
     A fn that returns k rows, one per function, scans the k functions on
-    shared points and returns a list of k (sup, argmax) pairs. The top
-    three scan points of each row are refined together, all 3k brackets
-    in one lockstep refinement; each spans its point's neighbours (one at
-    an end of the scan) and starts, at no call, from the three scan points
-    around it. The argmax is where the reported sup was evaluated; exact
-    ties between scan points and refined brackets go to the smaller t.
+    shared points and returns a list of k (sup, argmax) pairs. The three
+    highest local maxima of each row, scan points no lower than their
+    neighbours, are refined together, at most 3k brackets in one lockstep
+    refinement; each spans its point's neighbours (one at an end of the
+    scan) and starts, at no call, from the three scan points around it.
+    The argmax is where the reported sup was evaluated; exact ties between
+    scan points and refined brackets go to the smaller t.
     """
     decades = math.log10(hi / lo)
     npts = max(16, int(math.ceil(decades * _SCAN_PER_DECADE))) + 1
     ts = np.geomspace(lo, hi, npts)
     vals = fn(ts)
     table = np.atleast_2d(vals)
-    order = np.argsort(table, axis=1)[:, ::-1][:, :3]
-    rows = np.repeat(np.arange(table.shape[0]), order.shape[1])
-    start = np.clip(order, 1, npts - 2).reshape(-1, 1) + [-1, 0, 1]
+    padded = np.pad(table, ((0, 0), (1, 1)), constant_values=-np.inf)
+    local = (table >= padded[:, :-2]) & (table >= padded[:, 2:])
+    # the three highest local maxima of each row, ties to the smaller t
+    order = np.argsort(np.where(local, -table, np.inf), axis=1, kind="stable")[:, :3]
+    kept = np.take_along_axis(local, order, 1)
+    rows, order = np.nonzero(kept)[0], order[kept]
+    start = np.clip(order, 1, npts - 2)[:, None] + [-1, 0, 1]
     peaks, peak_at, peak_rows = _parabolic_refine(
-        lambda x: np.atleast_2d(fn(x)), ts[np.maximum(order - 1, 0)].ravel(),
-        ts[np.minimum(order + 1, npts - 1)].ravel(), ts[start], table[rows[:, None], start], rows)
+        lambda x: np.atleast_2d(fn(x)), ts[np.maximum(order - 1, 0)],
+        ts[np.minimum(order + 1, npts - 1)], ts[start], table[rows[:, None], start], rows)
     sups = []
     for row, row_vals in enumerate(table):
         mine = peak_rows == row
@@ -401,7 +406,7 @@ def _classify(k: float) -> str:
 
 
 @dataclass(frozen=True)
-class Thm1Report(JsonReport):
+class Thm1Report:
     """Smallness data for the bounded-solution contraction with split time T."""
 
     alpha: float
@@ -416,7 +421,7 @@ class Thm1Report(JsonReport):
 
 
 @dataclass(frozen=True)
-class Thm2Report(JsonReport):
+class Thm2Report:
     """Smallness data for the contraction built on the s^(-1-alpha) weight."""
 
     alpha: float
@@ -430,7 +435,7 @@ class Thm2Report(JsonReport):
 
 
 @dataclass(frozen=True)
-class Thm3Report(JsonReport):
+class Thm3Report:
     """Smallness data for the linear-growth contraction: chi and k3."""
 
     alpha: float
@@ -449,7 +454,7 @@ class Thm3Report(JsonReport):
 
 
 @dataclass(frozen=True)
-class Lemma2Report(JsonReport):
+class Lemma2Report:
     """Contraction constants read off a Lemma-1 style integrability profile,
     with the profile's mean-zero flag; passed is pass_k1."""
 
@@ -465,7 +470,7 @@ class Lemma2Report(JsonReport):
 
 
 @dataclass(frozen=True)
-class Lemma1Profile(JsonReport):
+class Lemma1Profile:
     """Integrability profile of a mean-zero coefficient on a graded grid.
 
     Grid functions B (weighted running sup of |a|), C (power-kernel
@@ -477,6 +482,8 @@ class Lemma1Profile(JsonReport):
     coefficient on the grid) and its envelope.  Scalar norms close their
     tails with _power_tail, under a bound of C that fails when a's mean or
     first moment is nonzero (see lemma1_profile); a divergent tail is inf.
+    D*'s value past the horizon is 2 t_max^(alpha-2) _power_tail(A, p-1,
+    t_max), so a zero envelope's is 0 at any exponent.
     """
 
     alpha: float
@@ -514,16 +521,9 @@ class Lemma1Profile(JsonReport):
 
     @cached_property
     def D_star(self) -> GridFunction:
-        A, p = self.envelope.amplitude, self.envelope.exponent
-        beyond = 2.0 * A * self.grid.t_max ** (self.alpha - p) / (p - 2.0) if p > 2.0 else math.inf
+        A, p, t_max = self.envelope.amplitude, self.envelope.exponent, self.grid.t_max
+        beyond = 2.0 * t_max ** (self.alpha - 2.0) * _power_tail(A, p - 1.0, t_max)
         return GridFunction(self.grid, _running_max_from_right(self.D.pointwise_values(), beyond))
-
-    def to_json_dict(self) -> dict:
-        """Every scalar field plus the grid layout; grid functions stay out."""
-        g = self.grid
-        d = {**super().to_json_dict(), "t_max": g.t_max, "n": g.n, "grading": g.grading}
-        del d["envelope"]
-        return d
 
 
 # --------------------------------------------------------------------------

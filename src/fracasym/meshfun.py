@@ -42,7 +42,6 @@ __all__ = [
     "write_json",
     "write_csv",
     "float_texts",
-    "JsonReport",
 ]
 
 
@@ -88,16 +87,6 @@ def write_csv(path: str, header: str, columns: Sequence[np.ndarray | list[str]])
         fh.write(header + "\n")
         for row in zip(*texts):
             fh.write(",".join(row) + "\n")
-
-
-class JsonReport:
-    """to_json_dict and to_json of a dataclass report, through json_ready."""
-
-    def to_json_dict(self) -> dict:
-        return json_ready(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _right_cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -55,7 +55,6 @@ from .hypotheses import (
 from .meshfun import (
     GradedGrid,
     GridFunction,
-    JsonReport,
     WeightedMetric,
     _right_cumtrapz,
     integrate,
@@ -167,7 +166,7 @@ class SolveSpec:
 
 
 @dataclass(frozen=True)
-class SolveResult(JsonReport):
+class SolveResult:
     """Fixed point plus the iteration trace that certifies how it was won.
 
     fixed_point is the iterated object (x for thm1/thm2, y for thm3 and

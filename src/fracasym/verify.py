@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracops import apply_operator, as_alpha, rl_derivative, trusted_slice
-from .meshfun import GradedGrid, GridFunction, JsonReport, write_csv
+from .meshfun import GradedGrid, GridFunction, write_csv
 from .solver import CHAINS, prop1_certify
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ResidualReport(JsonReport):
+class ResidualReport:
     """Sup and per-node values of the defect of the equation itself, at
     the nodes of grid inside window."""
 
@@ -59,7 +59,7 @@ class ResidualReport(JsonReport):
 
 
 @dataclass(frozen=True)
-class AsymptoticReport(JsonReport):
+class AsymptoticReport:
     """Fitted head coefficients and the weighted remainder they leave."""
 
     case: str
@@ -74,7 +74,7 @@ class AsymptoticReport(JsonReport):
 
 
 @dataclass(frozen=True)
-class BoundaryLimits(JsonReport):
+class BoundaryLimits:
     """The two ends of the solution: weighted value at 0, derivative at the horizon.
 
     origin_limit extrapolates t^(1-alpha) x(t) to t = 0 from the three

@@ -531,12 +531,17 @@ class TestSweep:
         assert max(sizes) <= _NODE_CAP
 
     def test_overflowing_range_rejected(self, tmp_path, slow_file, capsys):
-        rc = main(["sweep", "--coeff", slow_file, "--case", "thm1",
-                   "--sweep", "amp=-1e308:1e308:3",
-                   "--nodes", NODES, "--out", str(tmp_path)])
-        assert rc == 2
-        assert "bad sweep range" in capsys.readouterr().err
-        assert not (tmp_path / "sweep_thm1.csv").exists()
+        # an overflowing, a malformed and an out-of-range axis: exit 2
+        # before anything is written, run_meta.json and --out included
+        for axis, err in [("amp=-1e308:1e308:3", "bad sweep range"),
+                          ("T=1:2", "sweep range must be lo:hi:steps"),
+                          ("alpha=0.5:1.5:3", "outside the supported range")]:
+            out = tmp_path / axis
+            rc = main(["sweep", "--coeff", slow_file, "--case", "thm1",
+                       "--sweep", axis, "--nodes", NODES, "--out", str(out)])
+            assert rc == 2
+            assert err in capsys.readouterr().err
+            assert not out.exists()
 
     def test_overflowing_amplitude_becomes_an_error_cell(self, tmp_path, heavy_file):
         # lemma1_profile's norms overflow to inf, silently, instead of raising
@@ -609,6 +614,13 @@ class TestConfig:
         coeff = _write_coeff(tmp_path / "deep.json", "-" * 3000 + "0.01/(1+t)^3.5", 0.01, 3.5)
         rc = main(["check", "--coeff", coeff, "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+    def test_missing_case_exits_2_before_writing(self, tmp_path, slow_file, capsys, command):
+        rc = main([command, "--coeff", slow_file, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {command} needs --case\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_case_rejected_by_the_parser(self, tmp_path, slow_file, capsys):

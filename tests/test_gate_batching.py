@@ -472,9 +472,27 @@ def test_an_end_bracket_reports_a_point_inside_it(monkeypatch):
     monkeypatch.setattr(hyp, "_parabolic_refine", kept)
     assert hyp._sup_scan(fn, hyp._SCAN_FLOOR, 1.0) == (0.95, ts[2])
     [(lo, hi, pts, vals, best, best_at)] = brackets
-    assert (lo == ts[0]).tolist() == [False, True, True] and hi[1] == ts[1]
+    # the brackets are the local maxima t2, t0 and t4, the plateau's first point
+    assert (lo == ts[0]).tolist() == [False, True, False] and hi[1] == ts[1]
     assert (best[1], best_at[1]) == (0.9, ts[0])
     _assert_inside_and_above_the_start(lo, hi, pts, vals, best, best_at)
+
+
+def test_a_narrow_second_peak_is_refined():
+    # a broad peak of height 1 at t = 0.01 and a peak of 1.05, narrower than
+    # the scan spacing, midway between scan points 500 and 501: the scan
+    # reads 0.39 there, below the broad peak's three highest points, but
+    # it is a local maximum of the scan, so it is refined
+    ts = np.geomspace(hyp._SCAN_FLOOR, 100.0, 769)
+    mid, half = 0.5 * (ts[500] + ts[501]), 0.5 * (ts[501] - ts[500])
+
+    def fn(t):
+        broad = np.exp(-np.log(t / 0.01) ** 2)
+        return np.maximum(broad, 1.05 * np.exp(-((t - mid) / half) ** 2))
+
+    sup, at = hyp._sup_scan(fn, hyp._SCAN_FLOOR, 100.0)
+    assert sup == pytest.approx(1.05, rel=1e-14)
+    assert at == pytest.approx(mid, rel=1e-7)
 
 
 @settings(max_examples=60, deadline=None)

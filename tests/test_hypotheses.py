@@ -32,7 +32,7 @@ from fracasym.hypotheses import (
     thm2_constants,
     thm3_constants,
 )
-from fracasym.meshfun import GridFunction, TailModel, make_graded_grid
+from fracasym.meshfun import GridFunction, TailModel, json_ready, make_graded_grid, write_json
 
 AL = 0.5
 HOR = 100.0
@@ -461,6 +461,16 @@ class TestIntegrabilityProfile:
         assert p.n_zeros > 1
         assert math.isnan(p.t0) and math.isnan(p.T0)
 
+    def test_zero_envelope_closes_d_star_at_any_exponent(self):
+        # a mean-zero table that is 0 from t = 3 on: its zero envelope bounds
+        # the tail past the horizon by 0, whatever exponent it declares
+        samples = [[0.0, 0.02], [1.0, 0.0], [2.0, -0.01], [3.0, 0.0], [HOR, 0.0]]
+        grid = make_graded_grid(HOR, 1024)
+        d_star = [lemma1_profile(Coefficient.from_samples(samples, TailModel("power", 0.0, p, 3.0)),
+                                 AL, grid=grid).D_star.values for p in (1.5, 6.0)]
+        assert np.all(np.isfinite(d_star[0]))
+        np.testing.assert_array_equal(*d_star)
+
     def test_zero_coefficient_profile(self, zero_coeff):
         p = lemma1_profile(zero_coeff, AL)
         assert p.c_l1 == 0.0 and p.c_sup == 0.0 and p.e_l1 == 0.0
@@ -468,12 +478,12 @@ class TestIntegrabilityProfile:
         assert p.mean_zero
 
     def test_json_reports_scalars(self, mean_zero_profile):
-        d = json.loads(mean_zero_profile.to_json())
-        for key in ("alpha", "t_max", "n", "grading", "c_l1", "c_star_l1",
+        d = json_ready(mean_zero_profile)
+        for key in ("alpha", "c_l1", "c_star_l1", "envelope",
                     "e_l1", "intermed2", "mean_zero", "t0", "b_l1", "b_l2", "b_sup"):
             assert key in d
-        # the sampled coefficient and its envelope, which D is built from, stay out
-        assert "a" not in d and "envelope" not in d
+        # the grid, the sampled coefficient and the profile's grid functions stay out
+        assert not {"grid", "a", "B", "B_star", "C", "C_star", "E"} & set(d)
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +516,7 @@ class TestProfileConstants:
 
     def test_report_carries_what_check_writes(self, mean_zero_profile):
         rep = lemma2_constants(mean_zero_profile)
-        d = rep.to_json_dict()
+        d = json_ready(rep)
         assert d["mean_zero"] is True and d["mean_zero"] is mean_zero_profile.mean_zero
         assert d["passed"] is rep.pass_k1 is True
         failing = lemma2_constants(synthetic_profile(c_sup=0.7))
@@ -685,18 +695,19 @@ class TestDivergenceDemonstration:
 # --------------------------------------------------------------------------
 
 class TestReportSerialization:
-    def test_split_time_report_round_trip(self, slow_decay):
+    def test_split_time_report_round_trip(self, slow_decay, tmp_path):
         rep = thm1_constants(slow_decay, AL, T=1.0)
-        d = json.loads(rep.to_json())
+        write_json(tmp_path / "thm1.json", rep)
+        d = json.loads((tmp_path / "thm1.json").read_text())
         assert d["k"] == rep.k and d["T"] == 1.0 and d["tail_ok"] is True
 
     def test_infinite_values_marked(self):
         a = power_coeff("0.01 / (1+t)^2", 0.01, 2.0)
-        d = thm1_constants(a, AL, T=1.0).to_json_dict()
+        d = json_ready(thm1_constants(a, AL, T=1.0))
         assert d["C1"] == "inf"
 
     def test_linear_growth_report_keys(self, heavy_tail):
-        d = thm3_constants(heavy_tail, AL).to_json_dict()
+        d = json_ready(thm3_constants(heavy_tail, AL))
         for key in ("chi", "k3", "moment_ok", "sup_ok", "k_status",
                     "weighted_l1", "first_moment", "horizon"):
             assert key in d

@@ -28,8 +28,10 @@ from fracasym.meshfun import (
     TailModel,
     WeightedMetric,
     integrate,
+    json_ready,
     make_graded_grid,
     metric_distance,
+    write_json,
 )
 from fracasym.solver import (
     SOLVE_CASES,
@@ -590,8 +592,9 @@ class TestGateAndRefusals:
 # --------------------------------------------------------------------------
 
 class TestSerialization:
-    def test_json_round_trip(self, solved_thm1):
-        doc = json.loads(solved_thm1.to_json())
+    def test_json_round_trip(self, solved_thm1, tmp_path):
+        write_json(tmp_path / "solve.json", solved_thm1)
+        doc = json.loads((tmp_path / "solve.json").read_text())
         assert doc["case"] == "thm1"
         assert len(doc["distances"]) == doc["iterations"]
         assert doc["converged"] is True
@@ -600,7 +603,7 @@ class TestSerialization:
 
     def test_zero_coefficient_budget_is_zero(self, zero_coeff):
         res = solve(SolveSpec("thm1", ALPHA, 1.0, 1.0, zero_coeff))
-        doc = json.loads(json.dumps(res.to_json_dict()))
+        doc = json.loads(json.dumps(json_ready(res)))
         assert doc["tail_budget"] == 0.0
 
     def test_overridden_gate_exception_serializes_nan(self):
@@ -611,7 +614,7 @@ class TestSerialization:
                               max_iterations=3, attempt_anyway=True))
         assert math.isnan(res.predicted_k)
         assert not res.hypotheses_pass
-        doc = json.loads(json.dumps(res.to_json_dict()))
+        doc = json.loads(json.dumps(json_ready(res)))
         assert doc["predicted_k"] == "nan"
 
     def test_solution_csv_carries_the_head_row(self, solved_thm3, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from fracasym.cli import main
 from fracasym.coeffexpr import Coefficient, save_coefficient
 from fracasym.hypotheses import lemma1_profile
-from fracasym.meshfun import GridFunction, TailModel, json_ready, make_graded_grid
+from fracasym.meshfun import GridFunction, TailModel, json_ready, make_graded_grid, write_json
 
 
 def _reject_constant(name):
@@ -23,12 +23,13 @@ def _coeff_file(tmp_path, amplitude="0.01"):
     return coeff
 
 
-def test_profile_json_is_strict_with_two_sign_changes():
+def test_profile_json_is_strict_with_two_sign_changes(tmp_path):
     # two sign changes leave t0 and T0 undefined (nan)
     coeff = Coefficient.from_expression(
         "0.01*(1-t)*exp(-t)*(2-t)", envelope=TailModel("power", 1.0, 3.0, 1.0))
     profile = lemma1_profile(coeff, 0.5, grid=make_graded_grid(n=512))
-    doc = json.loads(profile.to_json(), parse_constant=_reject_constant)
+    write_json(tmp_path / "profile.json", profile)
+    doc = json.loads((tmp_path / "profile.json").read_text(), parse_constant=_reject_constant)
     assert doc["n_zeros"] == 2
     assert doc["t0"] == "nan" and doc["T0"] == "nan"
 

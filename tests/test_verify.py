@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from fracasym.meshfun import GridFunction, make_graded_grid
+from fracasym.meshfun import GridFunction, json_ready, make_graded_grid, write_json
 from fracasym.solver import reconstruct_prop1
 from fracasym.specialfn import gamma
 from fracasym.verify import (
@@ -83,7 +83,8 @@ class TestResidual:
         t = default_grid.nodes
         rep = residual(GridFunction(default_grid, 1.0 + t**ALPHA), 1,
                        zero_coefficient, ALPHA)
-        doc = json.loads(rep.to_json())
+        write_json(tmp_path / "residual.json", rep)
+        doc = json.loads((tmp_path / "residual.json").read_text())
         assert doc["case"] == 1 and doc["alpha"] == ALPHA
         assert doc["window"] == [0.1, 98.0]
         assert isinstance(doc["sup_residual"], float)
@@ -159,11 +160,12 @@ class TestAsymptoticFit:
         with pytest.raises(ValueError, match="under-resolved"):
             asymptotic_fit(x, "thm1", ALPHA)
 
-    def test_report_serialization(self, default_grid):
+    def test_report_serialization(self, default_grid, tmp_path):
         t = default_grid.nodes
         rep = asymptotic_fit(GridFunction(default_grid, 1.0 + t**ALPHA),
                              "thm1", ALPHA)
-        doc = json.loads(rep.to_json())
+        write_json(tmp_path / "asymptotic.json", rep)
+        doc = json.loads((tmp_path / "asymptotic.json").read_text())
         assert doc["case"] == "thm1"
         assert doc["bounded"] is True
 
@@ -201,7 +203,7 @@ class TestBoundaryLimits:
 
     def test_serialization(self, default_grid):
         x = GridFunction(default_grid, default_grid.nodes**ALPHA)
-        doc = boundary_limits(x, "thm1", ALPHA).to_json_dict()
+        doc = json_ready(boundary_limits(x, "thm1", ALPHA))
         assert set(doc) == {"origin_limit", "origin_converged",
                             "derivative_at_horizon", "horizon_node"}
         json.dumps(doc)
