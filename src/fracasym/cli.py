@@ -95,7 +95,11 @@ class RunConfig:
             # hi - lo is finite exactly when lo, hi and every point between are
             if steps < 0 or not math.isfinite(hi - lo):
                 raise ValueError(f"bad sweep range {rng!r}")
-            axes[name] = np.linspace(lo, hi, steps)
+            try:
+                axes[name] = np.linspace(lo, hi, steps)
+            except MemoryError:  # numpy refuses an axis it cannot allocate, allocating nothing
+                raise ValueError(f"bad sweep range {rng!r}: {steps} points do not fit in memory") \
+                    from None
         for al in axes["alpha"]:
             as_alpha(al)  # an order out of range is bad input, as in the config
         return axes

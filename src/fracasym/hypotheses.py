@@ -21,20 +21,25 @@ singular convolutions int_0^t |a(s)| s^m (t-s)^e ds, thm3's chi
 (m = e = alpha - 1) and the divergence demonstration's F (m = 0,
 e = alpha - 1), run on one rule for a batch of points t (_conv_function).
 Each t is a row: its nodes carry weights with the kernel factors folded
-in, the coefficient is called once on the nodes of a chunk of rows, and
-np.bincount reduces the weighted values per row, each row in a fixed
-order, so a row's value does not depend on the rest of the batch.  A
-coefficient call walks the whole expression tree and allocates one
-temporary per tree node.  Called per 24-node panel, that overhead
-dominates; called on every node of a full sup scan, the temporaries of the
-whole scan are alive at once.  So scans run in chunks of _CHUNK points,
-and no call receives more than _NODE_CAP nodes; larger chunks run faster
-but hold more memory at the peak.
+in, and the coefficient is called once on the nodes of a chunk of rows.
+A row with no zero of a in (t/2, t) takes its right half from one rule
+built at t/2 = 1 and scaled by t; the rows of a chunk that do so form
+one (rows x nodes) block, reduced by np.sum along each row.  A row with
+such a zero builds its own right half, cut there, and np.bincount reduces
+it.  Each row is summed on its own in a fixed order, so its value does
+not depend on the rest of the batch.  A coefficient call walks the
+whole expression tree and allocates one temporary per tree node.  Called
+per 24-node panel, that overhead dominates; called on every node of a
+full sup scan, the temporaries of the whole scan are alive at once.  So
+scans run in chunks of _CHUNK points, and no call receives more than
+_NODE_CAP nodes; larger chunks run faster but hold more memory at the
+peak.
 
 The convolution splits at t/2 (see _conv_function).  The left half, which
 must resolve a's own scale, runs on one panelization built and evaluated
 once per batch; the right half, which must resolve the kernel singularity
-at s = t, runs on one rule in t - s scaled by t.  A convolution may carry
+at s = t, runs on one rule in t - s, built once and scaled by t, except
+at the t whose right half holds a zero of a.  A convolution may carry
 several integrands on one rule: the integrand returns one row per
 function, and each row is reduced on its own.  thm3's two sups, chi of
 |a| and chi of the pushed coefficient |t^(2-alpha) a(t)|, share one rule,
@@ -682,6 +687,27 @@ def _rung(x) -> int:
     return math.floor(math.log(x) / math.log(_RATIO))
 
 
+def _right_rule(ts: np.ndarray, cuts: np.ndarray, m: float, e: float):
+    """The right half's panels of each t: their rows, y = t - s and the weights.
+
+    The weights are those of y^e (t-y)^m dy. The rungs (t/2) r^-j run
+    down to a Gauss-Jacobi sliver at y = 0, about [0, 5e-4 t], and the
+    cuts (one row per t, NaN where absent) are inserted. A cut inside the
+    sliver shrinks it to the cut, and the rungs follow it down, so the
+    panels past the cut stay graded.
+    """
+    half = 0.5 * ts
+    sliver = np.minimum(half * _RATIO ** -_SLIVER_RUNGS,
+                        np.fmin.reduce(cuts, axis=1, initial=np.inf))
+    depth = -_rung(float((sliver / half).min())) + 1
+    edges, owner = _graded_edges(half[:, None] * _RATIO ** -np.arange(depth + 1.0),
+                                 sliver, cuts)
+    inner = owner[1:] == owner[:-1]
+    rows = owner[1:][inner]
+    y, w = _panel_nodes(edges[:-1][inner], edges[1:][inner], e)
+    return rows, y, w * (ts[rows, None] - y) ** m
+
+
 def _conv_function(afun, m: float, e: float, t_hi: float, zeros: np.ndarray):
     """t -> int_0^t afun(s) s^m (t-s)^e ds for 0 < t <= t_hi, with m, e > -1.
 
@@ -699,14 +725,16 @@ def _conv_function(afun, m: float, e: float, t_hi: float, zeros: np.ndarray):
     of each prefix of panels are summed. Each t takes the whole panels
     below t/2 through those moments, and one partial panel up to t/2 node
     by node. The right half runs on the rungs (t/2) r^-j with a
-    Gauss-Jacobi sliver at y = 0: one rule scaled by t, with the cut
-    t - z of each zero z in (t/2, t) inserted. A cut inside the head or a
-    sliver shrinks it to the cut, and the rungs follow it down, so the
-    panels past the cut stay graded. No Gauss-Jacobi panel grows with t,
-    so a's own scale is resolved at every t. Each t's value sums its own
-    terms in a fixed order, each row with its own np.bincount, so it does
-    not depend on the other points of the batch, on the other rows or on
-    t_hi.
+    Gauss-Jacobi sliver at y = 0 (_right_rule). That rule is built here
+    once, at t/2 = 1: its nodes u and weights W(u) (2 - u)^m serve every t
+    with no zero of a in (t/2, t), as the nodes t - (t/2) u and the weights
+    (t/2)^(1+e+m) W(u) (2 - u)^m, one row of a (rows x nodes) block. A t
+    with a zero z in (t/2, t) builds its own rule, cut at t - z. No
+    Gauss-Jacobi panel grows with t, so a's own scale is resolved at every
+    t. A row's value is its moment terms, its partial panel and its right
+    half, each summed by np.sum along the row (np.bincount on a cut row's
+    own nodes) and added in that order, so it does not depend on the other
+    points of the batch, on the other rows or on t_hi.
     """
     n = _GL_NODES.size
     zeros = np.asarray(zeros, dtype=float)
@@ -734,51 +762,41 @@ def _conv_function(afun, m: float, e: float, t_hi: float, zeros: np.ndarray):
         moments[..., q, :] = (moments[..., q - 1, :] * (edges[q - 1] / edges[q]) ** powers
                               + panels[..., q - 1, :])
 
+    # the right half's rule at t/2 = 1
+    _, u, wu = _right_rule(np.array([2.0]), np.empty((1, 0)), m, e)
+    u, wu = u.ravel(), wu.ravel()
+
     def chunk_values(ts: np.ndarray) -> np.ndarray:
         half = 0.5 * ts
         # the whole left panels below t/2 by their moments ...
         k = np.searchsorted(edges, half, side="right") - 1
         whole = (ts ** e)[:, None] * c * moments[..., k, :] * (edges[k] / ts)[:, None] ** powers
-        # ... then the partial panel up to t/2 and the right half's panels
+        # ... the partial panel up to t/2 ...
+        y, w = _panel_nodes(edges[k], half, m)
+        w *= (ts[:, None] - y) ** e
+        # ... and the right half: the rule at t/2 = 1 scaled, or a row's own
+        # rule where a zero z of a in (t/2, t) cuts it at t - z
         z = zeros[None, :]
         cuts = np.where((z > half[:, None]) & (z < ts[:, None]), ts[:, None] - z, np.nan)
-        sliver = np.minimum(half * _RATIO ** -_SLIVER_RUNGS,
-                            np.fmin.reduce(cuts, axis=1, initial=np.inf))
-        depth = -_rung(float((sliver / half).min())) + 1
-        edges_r, rows_r = _graded_edges(half[:, None] * _RATIO ** -np.arange(depth + 1.0),
-                                        sliver, cuts)
-        inner = rows_r[1:] == rows_r[:-1]
-        # the partial left panels and the right half's panels, built as one
-        # block with the weight y^e and called once on the coefficient
-        rows = np.concatenate([np.arange(ts.size), rows_r[1:][inner]])
-        y, w = _panel_nodes(np.concatenate([edges[k], edges_r[:-1][inner]]),
-                            np.concatenate([half, edges_r[1:][inner]]), e)
-        t = ts[rows][:, None]
-        if m != e:
-            # F: the partial left panels take the weight y^m, and the right
-            # half's factor s^m is s^(m-e) here times s^e below. Chi (m = e)
-            # keeps one block: built as a left and a right block, its chunk
-            # temporaries no longer fit the heap, and a thm3 check in the
-            # command line took about 12k page faults as glibc trimmed and
-            # regrew the heap top
-            y[:ts.size], w[:ts.size] = _panel_nodes(edges[k], half, m)
-            w[ts.size:] *= (t[ts.size:] - y[ts.size:]) ** (m - e)
-        w = w * (t - y) ** e
-        y[ts.size:] = t[ts.size:] - y[ts.size:]
-        values = _call(afun, y.ravel())
-        # built after the integrand call, and reduced row by row through one
-        # buffer, so a two-row chunk peaks no higher than a one-row chunk
-        # (see the heap trims above)
-        index = np.concatenate([np.repeat(np.arange(ts.size), _MOMENTS), np.repeat(rows, n)])
-        weights = np.empty(index.size)
-        head = ts.size * _MOMENTS
-        sums = []
-        for row_whole, row_values in zip(whole.reshape(-1, head),
-                                         values.reshape(-1, values.shape[-1])):
-            weights[:head] = row_whole
-            np.multiply(w.ravel(), row_values, out=weights[head:])
-            sums.append(np.bincount(index, weights=weights, minlength=ts.size))
-        return np.reshape(sums, lead + (ts.size,))
+        own = ~np.isnan(cuts).all(axis=1)
+        scaled = np.flatnonzero(~own)
+        nodes = [y.ravel(), (ts[scaled, None] - half[scaled, None] * u).ravel()]
+        if own.any():
+            rows, y_own, w_own = _right_rule(ts[own], cuts[own], m, e)
+            nodes.append((ts[own][rows, None] - y_own).ravel())
+        values = _call(afun, np.concatenate(nodes))
+        left, right = y.size, y.size + scaled.size * u.size
+        out = (whole.sum(axis=-1)
+               + (values[..., :left].reshape(lead + y.shape) * w).sum(axis=-1))
+        out[..., scaled] += ((values[..., left:right].reshape(lead + (scaled.size, u.size)) * wu)
+                             .sum(axis=-1) * half[scaled] ** (1.0 + e + m))
+        if own.any():
+            index = np.repeat(rows, n)
+            out[..., own] += np.reshape(
+                [np.bincount(index, weights=w_own.ravel() * row)
+                 for row in values[..., right:].reshape(-1, index.size)],
+                lead + (-1,))
+        return out
 
     def conv(ts: np.ndarray) -> np.ndarray:
         # numpy's pow can round a strided input differently from a contiguous one

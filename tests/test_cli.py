@@ -531,9 +531,11 @@ class TestSweep:
         assert max(sizes) <= _NODE_CAP
 
     def test_overflowing_range_rejected(self, tmp_path, slow_file, capsys):
-        # an overflowing, a malformed and an out-of-range axis: exit 2
-        # before anything is written, run_meta.json and --out included
+        # an overflowing, a malformed and an out-of-range axis, and one of
+        # more points than memory holds: exit 2 before anything is written,
+        # run_meta.json and --out included
         for axis, err in [("amp=-1e308:1e308:3", "bad sweep range"),
+                          ("T=0.5:4:1000000000000000", "do not fit in memory"),
                           ("T=1:2", "sweep range must be lo:hi:steps"),
                           ("alpha=0.5:1.5:3", "outside the supported range")]:
             out = tmp_path / axis

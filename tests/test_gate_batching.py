@@ -128,11 +128,54 @@ def test_thm3_gate_calls_the_coefficient_in_batches(heavy_tail_coeff, monkeypatc
     monkeypatch.setattr(Coefficient, "__call__", counted)
     hyp.thm3_constants(heavy_tail_coeff, ALPHA)
     # chi and the pushed chi share one rule, one scan and one refinement,
-    # with a evaluated once per node: 56 calls and 380,129 points in all;
-    # the refinement takes 4 of its calls
+    # with a evaluated once per node: 56 calls and 378,209 points in all
+    # on a fresh coefficient; the refinement takes 4 of its calls
     assert len(sizes) <= 70
     assert max(sizes) <= hyp._NODE_CAP
     assert sum(sizes) <= 4.2e5
+
+
+@pytest.mark.parametrize("coeff, builds, calls, points", [
+    # heavy_tail and sign_change of conftest, built afresh: a coefficient
+    # caches its zeros, so a fixture's count depends on the tests before
+    (("0.005 / (1+t)^2.5", 0.005, 2.5), 2, 56, 378_209),
+    (("0.01 * (1 - t) * exp(-t)", 7.0, 6.0), 5, 102, 386_949),
+], ids=["heavy_tail", "sign_change"])
+def test_thm3_builds_the_right_half_rule_once(coeff, builds, calls, points, monkeypatch):
+    # the left half's panelization and the right half's rule at t/2 = 1 are
+    # built once; a chunk of scan points builds a rule of its own only for
+    # its rows with a zero of a in (t/2, t). The nodes are those of the
+    # per-t rule, so the coefficient's calls and points are the same
+    coeff = make_power_coefficient(*coeff)
+    built, chunks, sizes = [], [], []
+    graded, chi_function, call = hyp._graded_edges, hyp._chi_function, Coefficient.__call__
+
+    def counted_edges(*args):
+        built.append(args)
+        return graded(*args)
+
+    def chunked_chi(*args):
+        chi = chi_function(*args)
+
+        def recorded(ts):
+            ts = np.asarray(ts, dtype=float)
+            chunks.extend(ts[i:i + hyp._CHUNK] for i in range(0, ts.size, hyp._CHUNK))
+            return chi(ts)
+
+        return recorded
+
+    def counted_call(self, t):
+        sizes.append(np.size(t))
+        return call(self, t)
+
+    monkeypatch.setattr(hyp, "_graded_edges", counted_edges)
+    monkeypatch.setattr(hyp, "_chi_function", chunked_chi)
+    monkeypatch.setattr(Coefficient, "__call__", counted_call)
+    hyp.thm3_constants(coeff, ALPHA)
+    zs = hyp._breakpoints(coeff, 0.0, 100.0)
+    cut = sum(bool(((zs > 0.5 * ts[:, None]) & (zs < ts[:, None])).any()) for ts in chunks)
+    assert len(built) == 2 + cut == builds
+    assert (len(sizes), sum(sizes)) == (calls, points)
 
 
 @pytest.mark.parametrize("name", ["slow_decay_coeff", "origin_quadratic_coeff",
@@ -217,6 +260,56 @@ def test_chi_of_each_t_alone_equals_the_batch(request, name):
     batched = _chi_at(coeff, ts)
     np.testing.assert_array_equal(batched, [_chi_at(coeff, [t])[0] for t in ts])
     np.testing.assert_array_equal(batched, _chi_at(coeff, ts[::-1])[::-1])
+
+
+# --------------------------------------------------------------------------
+# the right half's scaled rule against the per-t rule it replaced
+# --------------------------------------------------------------------------
+
+_NO_ZEROS = make_power_coefficient("0.005 / (1+t)^2.5", 0.005, 2.5)
+# a zero at t = 1: the t in (1, 2) build their own right half, cut at t - 1
+_ONE_ZERO = make_power_coefficient("0.01 * (1 - t) * exp(-t)", 7.0, 6.0)
+
+
+def _right_half_per_t(afun, m, e, t, zeros):
+    """int_{t/2}^t afun(s) s^m (t-s)^e ds on a rule built for t alone, as
+    the convolution built every right half before it scaled one rule: the
+    rungs (t/2) r^-j down to a Gauss-Jacobi sliver at y = t - s = 0, cut
+    at t - z for each zero z in (t/2, t)."""
+    half = 0.5 * t
+    cuts = np.array([[t - z for z in zeros if half < z < t]])
+    sliver = min(half * hyp._RATIO ** -hyp._SLIVER_RUNGS, cuts.min(initial=np.inf))
+    depth = -hyp._rung(sliver / half) + 1
+    edges, _ = hyp._graded_edges(half * hyp._RATIO ** -np.arange(depth + 1.0)[None, :],
+                                 np.array([sliver]), cuts)
+    y, w = hyp._panel_nodes(edges[:-1], edges[1:], e)
+    if m != e:
+        w *= (t - y) ** (m - e)
+    w = w * (t - y) ** e
+    return float(np.dot(w.ravel(), afun(t - y.ravel())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_t=st.floats(-4.0, 2.0), alpha=st.floats(0.1, 0.9), chi=st.booleans(),
+       zero=st.booleans())
+# inside the cut band (1, 2) and just past either end of it
+@example(log_t=math.log10(1.5), alpha=0.5, chi=True, zero=True)
+@example(log_t=math.log10(1.0001), alpha=0.3, chi=False, zero=True)
+@example(log_t=math.log10(2.0001), alpha=0.8, chi=True, zero=True)
+@example(log_t=math.log10(0.9999), alpha=0.5, chi=False, zero=True)
+def test_scaled_right_half_equals_the_per_t_rule(log_t, alpha, chi, zero):
+    # chi's convolution (m = e = alpha - 1) or F's (m = 0); the left half is
+    # the convolution's own, of afun cut to s < t/2, where the right half's
+    # nodes read 0
+    coeff = _ONE_ZERO if zero else _NO_ZEROS
+    t, e = 10.0 ** log_t, alpha - 1.0
+    m = e if chi else 0.0
+    zs = hyp._breakpoints(coeff, 0.0, 100.0)
+    afun = lambda s: np.abs(coeff(s))
+    conv = lambda fn: hyp._conv_function(fn, m, e, 100.0, zs)(np.array([t]))[0]
+    left = conv(lambda s: np.where(s < 0.5 * t, afun(s), 0.0))
+    want = left + _right_half_per_t(afun, m, e, t, zs)
+    assert conv(afun) == pytest.approx(want, rel=4e-15, abs=0.0)
 
 
 # --------------------------------------------------------------------------
