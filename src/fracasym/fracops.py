@@ -31,9 +31,22 @@ end in its panels.
   the block's integral of |K| |f_h| (K = 30 at rho = 1/3, beta = -1/2).
   The moments and shifts sum terms bounded by the block's integral of
   |f_h|, so a row is accurate to a few ulps of max_n int |K| |f_h|.
-- Cost: O(N K^2/16 + 48 N) work and O(N) transient memory (1.6 MiB at
-  N = 8192). Python loops run over tree levels, expansion orders and the
-  panels of a leaf, never over rows.
+- Cost: everything but f depends on (nodes, beta, kernel_origin) alone:
+  the tree (levels, admitted pairs, order K, M2M/L2L shifts, per-pair
+  ratios) and the near field's transcendentals. A call without a plan
+  forms them and sums the near field with f panel by panel: O(N K^2/16
+  + 48 N) work, O(N) transient memory (1.8 MiB at N = 8192). A
+  KernelPlan keeps them: the near field as node weights of the three
+  leaf groups, (leaves x 17 nodes x 16 rows) each and one batched
+  matmul each per call, 1.7 MB at N = 4096 and 3.3 MB at 8192, and
+  0.2-0.4 MB of tree geometry. Its build and first apply cost about 1.3
+  direct calls, each later apply about half of one. Only solve's Picard
+  steps, which repeat one grid and exponent, carry a plan. A one-call
+  kernel (check, verify, lemma1's C, a sweep's cells) stays direct: it
+  would pay the build for one apply, stay no longer within 2 MiB, and a
+  sweep cell would no longer equal a check to the last digit.
+  Python loops run over tree levels, expansion orders and the panels of
+  a leaf, never over rows.
 
 Power heads c * t^e of the integrand are never interpolated; they are
 integrated analytically through the beta function and only the remainder
@@ -68,6 +81,7 @@ from .specialfn import beta as beta_fn
 from .specialfn import gamma
 
 __all__ = [
+    "KernelPlan",
     "as_alpha",
     "OPERATOR_CASES",
     "convolve",
@@ -244,22 +258,20 @@ def _interactions(levels: list[_Level]):
     return lists, rho, (k, j)
 
 
-def _leaf_moments(t: np.ndarray, f: np.ndarray, leaf: _Level, k: int) -> np.ndarray:
+def _leaf_moments(ua: np.ndarray, ub: np.ndarray, h: np.ndarray, f: np.ndarray,
+                  k: int) -> np.ndarray:
     """m_q = int ((s - c)/r)^q f_h(s) ds over each leaf, q < k, as (k, leaves).
 
-    On a panel with ends u_a, u_b (leaf units) and values f_a, f_b,
+    On a panel with ends u_a, u_b (leaf units, padded to whole leaves),
+    width h and values f_a, f_b,
     int u^q f_h ds = h (f_a A_q + f_b B_q) / ((q+1)(q+2)) with
     A_q = sum_i (q-i+1) u_a^(q-i) u_b^i and B_q = sum_i (i+1) u_a^(q-i) u_b^i:
     weights of one sign, no difference of powers.
     """
-    n = t.shape[0] - 1
-    nb = leaf.c.size
-    pad = nb * _LEAF
-    box = np.arange(n) // _LEAF
-    ua, ub, fa, fb = np.zeros((4, pad))
-    ua[:n] = (t[:-1] - leaf.c[box]) / leaf.r[box]
-    ub[:n] = (t[1:] - leaf.c[box]) / leaf.r[box]
-    h = np.diff(t)
+    n = h.size
+    pad = ua.size
+    nb = pad // _LEAF
+    fa, fb = np.zeros((2, pad))
     fa[:n] = f[:-1] * h
     fb[:n] = f[1:] * h
     A, B, pa, pb = np.ones((4, pad))
@@ -281,51 +293,123 @@ def _leaf_moments(t: np.ndarray, f: np.ndarray, leaf: _Level, k: int) -> np.ndar
     return m
 
 
-def _far_field(t, x, f, beta, levels, lists, k) -> np.ndarray:
-    """Rows 1..N of the admitted far pairs: moments up the tree (M2M), one
-    local expansion per target box (M2L), shifted down (L2L) and summed
-    at the rows as one polynomial of degree k - 1."""
-    moments = [_leaf_moments(t, f, levels[0], k)]
-    for child, parent in zip(levels, levels[1:]):
-        up = np.arange(child.c.size) // 2
-        s = _shift_moments(moments[-1], (child.c - parent.c[up]) / parent.r[up],
-                           child.r / parent.r[up])
-        if s.shape[1] % 2:
-            s = np.concatenate([s, np.zeros((k, 1))], axis=1)
-        moments.append(s[:, ::2] + s[:, 1::2])
-    # (X + R v - s)^beta = sum_(p,q) C_pq Delta^beta (R v/Delta)^p (-r u/Delta)^q,
-    # Delta = X - c, C_pq = binom(p+q, p) binom(beta, p+q); kept for p + q < k
-    pq = np.add.outer(np.arange(k), np.arange(k))
-    C = _PASCAL[:k, :k] * _binomials(beta, 2 * k)[pq]
-    C[pq >= k] = 0.0
-    loc = np.zeros((k, levels[-1].c.size))
-    for lev in range(len(levels) - 1, -1, -1):
-        box = levels[lev]
-        if lev < len(levels) - 1:
-            parent = levels[lev + 1]
-            up = np.arange(box.c.size) // 2
-            loc = _shift_locals(loc[:, up], _divide(box.X - parent.X[up], parent.R[up]),
-                                _divide(box.R, parent.R[up]))
-        tk, sj = lists[lev]
-        if tk.size:
+@dataclass(frozen=True)
+class _FarLevel:
+    """One tree level of the far field, without f: up and down are the
+    (a, b) of the M2M shift into the parent boxes and of the L2L shift
+    from them (None on the top level). Each admitted pair keeps its source
+    box, -r/Delta, R/Delta and Delta^beta (Delta = X - c); order sorts the
+    pairs stably by target box, and first starts each target's run."""
+
+    size: int
+    up: tuple[np.ndarray, np.ndarray] | None
+    down: tuple[np.ndarray, np.ndarray] | None
+    source: np.ndarray
+    source_ratio: np.ndarray
+    target_ratio: np.ndarray
+    scale: np.ndarray
+    order: np.ndarray
+    first: np.ndarray
+    targets: np.ndarray
+
+
+@dataclass(frozen=True)
+class _FarField:
+    """The far field's geometry: expansion order k, the coefficients C of
+    the pair expansion, the levels from the leaves up, the panel ends ua,
+    ub and widths h of the leaf moments, and the rows' offsets v in units
+    of their leaf's target half-width. Everything but f."""
+
+    k: int
+    C: np.ndarray
+    levels: tuple[_FarLevel, ...]
+    ua: np.ndarray
+    ub: np.ndarray
+    h: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def of(cls, t, x, beta, levels: list[_Level], lists, k: int) -> "_FarField":
+        n = t.shape[0] - 1
+        # (X + R v - s)^beta = sum_(p,q) C_pq Delta^beta (R v/Delta)^p (-r u/Delta)^q,
+        # Delta = X - c, C_pq = binom(p+q, p) binom(beta, p+q); kept for p + q < k
+        pq = np.add.outer(np.arange(k), np.arange(k))
+        C = _PASCAL[:k, :k] * _binomials(beta, 2 * k)[pq]
+        C[pq >= k] = 0.0
+        out = []
+        for lev, box in enumerate(levels):
+            up = down = None
+            if lev < len(levels) - 1:
+                parent = levels[lev + 1]
+                i = np.arange(box.c.size) // 2
+                up = ((box.c - parent.c[i]) / parent.r[i], box.r / parent.r[i])
+                down = (_divide(box.X - parent.X[i], parent.R[i]), _divide(box.R, parent.R[i]))
+            tk, sj = lists[lev]
             delta = box.X[tk] - box.c[sj]
-            z = C @ (moments[lev][:, sj] * _powers(-box.r[sj] / delta, k))
-            z *= _powers(box.R[tk] / delta, k)
-            z *= delta**beta
             order = np.argsort(tk, kind="stable")
-            tk = tk[order]
-            first = np.flatnonzero(np.r_[True, tk[1:] != tk[:-1]])
-            loc[:, tk[first]] += np.add.reduceat(z[:, order], first, axis=1)
-        moments[lev] = None
-    leaf = levels[0]
-    n = t.shape[0] - 1
-    rows = np.minimum(np.arange(1, leaf.c.size * _LEAF + 1), n).reshape(-1, _LEAF)
-    v = _divide(x[rows] - leaf.X[:, None], np.repeat(leaf.R[:, None], _LEAF, axis=1))
-    acc = np.repeat(loc[k - 1][:, None], _LEAF, axis=1)
-    for p in range(k - 2, -1, -1):
-        acc *= v
-        acc += loc[p][:, None]
-    return acc.ravel()[:n]
+            sorted_tk = tk[order]
+            first = np.flatnonzero(np.r_[True, sorted_tk[1:] != sorted_tk[:-1]])
+            out.append(_FarLevel(box.c.size, up, down, sj, -box.r[sj] / delta,
+                                 box.R[tk] / delta, delta**beta, order, first,
+                                 sorted_tk[first]))
+        leaf = levels[0]
+        pad = leaf.c.size * _LEAF
+        box = np.arange(n) // _LEAF
+        ua, ub = np.zeros((2, pad))
+        ua[:n] = (t[:-1] - leaf.c[box]) / leaf.r[box]
+        ub[:n] = (t[1:] - leaf.c[box]) / leaf.r[box]
+        rows = np.minimum(np.arange(1, pad + 1), n).reshape(-1, _LEAF)
+        v = _divide(x[rows] - leaf.X[:, None], np.repeat(leaf.R[:, None], _LEAF, axis=1))
+        return cls(k, C, tuple(out), ua, ub, np.diff(t), v)
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """Rows 1..N: moments up the tree (M2M), one local expansion per
+        target box (M2L), shifted down (L2L) and summed at the rows as one
+        polynomial of degree k - 1."""
+        k = self.k
+        moments = [_leaf_moments(self.ua, self.ub, self.h, f, k)]
+        for box in self.levels[:-1]:
+            s = _shift_moments(moments[-1], *box.up)
+            if s.shape[1] % 2:
+                s = np.concatenate([s, np.zeros((k, 1))], axis=1)
+            moments.append(s[:, ::2] + s[:, 1::2])
+        loc = np.zeros((k, self.levels[-1].size))
+        for lev in range(len(self.levels) - 1, -1, -1):
+            box = self.levels[lev]
+            if box.down is not None:
+                loc = _shift_locals(loc[:, np.arange(box.size) // 2], *box.down)
+            if box.source.size:
+                z = self.C @ (moments[lev][:, box.source] * _powers(box.source_ratio, k))
+                z *= _powers(box.target_ratio, k)
+                z *= box.scale
+                loc[:, box.targets] += np.add.reduceat(z[:, box.order], box.first, axis=1)
+            moments[lev] = None
+        acc = np.repeat(loc[k - 1][:, None], _LEAF, axis=1)
+        for p in range(k - 2, -1, -1):
+            acc *= self.v
+            acc += loc[p][:, None]
+        return acc.ravel()[: self.h.size]
+
+
+def _tree(t: np.ndarray, x: np.ndarray, beta: float):
+    """The far field's geometry (None when no level admits a pair) and the
+    (target, source) leaf pairs that no level admits."""
+    levels = _levels(t, x)
+    lists, rho, split = _interactions(levels)
+    if not rho > 0.0:
+        return None, split
+    return _FarField.of(t, x, beta, levels, lists, _expansion_order(beta, rho)), split
+
+
+def _panel_terms(xr, tj, hj, bp1, bp2):
+    """The per-(row, panel) terms of the near field, from D0 = x_n - t_j and
+    L = log1p(-h_j/D0) = log((D0 - h)/D0): D0, expm1((b+1) L) =
+    -(b+1) m0 / D0^(b+1), expm1((b+2) L) = -dQ / D0^(b+2), and D0^(b+1)."""
+    d0 = xr - tj
+    ratio = np.log1p(np.divide(-hj, d0))
+    m0 = np.expm1(bp1 * ratio)
+    dq = np.expm1(np.multiply(bp2, ratio, out=ratio), out=ratio)
+    return d0, m0, dq, d0**bp1
 
 
 def _near_field(t, x, f, beta, T, S, own) -> np.ndarray:
@@ -360,17 +444,115 @@ def _near_field(t, x, f, beta, T, S, own) -> np.ndarray:
             # with own, panel a + i lies before the rows of column i and up
             cols = slice(i if own else 0, None)
             j = np.minimum(a + i, n - 1)[:, None]
-            d0 = xr[:, cols] - t[j]
-            ratio = np.log1p(np.divide(-h[j], d0))  # log((D0 - h)/D0)
-            m0 = np.expm1(bp1 * ratio)  # -(b+1) m0 / D0^(b+1)
-            dq = np.expm1(np.multiply(bp2, ratio, out=ratio), out=ratio)
+            d0, m0, dq, scale = _panel_terms(xr[:, cols], t[j], h[j], bp1, bp2)
             dq *= d0
             dq *= slope[j]  # -slope dQ/(b+2) / D0^(b+1)
             m0 *= line_slope[j] * d0 + line_at[j]
             m0 += dq
-            m0 *= d0**bp1
+            m0 *= scale
             acc[:, cols] += m0
     return np.bincount(rows[live], weights=acc[live], minlength=n + 1)
+
+
+def _near_weights(t, x, beta, T, S, own) -> np.ndarray:
+    """The near field of _near_field as node weights: W[p, i, r] multiplies
+    f at node S_p * _LEAF + i in row T_p * _LEAF + r + 1 (rows past t_N
+    and nodes past it are padding).
+
+    Per unit D0^(b+1), panel j gives f_(j+1) the weight
+    g = (D0/h)(expm1((b+2) L)/(b+2) - expm1((b+1) L)/(b+1)) and f_j the
+    weight -expm1((b+1) L)/(b+1) - g: _near_field's terms with f_mid +
+    slope D_m = f_j + slope D0 expanded in f_j and f_(j+1).
+    """
+    bp1 = beta + 1.0
+    bp2 = beta + 2.0
+    n = t.shape[0] - 1
+    h = np.diff(t)
+    xr = x[np.minimum(T[:, None] * _LEAF + np.arange(1, _LEAF + 1), n)]
+    a = S * _LEAF
+    W = np.zeros((T.size, _LEAF + 1, _LEAF))
+    with np.errstate(divide="ignore"):
+        for i in range(_LEAF):
+            cols = slice(i if own else 0, None)
+            j = np.minimum(a + i, n - 1)[:, None]
+            d0, lo, hi, scale = _panel_terms(xr[:, cols], t[j], h[j], bp1, bp2)
+            lo /= -bp1
+            hi /= bp2
+            hi += lo
+            d0 /= h[j]
+            hi *= d0  # g
+            lo -= hi
+            lo *= scale
+            hi *= scale
+            W[:, i, cols] += lo
+            W[:, i + 1, cols] += hi
+    return W
+
+
+@dataclass(frozen=True)
+class _Planned:
+    """_prodint_linear's geometry on the nodes t for one (beta,
+    kernel_origin): the far field's, and the near field as node weights
+    (_near_weights), one table per leaf group. A group is (targets,
+    sources, W): the rows' own leaf, then the d-th leaf before it for
+    d <= _GAP (slices), then the leaf pairs no level admits (index arrays,
+    whose targets repeat on meshes that grade faster than t^3)."""
+
+    t: np.ndarray
+    beta: float
+    kernel_origin: float
+    far: _FarField | None
+    near: tuple[tuple, ...]
+
+    @classmethod
+    def of(cls, t: np.ndarray, beta: float, kernel_origin: float) -> "_Planned":
+        x = kernel_origin * t
+        far, (ek, ej) = _tree(t, x, beta)
+        k = np.arange(-(-(t.shape[0] - 1) // _LEAF))
+        near = [(slice(d, None), slice(0, k.size - d),
+                 _near_weights(t, x, beta, k[d:], k[: k.size - d], own=d == 0))
+                for d in range(min(_GAP + 1, k.size))]
+        if ek.size:
+            near.append((ek, ej, _near_weights(t, x, beta, ek, ej, own=False)))
+        return cls(t, beta, kernel_origin, far, tuple(near))
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """The kernel's rows for the node values f: the far field, plus one
+        batched matmul per near group on f's leaf windows of _LEAF + 1 nodes."""
+        n = self.t.shape[0] - 1
+        out = np.zeros(n + 1)
+        if self.far is not None:
+            out[1:] = self.far.apply(f)
+        leaves = -(-n // _LEAF)
+        padded = np.zeros(leaves * _LEAF + 1)
+        padded[: n + 1] = f
+        windows = np.lib.stride_tricks.sliding_window_view(padded, _LEAF + 1)[::_LEAF, None]
+        near = np.zeros((leaves, _LEAF))
+        for targets, sources, W in self.near:
+            rows = (windows[sources] @ W)[:, 0]
+            if isinstance(targets, slice):
+                near[targets] += rows
+            else:
+                np.add.at(near, targets, rows)  # unbuffered: a target may repeat
+        out[1:] += near.ravel()[:n]
+        return out
+
+
+class KernelPlan:
+    """A slot for _prodint_linear's geometry, filled by the first call that
+    is given it and read by every later call on the same nodes, beta and
+    kernel origin (another triple rebuilds it). solve makes one for its
+    Picard steps and drops it on return; a call without a plan builds
+    nothing it does not use."""
+
+    def __init__(self) -> None:
+        self._planned: _Planned | None = None
+
+    def geometry(self, t: np.ndarray, beta: float, kernel_origin: float) -> _Planned:
+        p = self._planned
+        if p is None or p.t is not t or (p.beta, p.kernel_origin) != (beta, kernel_origin):
+            p = self._planned = _Planned.of(t, beta, kernel_origin)
+        return p
 
 
 def _prodint_linear(
@@ -378,6 +560,7 @@ def _prodint_linear(
     f: np.ndarray,
     beta: float,
     kernel_origin: float = 1.0,
+    plan: KernelPlan | None = None,
 ) -> np.ndarray:
     """out[n] = integral over [t_0, t_n] of (kernel_origin*t_n - s)^beta f_h(s) ds.
 
@@ -386,29 +569,33 @@ def _prodint_linear(
     lies outside the domain (kernels like (2t - s)^beta). The tree reads
     its geometry from t, so every mesh and both origins take one path.
 
-    Treecode (see the module docstring): the near field (_near_field) is
-    exact; the far field (_far_field) is a binomial expansion about box
-    centres admitted at (R + r)/(X - c) <= _RHO, truncated at the order
-    that keeps the dropped tail below _TRUNCATION of each block's
-    int |K| |f_h|. The rule is exact whenever f is piecewise linear, up to
-    that tail and rounding. Work O(N), transient memory O(N).
+    Treecode (see the module docstring): the near field is exact; the far
+    field (_FarField) is a binomial expansion about box centres admitted
+    at (R + r)/(X - c) <= _RHO, truncated at the order that keeps the
+    dropped tail below _TRUNCATION of each block's int |K| |f_h|. The rule
+    is exact whenever f is piecewise linear, up to that tail and rounding.
+    Without a plan the near field is summed panel by panel with f
+    (_near_field): work O(N), transient memory O(N). With one, the
+    geometry is built once into the plan and each call is its apply.
     """
     if not beta > -1.0:
         raise ValueError(f"kernel exponent must exceed -1, got {beta!r}")
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
     n = t.shape[0] - 1
-    out = np.zeros(n + 1)
     if n == 0:
-        return out
+        return np.zeros(1)
+    if plan is not None:
+        return plan.geometry(t, beta, kernel_origin).apply(f)
+    out = np.zeros(n + 1)
     x = kernel_origin * t
-    levels = _levels(t, x)
-    lists, rho, (ek, ej) = _interactions(levels)
-    if rho > 0.0:
-        out[1:] = _far_field(t, x, f, beta, levels, lists, _expansion_order(beta, rho))
+    far, (ek, ej) = _tree(t, x, beta)
+    if far is not None:
+        out[1:] = far.apply(f)
+        far = None  # O(N) geometry: free before the near field's transients
     # the rows' own leaf, then the _GAP leaves before it and the leaf pairs
     # no level admitted
-    k = np.arange(levels[0].c.size)
+    k = np.arange(-(-n // _LEAF))
     out += _near_field(t, x, f, beta, k, k, own=True)
     T = np.concatenate([k[d:] for d in range(1, _GAP + 1)] + [ek])
     if T.size:
@@ -418,7 +605,7 @@ def _prodint_linear(
 
 
 def _conv_power_kernel(
-    f: GridFunction, beta: float, kernel_origin: float = 1.0
+    f: GridFunction, beta: float, kernel_origin: float = 1.0, plan: KernelPlan | None = None
 ) -> tuple[np.ndarray, float, float]:
     """Head-peeled evaluation of int_0^t (o*t - s)^beta f(s) ds at the nodes.
 
@@ -426,7 +613,7 @@ def _conv_power_kernel(
     analytic image of the head c*t^e is head_coefficient * t^(e + beta + 1).
     Only kernel_origin = 1 admits the closed-form head; a shifted kernel is
     smooth on the domain, so a continuous head is folded into the values
-    and only a genuinely singular head is refused.
+    and only a genuinely singular head is refused. plan goes to the kernel.
     """
     t = f.grid.nodes
     c = f.head_coefficient
@@ -436,9 +623,9 @@ def _conv_power_kernel(
             raise ValueError("shifted kernels cannot take singular integrands")
         plain = f.values.copy()
         plain[0] = c if e == 0.0 else 0.0
-        return _prodint_linear(t, plain, beta, kernel_origin=kernel_origin), 0.0, 0.0
+        return _prodint_linear(t, plain, beta, kernel_origin=kernel_origin, plan=plan), 0.0, 0.0
     r = f.regular_part()
-    quad = _prodint_linear(t, r, beta, kernel_origin=kernel_origin)
+    quad = _prodint_linear(t, r, beta, kernel_origin=kernel_origin, plan=plan)
     if c == 0.0:
         return quad, 0.0, 0.0
     # int_0^t s^e (t-s)^beta ds = B(1+e, 1+beta) t^(1+e+beta)
@@ -459,9 +646,13 @@ def _assemble(grid: GradedGrid, reg_values: np.ndarray, e_out: float,
     return GridFunction(grid, reg_values + c_out if c_out != 0.0 else reg_values.copy())
 
 
-def convolve(f: GridFunction, beta: float, kernel_origin: float = 1.0) -> GridFunction:
-    """int_0^t (kernel_origin*t - s)^beta f(s) ds, head assembled in closed form."""
-    return _assemble(f.grid, *_conv_power_kernel(f, beta, kernel_origin))
+def convolve(f: GridFunction, beta: float, kernel_origin: float = 1.0,
+             plan: KernelPlan | None = None) -> GridFunction:
+    """int_0^t (kernel_origin*t - s)^beta f(s) ds, head assembled in closed form.
+
+    A KernelPlan, passed by a caller that convolves on one grid with one
+    exponent again and again, keeps the kernel's geometry between calls."""
+    return _assemble(f.grid, *_conv_power_kernel(f, beta, kernel_origin, plan))
 
 
 def peeled_integral(f: GridFunction, order: float) -> tuple[np.ndarray, float, float]:

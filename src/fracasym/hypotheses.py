@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -481,19 +481,14 @@ class Lemma1Profile:
     Grid functions B (weighted running sup of |a|), C (power-kernel
     convolution of a), their non-increasing right envelopes B*, C*, and
     E(t) = ||C||_L2(t, inf).  lemma2's gate and step read C, C*, E and the
-    c- and e-norms; B, B* and the b-norms cost one running max.  D (C's
-    kernel pushed to the doubled argument) and D* cost a second kernel call
-    that no gate reads, so they are computed on first read from a (the
-    coefficient on the grid) and its envelope.  Scalar norms close their
-    tails with _power_tail, under a bound of C that fails when a's mean or
-    first moment is nonzero (see lemma1_profile); a divergent tail is inf.
-    D*'s value past the horizon is 2 t_max^(alpha-2) _power_tail(A, p-1,
-    t_max), so a zero envelope's is 0 at any exponent.
+    c- and e-norms; B, B* and the b-norms cost one running max.  Scalar
+    norms close their tails with _power_tail, under a bound of C that fails
+    when a's mean or first moment is nonzero (see lemma1_profile); a
+    divergent tail is inf.
     """
 
     alpha: float
     grid: GradedGrid
-    a: GridFunction
     envelope: TailModel
     B: GridFunction
     B_star: GridFunction
@@ -517,18 +512,6 @@ class Lemma1Profile:
     n_zeros: int
     t0: float
     T0: float
-
-    @cached_property
-    def D(self) -> GridFunction:
-        """|int_0^t a(s)(2t-s)^(alpha-1) ds| at the nodes."""
-        conv = convolve(self.a, self.alpha - 1.0, kernel_origin=2.0)
-        return GridFunction(self.grid, np.abs(conv.values))
-
-    @cached_property
-    def D_star(self) -> GridFunction:
-        A, p, t_max = self.envelope.amplitude, self.envelope.exponent, self.grid.t_max
-        beyond = 2.0 * t_max ** (self.alpha - 2.0) * _power_tail(A, p - 1.0, t_max)
-        return GridFunction(self.grid, _running_max_from_right(self.D.pointwise_values(), beyond))
 
 
 # --------------------------------------------------------------------------
@@ -898,7 +881,7 @@ def lemma1_profile(a: Coefficient, alpha: float,
     starred versions are sup_{s>=t}, E(t) = ||C||_L2(t, inf).  Past the
     horizon the tails take |C| <= K t^(alpha-p), K = A 2^(p-alpha)
     (1/alpha + 2/(p-2)) for p > 2 and inf otherwise (0 when A = 0); an
-    infinite K makes C's sup, C* and D* inf as well.  That is no bound when
+    infinite K makes C's sup and C* inf as well.  That is no bound when
     a's mean m0 or first moment m1 is nonzero, for then
     C(t) ~ m0 t^(alpha-1) + (1-alpha) m1 t^(alpha-2).
     """
@@ -912,7 +895,7 @@ def lemma1_profile(a: Coefficient, alpha: float,
     q = p - al  # past the horizon B <= A s^-q, and C is taken as <= K s^-q
     t_max = grid.t_max
     zs = _breakpoints(a, 0.0, t_max)
-    # a is sampled on the grid once, for B, C and a later read of D
+    # a is sampled on the grid once, for B and C
     fa = GridFunction.from_callable(grid, a)
 
     # B and B*: right-running sup of |a| with the envelope floor at the horizon
@@ -975,7 +958,7 @@ def lemma1_profile(a: Coefficient, alpha: float,
     T0 = max(1.0, t0) if n_zeros == 1 else math.nan
 
     return Lemma1Profile(
-        alpha=al, grid=grid, a=fa, envelope=env, B=B, B_star=B_star,
+        alpha=al, grid=grid, envelope=env, B=B, B_star=B_star,
         C=C, C_star=C_star, E=E,
         c_l1=c_l1, c_l2=c_l2, c_sup=c_sup, c_star_l1=c_star_l1, e_l1=e_l1,
         b_l1=b_l1, b_l2=b_l2, b_sup=b_sup,

@@ -38,7 +38,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .coeffexpr import Coefficient, coefficient_to_json_dict
-from .fracops import as_alpha, convolve, trusted_slice
+from .fracops import KernelPlan, as_alpha, convolve, trusted_slice
 from .hypotheses import (
     EnvelopeError,
     Lemma1Profile,
@@ -219,7 +219,7 @@ def _coefficient_times(spec: SolveSpec, x: GridFunction) -> GridFunction:
     return GridFunction(x.grid, gv)
 
 
-def _tail_coupling(spec: SolveSpec, x: GridFunction) -> np.ndarray:
+def _tail_coupling(spec: SolveSpec, x: GridFunction, plan: KernelPlan | None) -> np.ndarray:
     """Node values of (1/Gamma(al)) int_0^t (t-s)^(al-1) int_s^inf (a x) ds.
 
     Uses the single-tail fold: the double integral equals
@@ -229,7 +229,7 @@ def _tail_coupling(spec: SolveSpec, x: GridFunction) -> np.ndarray:
     al = spec.alpha
     g = _coefficient_times(spec, x)
     total = integrate(g)
-    K = convolve(g, al).pointwise_values()
+    K = convolve(g, al, plan=plan).pointwise_values()
     t = x.grid.nodes
     return (t**al * total - K) / (al * gamma(al))
 
@@ -246,23 +246,24 @@ def _split_budget(spec: SolveSpec, x: GridFunction) -> float:
     return max(1.0, spec.split**spec.alpha) * neglected / gamma(1.0 + spec.alpha)
 
 
-def _split_step(x: GridFunction, spec: SolveSpec) -> GridFunction:
+def _split_step(x: GridFunction, spec: SolveSpec, plan: KernelPlan | None) -> GridFunction:
     """spec.head + coupling. The coupling vanishes at 0 faster than the
     head, so node 0 keeps a: the value for thm1, the t^(al-1) coefficient
     for thm2."""
     head = spec.head
-    return GridFunction(x.grid, head.values + _tail_coupling(spec, x),
+    return GridFunction(x.grid, head.values + _tail_coupling(spec, x, plan),
                         head_exponent=head.head_exponent)
 
 
-def step_thm1(x: GridFunction, spec: SolveSpec) -> GridFunction:
-    """One application of the bounded-growth integral map: a + b t^al + coupling."""
-    return _split_step(x, spec)
+def step_thm1(x: GridFunction, spec: SolveSpec, plan: KernelPlan | None = None) -> GridFunction:
+    """One application of the bounded-growth integral map: a + b t^al + coupling.
+    plan, if given, keeps the convolution's geometry for the next step."""
+    return _split_step(x, spec, plan)
 
 
-def step_thm2(x: GridFunction, spec: SolveSpec) -> GridFunction:
+def step_thm2(x: GridFunction, spec: SolveSpec, plan: KernelPlan | None = None) -> GridFunction:
     """As step_thm1 with the singular head a t^(al-1) + b t^al."""
-    return _split_step(x, spec)
+    return _split_step(x, spec, plan)
 
 
 # --------------------------------------------------------------------------
@@ -302,12 +303,13 @@ def _inverse_square_sweep(y: GridFunction) -> np.ndarray:
     return out
 
 
-def step_thm3(y: GridFunction, spec: SolveSpec) -> GridFunction:
+def step_thm3(y: GridFunction, spec: SolveSpec, plan: KernelPlan | None = None) -> GridFunction:
     """One application of the linear-growth map in the t^(1-al)-weighted space.
 
     Four pieces: the t^(al-1) head with analytic coefficient, the signed
     convolution of s a(s), and the inverse-square tail coupling entering
-    once globally (through the head) and once under the convolution.
+    once globally (through the head) and once under the convolution, which
+    takes plan as step_thm1's does.
     """
     _check_grid(y, spec)
     al = spec.alpha
@@ -324,7 +326,7 @@ def step_thm3(y: GridFunction, spec: SolveSpec) -> GridFunction:
     w[0] = c_w
     w_fun = GridFunction(grid, w, head_exponent=al - 1.0 if c_w != 0.0 else 0.0)
     coupling_mass = integrate(w_fun)
-    conv_w = convolve(w_fun, al - 1.0).values
+    conv_w = convolve(w_fun, al - 1.0, plan=plan).values
 
     head = spec.a + (spec.b * moment1 - coupling_mass) / ga
     vals = np.empty(grid.n + 1)
@@ -495,7 +497,8 @@ class Chain:
     flags names the report's booleans that the gate needs besides k, so
     a refusal can say which hypothesis failed. requires is the (a, b)
     predicate with its error message; operand is the step map's second
-    argument. head is the equation a thm chain solves: the operator case
+    argument, and its third the KernelPlan that solve makes for the
+    iteration (a step that convolves passes it to convolve). head is the equation a thm chain solves: the operator case
     and, at order alpha, the exponents e0, e1 of the solution head
     a t^e0 + b t^e1 (SolveSpec.head builds it for the split-time steps,
     verify.chain_head derives the rest). A chain without one names in
@@ -508,7 +511,7 @@ class Chain:
     constants: Callable[[Coefficient, float, list, GradedGrid, Any], Any]
     k_field: str
     seed: Callable[[SolveSpec, Any], GridFunction]
-    step: Callable[[GridFunction, Any], GridFunction]
+    step: Callable[[GridFunction, Any, KernelPlan], GridFunction]
     metric: str
     budget: Callable[[SolveSpec, GridFunction, Gate], float]
     flags: tuple[str, ...] = ()
@@ -536,7 +539,7 @@ CHAINS: dict[str, Chain] = {
         k_field="k",
         requires=_NONZERO_PAIR,
         seed=lambda spec, _: spec.head,
-        step=lambda x, spec: step_thm1(x, spec),
+        step=lambda x, spec, plan: step_thm1(x, spec, plan),
         metric="sup_over_t_alpha_after_T",
         budget=lambda spec, x, g: _split_budget(spec, x),
         flags=("tail_ok",),
@@ -547,7 +550,7 @@ CHAINS: dict[str, Chain] = {
         k_field="k4",
         requires=_NONZERO_PAIR,
         seed=lambda spec, _: spec.head,
-        step=lambda x, spec: step_thm2(x, spec),
+        step=lambda x, spec, plan: step_thm2(x, spec, plan),
         metric="sup_over_t_alpha_after_T",
         budget=lambda spec, x, g: _split_budget(spec, x),
         flags=("tail_ok",),
@@ -559,7 +562,7 @@ CHAINS: dict[str, Chain] = {
         requires=(lambda a, b: b != 0.0, "the linear-growth case needs b != 0"),
         seed=lambda spec, _: GridFunction(
             spec.grid, np.zeros(spec.grid.n + 1), head_exponent=spec.alpha - 1.0),
-        step=lambda y, spec: step_thm3(y, spec),
+        step=lambda y, spec, plan: step_thm3(y, spec, plan),
         metric="sup_t_one_minus_alpha",
         reconstruct=lambda spec, y: (reconstruct_thm3(y, spec.b), {}),
         budget=lambda spec, y, g: _thm3_budget(spec, y),
@@ -577,7 +580,7 @@ CHAINS: dict[str, Chain] = {
         # sufficient, and the gamma C* ball holds with room to spare.
         operand=lambda spec, g: g.profile.C.scaled(1.0 / gamma(spec.alpha)),
         seed=lambda spec, cfun: GridFunction(spec.grid, -cfun.pointwise_values()),
-        step=lambda y, cfun: step_lemma2(y, cfun),
+        step=lambda y, cfun, plan: step_lemma2(y, cfun),
         metric="max_sup_and_L1",
         reconstruct=_prop1_solution,
         budget=lambda spec, y, g: _lemma2_budget(spec, g),
@@ -640,12 +643,14 @@ def solve(spec: SolveSpec) -> SolveResult:
 
     operand = chain.operand(spec, g)
     current = chain.seed(spec, operand)
+    # the steps' convolutions share one geometry, built by the first
+    plan = KernelPlan()
     metric = WeightedMetric(chain.metric, split=spec.split, alpha=spec.alpha)
     distances: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, spec.max_iterations + 1):
-        nxt = chain.step(current, operand)
+        nxt = chain.step(current, operand, plan)
         d = metric_distance(metric, nxt, current)
         distances.append(d)
         current = nxt

@@ -396,7 +396,7 @@ class TestIntegrabilityProfile:
 
     def test_envelopes_non_increasing(self, mean_zero_profile):
         p = mean_zero_profile
-        for g in (p.B_star, p.C_star, p.D_star, p.E):
+        for g in (p.B_star, p.C_star, p.E):
             assert np.all(np.diff(g.values) <= 1e-15)
 
     def test_star_origin_equals_sup_norm(self, mean_zero_profile):
@@ -404,12 +404,12 @@ class TestIntegrabilityProfile:
         assert p.C_star.values[0] == p.c_sup
         assert p.E.values[0] == p.c_l2
         # for p <= 2 nothing bounds C past the horizon, so its sup reads inf
-        # with its norms, and so do C* and D* at the horizon
+        # with its norms, and so does C* at the horizon
         slow = lemma1_profile(power_coeff("0.01 / (1+t)^1.5", 0.01, 1.5), AL,
                               grid=make_graded_grid(HOR, 1024))
         assert slow.C_star.values[0] == slow.c_sup == math.inf
         assert math.isinf(slow.c_l1) and math.isinf(slow.c_star_l1) and math.isinf(slow.e_l1)
-        assert slow.C_star.values[-1] == slow.D_star.values[-1] == math.inf
+        assert slow.C_star.values[-1] == math.inf
 
     def test_scalar_norms_finite_and_flags(self, mean_zero_profile):
         p = mean_zero_profile
@@ -436,40 +436,11 @@ class TestIntegrabilityProfile:
             # grid convolution only carries a few digits of it
             assert cvals[j] == pytest.approx(ref, rel=1e-3, abs=1e-10)
 
-    def test_doubled_kernel_bound_chain(self, mean_zero_profile):
-        # D(t) <= t^(al-1) int_t^inf |a| + (1-al) t^(al-2) int_0^inf s|a|;
-        # the tail-moment-only variant fails for coefficients whose first
-        # moment is nonzero, so the full-moment chain is what must hold
-        p = mean_zero_profile
-        g = p.grid
-        fn = lambda s: abs(0.01 * (1 - s) * np.exp(-s))
-        full_moment = quad(lambda s: s * fn(s), 0, np.inf,
-                           epsabs=1e-16, epsrel=1e-12, limit=400)[0]
-        dvals = p.D.pointwise_values()
-        idx = np.nonzero(g.nodes >= p.T0)[0][::257]
-        for j in idx:
-            t = g.nodes[j]
-            tail_abs = quad(fn, t, np.inf, epsabs=1e-18, epsrel=1e-12,
-                            limit=400)[0]
-            bound = (t ** (AL - 1) * tail_abs
-                     + (1 - AL) * t ** (AL - 2) * full_moment)
-            assert dvals[j] <= bound * (1 + 1e-6) + 1e-12
-
     def test_multiple_sign_changes_flagged_not_fatal(self):
         a = power_coeff("0.001 * sin(t) * exp(-t)", 1.0, 6.0)
         p = lemma1_profile(a, AL)
         assert p.n_zeros > 1
         assert math.isnan(p.t0) and math.isnan(p.T0)
-
-    def test_zero_envelope_closes_d_star_at_any_exponent(self):
-        # a mean-zero table that is 0 from t = 3 on: its zero envelope bounds
-        # the tail past the horizon by 0, whatever exponent it declares
-        samples = [[0.0, 0.02], [1.0, 0.0], [2.0, -0.01], [3.0, 0.0], [HOR, 0.0]]
-        grid = make_graded_grid(HOR, 1024)
-        d_star = [lemma1_profile(Coefficient.from_samples(samples, TailModel("power", 0.0, p, 3.0)),
-                                 AL, grid=grid).D_star.values for p in (1.5, 6.0)]
-        assert np.all(np.isfinite(d_star[0]))
-        np.testing.assert_array_equal(*d_star)
 
     def test_zero_coefficient_profile(self, zero_coeff):
         p = lemma1_profile(zero_coeff, AL)
@@ -482,8 +453,8 @@ class TestIntegrabilityProfile:
         for key in ("alpha", "c_l1", "c_star_l1", "envelope",
                     "e_l1", "intermed2", "mean_zero", "t0", "b_l1", "b_l2", "b_sup"):
             assert key in d
-        # the grid, the sampled coefficient and the profile's grid functions stay out
-        assert not {"grid", "a", "B", "B_star", "C", "C_star", "E"} & set(d)
+        # the grid and the profile's grid functions stay out
+        assert not {"grid", "B", "B_star", "C", "C_star", "E"} & set(d)
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +465,7 @@ def synthetic_profile(c_sup=0.3, c_star_l1=0.2, c_l1=0.1, c_l2=0.1, e_l1=0.1):
     g = make_graded_grid(t_max=10.0, n=16)
     z = GridFunction(g, np.zeros(g.n + 1))
     return Lemma1Profile(
-        alpha=AL, grid=g, a=z, envelope=TailModel("power", 0.0, 6.0, 1.0),
+        alpha=AL, grid=g, envelope=TailModel("power", 0.0, 6.0, 1.0),
         B=z, B_star=z, C=z, C_star=z, E=z,
         c_l1=c_l1, c_l2=c_l2, c_sup=c_sup, c_star_l1=c_star_l1, e_l1=e_l1,
         b_l1=0.0, b_l2=0.0, b_sup=0.0,

@@ -7,11 +7,13 @@ the kernel, a loop that formed the panel moments m0 and m1 row by row,
 is kept below as a test-local oracle, in float64 and in extended
 precision. The test names still say "factored rows" and "power rows"
 after the two row kinds the treecode replaced; both now run the same
-code.
+code. The properties run each of the kernel's two routes (ROUTES): the
+direct call, and the apply of a KernelPlan that an earlier call built.
 """
 
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from fracasym import fracops, solver
 from fracasym.cli import main
-from fracasym.fracops import _prodint_linear
+from fracasym.fracops import KernelPlan, _prodint_linear
 from fracasym.meshfun import make_graded_grid
 from fracasym.solver import SolveSpec, solve
 
@@ -70,6 +72,21 @@ def _abs_scale(t, f, beta, kernel_origin=1.0):
 
 
 # --------------------------------------------------------------------------
+# the two routes: the direct call, and a plan's apply
+# --------------------------------------------------------------------------
+
+
+def _planned(t, f, beta, kernel_origin=1.0):
+    """The kernel through a plan that a call on another integrand built, so
+    that what runs is the apply a solve's later steps make."""
+    plan = KernelPlan()
+    _prodint_linear(t, np.ones_like(f), beta, kernel_origin, plan=plan)
+    return _prodint_linear(t, f, beta, kernel_origin, plan=plan)
+
+
+ROUTES = (_prodint_linear, _planned)
+
+# --------------------------------------------------------------------------
 # exactness on linear integrands, every path
 # --------------------------------------------------------------------------
 
@@ -95,10 +112,11 @@ def test_exact_on_linear_integrands(grading, beta, origin, c0, c1, n, t_max):
     # lies below the smallest positive float, and one unit of rounding fails it
     g = make_graded_grid(t_max, n, grading)
     t = g.nodes
-    got = _prodint_linear(t, c0 + c1 * t, beta, kernel_origin=origin)
     want = _linear_closed_form(t, c0, c1, beta, origin)
     scale = float(np.max(_linear_closed_form(t, abs(c0), abs(c1), beta, origin)))
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    for kernel in ROUTES:
+        got = kernel(t, c0 + c1 * t, beta, origin)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 # --------------------------------------------------------------------------
@@ -124,9 +142,10 @@ def test_factored_rows_match_extended_precision(beta, n, t_max, grading, origin,
     # the column max off in the power rows
     t = make_graded_grid(t_max, n, grading).nodes
     f = c[0] + c[1] * np.exp(-rate * t) + c[2] * np.sin(rate * t) + c[3] / (1.0 + t) ** power
-    got = _prodint_linear(t, f, beta, origin)
     want = _extended(t, f, beta, origin)
-    assert np.max(np.abs(got - want)) <= 1e-12 * _abs_scale(t, f, beta, origin)
+    bound = 1e-12 * _abs_scale(t, f, beta, origin)
+    for kernel in ROUTES:
+        assert np.max(np.abs(kernel(t, f, beta, origin) - want)) <= bound
 
 
 # --------------------------------------------------------------------------
@@ -196,23 +215,26 @@ def test_tree_matches_extended_precision_at_depth(n, origin):
         f = coefficient(t)
         for beta in sorted({ALPHA - 1.0, ALPHA, -ALPHA}):
             want = _extended(t, f, beta, origin)
-            got = _prodint_linear(t, f, beta, origin)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            for kernel in ROUTES:
+                got = kernel(t, f, beta, origin)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_wide_pairs_split_down_to_the_near_field():
     # on a grading-8 mesh the boxes near the origin grow too fast for the
     # index pairs to be admitted; their children take over, and at the
     # leaves the near field. Exactness on a linear integrand checks that
-    # every panel is still counted once
+    # every panel is still counted once; the split leaf pairs repeat a
+    # target box, which a plan must sum without dropping any
     t = make_graded_grid(100.0, 1024, 8.0).nodes
     _, _, (split_t, _) = fracops._interactions(fracops._levels(t, t))
-    assert split_t.size > 0
+    assert split_t.size > np.unique(split_t).size
     for origin in (1.0, 2.0):
-        got = _prodint_linear(t, 2.0 - 0.03 * t, -0.7, origin)
         want = _linear_closed_form(t, 2.0, -0.03, -0.7, origin)
         scale = float(np.max(_linear_closed_form(t, 2.0, 0.03, -0.7, origin)))
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        for kernel in ROUTES:
+            got = kernel(t, 2.0 - 0.03 * t, -0.7, origin)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("origin", [1.0, 2.0])
@@ -246,15 +268,10 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_lemma2_gate_convolves_once_and_d_on_first_read(kernel_calls, sign_change_coeff):
-    # the gate decides on C; D, the doubled-argument convolution no gate
-    # reads, costs one more call on the profile's first read and no more
-    g = solver.gates("lemma2", sign_change_coeff, ALPHA, [1.0], make_graded_grid(n=512))[0]
+def test_lemma2_gate_convolves_once(kernel_calls, sign_change_coeff):
+    # the gate decides on C, its one kernel call
+    solver.gates("lemma2", sign_change_coeff, ALPHA, [1.0], make_graded_grid(n=512))
     assert len(kernel_calls) == 1
-    d, d_star = g.profile.D, g.profile.D_star
-    assert len(kernel_calls) == 2
-    assert g.profile.D is d and g.profile.D_star is d_star
-    assert len(kernel_calls) == 2
 
 
 def test_thm3_solve_convolves_the_source_once(kernel_calls, heavy_tail_coeff):
@@ -271,6 +288,70 @@ def test_split_time_solves_convolve_once_per_step(kernel_calls, case, coefficien
     r = solve(spec)
     assert r.converged
     assert len(kernel_calls) == r.iterations
+
+
+# --------------------------------------------------------------------------
+# a solve's plan: built once by its first step, dropped on return
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case, a, coefficient", [("thm1", 1.0, "slow_decay_coeff"),
+                                                  ("thm3", 0.3, "heavy_tail_coeff")])
+def test_a_solve_builds_one_plan_that_dies_with_it(monkeypatch, case, a, coefficient, request):
+    # every step's kernel call gets the plan, only the first builds it, and
+    # nothing holds it once solve has returned (thm3's source convolution,
+    # made once, goes without)
+    refs, builds = [], []
+    inner, build = fracops._prodint_linear, fracops._Planned.of
+
+    def watching(t, *args, plan=None, **kwargs):
+        if plan is not None:
+            refs.append(weakref.ref(plan))
+        return inner(t, *args, plan=plan, **kwargs)
+
+    monkeypatch.setattr(fracops, "_prodint_linear", watching)
+    monkeypatch.setattr(fracops._Planned, "of",
+                        classmethod(lambda cls, *args: builds.append(args) or build(*args)))
+    r = solve(SolveSpec(case, ALPHA, a, 1.0, request.getfixturevalue(coefficient),
+                        grid=make_graded_grid(n=512)))
+    assert len(refs) == r.iterations and len(builds) == 1
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("case, a, coefficient", [("thm1", 1.0, "slow_decay_coeff"),
+                                                  ("thm2", 1.0, "origin_quadratic_coeff"),
+                                                  ("thm3", 0.3, "heavy_tail_coeff")])
+def test_planned_solves_match_the_direct_path(monkeypatch, case, a, coefficient, request):
+    def run():
+        return solve(SolveSpec(case, ALPHA, a, 1.0, request.getfixturevalue(coefficient),
+                               grid=make_graded_grid(n=1024)))
+
+    planned = run()
+    monkeypatch.setattr(solver, "KernelPlan", lambda: None)
+    direct = run()
+    assert planned.iterations == direct.iterations
+    for got, want in ((planned.fixed_point, direct.fixed_point),
+                      (planned.solution, direct.solution)):
+        assert got.head_exponent == want.head_exponent
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(np.abs(want.values))
+
+
+def test_a_solve_at_8192_nodes_holds_one_plan(slow_decay_coeff):
+    # the plan's near-field weights take 3.3 MB at n = 8192 and its tree
+    # geometry 0.2 MB; the solve peaked at 1.9 MiB with direct steps and
+    # reads 5.0 MiB with the plan. A plan that also kept the leaf-moment
+    # polynomials (2.1 MB) or the per-pair power tables (1.3 MB) fails
+    solve(SolveSpec("thm1", ALPHA, 1.0, 1.0, slow_decay_coeff,
+                    grid=make_graded_grid(n=512)))  # the modules a solve imports lazily
+    spec = SolveSpec("thm1", ALPHA, 1.0, 1.0, slow_decay_coeff, grid=make_graded_grid(n=8192))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solve(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 5.5 * 2**20
 
 
 # --------------------------------------------------------------------------
