@@ -530,15 +530,23 @@ def coefficient_to_json_dict(coeff: Coefficient) -> dict:
 
 
 def coefficient_from_json_dict(d: dict, guard_t_max: float = 100.0) -> Coefficient:
+    """The coefficient of a JSON document; a malformed shape is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"coefficient JSON must be an object, got {type(d).__name__}")
     env = d.get("envelope")
-    if env is None:
+    if not isinstance(env, dict):
         raise ValueError("coefficient JSON needs an 'envelope' object")
-    A, p, valid_from = float(env["A"]), float(env["p"]), float(env.get("valid_from", 0.0))
+    try:
+        A, p, valid_from = float(env["A"]), float(env["p"]), float(env.get("valid_from", 0.0))
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"envelope needs numbers A, p and valid_from, got {env!r}") from e
     if not all(map(math.isfinite, (A, p, valid_from))):
         raise ValueError(f"envelope A, p and valid_from must be finite, got {env!r}")
     tail = TailModel(kind="power", amplitude=A, exponent=p, valid_from=valid_from)
     ctx = d.get("alpha-context")
     if "expr" in d:
+        if not isinstance(d["expr"], str):
+            raise ValueError(f"coefficient 'expr' must be a string, got {d['expr']!r}")
         return Coefficient.from_expression(d["expr"], tail, alpha_context=ctx,
                                            guard_t_max=guard_t_max)
     if "samples" in d:

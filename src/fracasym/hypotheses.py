@@ -478,40 +478,32 @@ class Lemma2Report:
 class Lemma1Profile:
     """Integrability profile of a mean-zero coefficient on a graded grid.
 
-    Grid functions B (weighted running sup of |a|), C (power-kernel
-    convolution of a), their non-increasing right envelopes B*, C*, and
-    E(t) = ||C||_L2(t, inf).  lemma2's gate and step read C, C*, E and the
-    c- and e-norms; B, B* and the b-norms cost one running max.  Scalar
-    norms close their tails with _power_tail, under a bound of C that fails
-    when a's mean or first moment is nonzero (see lemma1_profile); a
-    divergent tail is inf.
+    C is the power-kernel convolution of a, C* its non-increasing right
+    envelope and E(t) = ||C||_L2(t, inf).  lemma2's gate, step and budget
+    read C, C*, mean_zero, the envelope and the c- and e-norms.  B* (the
+    right envelope of B(t) = t^alpha ||a||_Linf(t, inf)), n_zeros and t0
+    (a's one sign change, else nan) are kept for the acceptance gate on
+    the mean-zero chain, their only reader.  Scalar norms close their
+    tails with _power_tail, under a bound of C that fails when a's mean or
+    first moment is nonzero (see lemma1_profile); a divergent tail is inf.
+    Lemma 1's intermediate conditions only say that these norms are
+    finite, which the gate already carries: an infinite ||C*||_L1 is an
+    EnvelopeError, an infinite ||C||_inf fails k1, and k2 reports
+    ||C||_L1 and ||E||_L1 as they are.
     """
 
-    alpha: float
-    grid: GradedGrid
     envelope: TailModel
-    B: GridFunction
     B_star: GridFunction
     C: GridFunction
     C_star: GridFunction
-    E: GridFunction
     c_l1: float
     c_l2: float
     c_sup: float
     c_star_l1: float
     e_l1: float
-    b_l1: float
-    b_l2: float
-    b_sup: float
-    intermed1: bool
-    intermed0: bool
-    intermed2: bool
-    mean_value: float
-    mean_tail_bound: float
     mean_zero: bool
     n_zeros: int
     t0: float
-    T0: float
 
 
 # --------------------------------------------------------------------------
@@ -878,7 +870,8 @@ def lemma1_profile(a: Coefficient, alpha: float,
     """The Lemma1Profile of a on grid, with one kernel call (C).
 
     B(t) = t^alpha ||a||_Linf(t, inf), C(t) = int_0^t a(s)(t-s)^(alpha-1) ds,
-    starred versions are sup_{s>=t}, E(t) = ||C||_L2(t, inf).  Past the
+    starred versions are sup_{s>=t}, E(t) = ||C||_L2(t, inf), which
+    enters only as ||C||_L2 = E(0) and ||E||_L1.  Past the
     horizon the tails take |C| <= K t^(alpha-p), K = A 2^(p-alpha)
     (1/alpha + 2/(p-2)) for p > 2 and inf otherwise (0 when A = 0); an
     infinite K makes C's sup and C* inf as well.  That is no bound when
@@ -895,19 +888,15 @@ def lemma1_profile(a: Coefficient, alpha: float,
     q = p - al  # past the horizon B <= A s^-q, and C is taken as <= K s^-q
     t_max = grid.t_max
     zs = _breakpoints(a, 0.0, t_max)
-    # a is sampled on the grid once, for B and C
+    # a is sampled on the grid once, for B* and C
     fa = GridFunction.from_callable(grid, a)
 
-    # B and B*: right-running sup of |a| with the envelope floor at the horizon
-    a_sup_beyond = A * t_max ** (-p)
-    run_sup = _running_max_from_right(np.abs(fa.values), a_sup_beyond)
-    b_vals = t ** al * run_sup
-    b_vals[0] = run_sup[0]  # head coefficient: B ~ ||a||_inf * t^alpha at 0
-    B = GridFunction(grid, b_vals, head_exponent=al)
-    b_tail_sup = A * t_max ** (al - p)
-    b_point = B.pointwise_values()
-    bstar_vals = _running_max_from_right(b_point, b_tail_sup)
-    B_star = GridFunction(grid, bstar_vals)
+    # B* from the right-running sup of |a| with the envelope floor at the
+    # horizon; B vanishes at t = 0
+    run_sup = _running_max_from_right(np.abs(fa.values), A * t_max ** (-p))
+    b_point = t ** al * run_sup
+    b_point[0] = 0.0
+    B_star = GridFunction(grid, _running_max_from_right(b_point, A * t_max ** (al - p)))
 
     # C via the product-integration convolution; past the horizon
     # |C|, and so C*, take K s^-q.  K's 2/(p-2) term is the envelope's
@@ -918,28 +907,19 @@ def lemma1_profile(a: Coefficient, alpha: float,
     c_point = np.abs(C.pointwise_values())
     c_tail_sup = K * t_max ** (-q)
     cstar_vals = _running_max_from_right(c_point, c_tail_sup)
-    C_star = GridFunction(grid, cstar_vals)
 
     # E(t) = sqrt(integral_t^inf C^2); past the horizon E(t)^2 is at most
     # the C^2 tail, so E(t) <= sqrt(K^2/(2q-1)) t^(1/2-q)
-    E = GridFunction(grid, np.sqrt(_right_cumtrapz(t, c_point ** 2)
-                                   + _power_tail(K * K, 2.0 * q, t_max)))
+    E = np.sqrt(_right_cumtrapz(t, c_point ** 2) + _power_tail(K * K, 2.0 * q, t_max))
     e_amp = math.sqrt(_power_tail(K * K, 2.0 * q, 1.0))
 
     # scalar norms; an infinite tail propagates by itself
     c_l1_tail = _power_tail(K, q, t_max)
     c_l1 = float(np.trapezoid(c_point, t)) + c_l1_tail
-    c_l2 = float(E.values[0])
+    c_l2 = float(E[0])
     c_sup = float(max(c_point.max(), c_tail_sup))
     c_star_l1 = float(np.trapezoid(cstar_vals, t)) + c_l1_tail
-    e_l1 = float(np.trapezoid(E.values, t)) + _power_tail(e_amp, q - 0.5, t_max)
-    b_l1 = float(np.trapezoid(b_point, t)) + _power_tail(A, q, t_max)
-    b_l2 = math.sqrt(float(np.trapezoid(b_point ** 2, t)) + _power_tail(A * A, 2.0 * q, t_max))
-    b_sup = float(max(b_point.max(), b_tail_sup))
-
-    intermed1 = math.isfinite(c_l1) and math.isfinite(c_sup)
-    intermed0 = math.isfinite(c_star_l1)
-    intermed2 = math.isfinite(e_l1)
+    e_l1 = float(np.trapezoid(E, t)) + _power_tail(e_amp, q - 0.5, t_max)
 
     # mean-zero check: integral of the signed coefficient + tail bound,
     # against the mass of |a|; both rows on one rule, a evaluated once
@@ -955,16 +935,11 @@ def lemma1_profile(a: Coefficient, alpha: float,
     sign_changes = a.zeros(0.0, t_max)
     n_zeros = len(sign_changes)
     t0 = sign_changes[0] if n_zeros == 1 else math.nan
-    T0 = max(1.0, t0) if n_zeros == 1 else math.nan
 
     return Lemma1Profile(
-        alpha=al, grid=grid, envelope=env, B=B, B_star=B_star,
-        C=C, C_star=C_star, E=E,
+        envelope=env, B_star=B_star, C=C, C_star=GridFunction(grid, cstar_vals),
         c_l1=c_l1, c_l2=c_l2, c_sup=c_sup, c_star_l1=c_star_l1, e_l1=e_l1,
-        b_l1=b_l1, b_l2=b_l2, b_sup=b_sup,
-        intermed1=intermed1, intermed0=intermed0, intermed2=intermed2,
-        mean_value=mean_value, mean_tail_bound=mean_tail,
-        mean_zero=mean_zero, n_zeros=n_zeros, t0=t0, T0=T0,
+        mean_zero=mean_zero, n_zeros=n_zeros, t0=t0,
     )
 
 

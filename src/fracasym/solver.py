@@ -524,7 +524,7 @@ class Chain:
     certify: Callable[[GridFunction], dict] | None = None
 
 
-_NONZERO_PAIR = (lambda a, b: a**2 + b**2 > 0.0,
+_NONZERO_PAIR = (lambda a, b: a != 0.0 or b != 0.0,
                  "the scalar pair (a, b) must not both vanish")
 
 

@@ -591,11 +591,17 @@ class TestConfig:
         rc = main(["check", "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_malformed_coefficient_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        rc = main(["check", "--coeff", str(bad), "--out", str(tmp_path)])
-        assert rc == 2
+    def test_malformed_coefficient_rejected(self, tmp_path, capsys):
+        docs = ["{not json", "[1, 2]", '{"envelope": [1, 2], "expr": "0.01"}',
+                '{"envelope": {"A": 0.01, "p": 3.5}, "expr": 5}',
+                '{"envelope": {"A": null, "p": 3.5}, "expr": "0"}']
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        for doc in docs:
+            bad.write_text(doc)
+            rc = main(["check", "--coeff", str(bad), "--out", str(out)])
+            assert rc == 2, doc
+            assert capsys.readouterr().err.startswith("error:"), doc
+            assert not out.exists(), doc
 
     def test_every_flag_is_a_run_config_field(self):
         # the flags are built from RunConfig: every field that is not
@@ -618,6 +624,18 @@ class TestConfig:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--nodes", str(10**15)], "does not fit in memory"),
+        (["--grading", "200", "--nodes", "4096"], "not strictly increasing"),
+    ], ids=["unallocatable", "nodes-rounded-together"])
+    def test_unbuildable_grid_exits_2_before_writing(self, tmp_path, slow_file, capsys,
+                                                      flags, reason):
+        rc = main(["solve", "--coeff", slow_file, "--case", "thm1", *flags,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
     def test_missing_case_exits_2_before_writing(self, tmp_path, slow_file, capsys, command):
         rc = main([command, "--coeff", slow_file, "--out", str(tmp_path / "out")])
@@ -630,3 +648,39 @@ class TestConfig:
                    "--out", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+
+# --------------------------------------------------------------------------
+# known limits: each test asserts the right behaviour and fails until its
+# defect is mended (README "Known limits")
+# --------------------------------------------------------------------------
+
+class TestKnownLimits:
+    @pytest.mark.xfail(strict=True, reason="lemma2 passes on k1 alone with mean_zero false, "
+                                           "and C's tail bound assumes a zero mean")
+    def test_lemma2_refuses_a_coefficient_with_nonzero_mean(self, tmp_path):
+        coeff = _write_coeff(tmp_path / "c.json", "0.01 * exp(-t)", 100.0, 6.0)
+        assert main(["check", "--coeff", coeff, "--case", "lemma2",
+                     "--out", str(tmp_path / "out")]) != 0
+
+    @pytest.mark.xfail(strict=True, reason="thm2 fits the origin exponent on probes "
+                                           "above the t^0.4 term that makes it diverge")
+    def test_thm2_refuses_a_divergent_origin_integral(self, tmp_path):
+        coeff = _write_coeff(tmp_path / "c.json", "0.01 * (t^2 + 1e-12 * t^0.4) / (1+t)^6",
+                             0.01, 4.0)
+        assert main(["check", "--coeff", coeff, "--case", "thm2",
+                     "--out", str(tmp_path / "out")]) != 0
+
+    @pytest.mark.xfail(strict=True, reason="the declared envelope is trusted past --tmax")
+    def test_thm1_refuses_an_envelope_the_expression_outgrows(self, tmp_path):
+        coeff = _write_coeff(tmp_path / "c.json", "0.01 / (1+t)^1.2", 40.0, 3.0)
+        assert main(["check", "--coeff", coeff, "--case", "thm1",
+                     "--out", str(tmp_path / "out")]) != 0
+
+    @pytest.mark.xfail(strict=True, reason="chi is scanned only up to the horizon")
+    def test_thm3_chi_bounds_its_sup_past_the_horizon(self, tmp_path):
+        coeff = _write_coeff(tmp_path / "c.json", "0.01/(1+t)^0.8", 0.01, 0.8)
+        out = tmp_path / "out"
+        main(["check", "--coeff", coeff, "--case", "thm3", "--out", str(out)])
+        # chi at --tmax 1e6 reads 0.045280, and chi rises with the horizon
+        assert json.loads((out / "check_thm3.json").read_text())["chi"] >= 0.04528

@@ -25,6 +25,7 @@ from fracasym.hypotheses import (
     _gj_rule,
     _weighted_moment,
     Lemma1Profile,
+    envelope_tail_integral,
     f_l1_divergence,
     lemma1_profile,
     lemma2_constants,
@@ -353,13 +354,16 @@ def test_a_sequence_of_splits_reports_each_split_alone(request, constants, name)
 # --------------------------------------------------------------------------
 
 class TestIntegrabilityProfile:
-    def test_mean_zero_and_unique_zero(self, mean_zero_profile):
+    def test_mean_zero_and_unique_zero(self, mean_zero_coeff, mean_zero_profile):
         p = mean_zero_profile
         assert p.mean_zero
-        assert abs(p.mean_value) < 1e-8
+        # the mean the flag reads, on the profile's own rule (see the next test)
+        a = mean_zero_coeff
+        mean = _weighted_moment(lambda s: np.asarray(a(s), dtype=float), 0.0, 0.0, HOR,
+                                _breakpoints(a, 0.0, HOR))
+        assert abs(mean) < 1e-8
         assert p.n_zeros == 1
         assert p.t0 == pytest.approx(1.0, abs=1e-9)
-        assert p.T0 == 1.0
 
     @pytest.mark.parametrize("text, A, p", [
         ("0.01 * (1 - t) * exp(-t)", 7.0, 6.0),
@@ -390,19 +394,18 @@ class TestIntegrabilityProfile:
         assert len(sizes) == math.ceil(sum(sizes) / hyp_module._NODE_CAP)
         assert max(sizes) <= hyp_module._NODE_CAP
         assert rows.shape == (2, 1, 1)
-        assert (prof.mean_value, rows[1, 0, 0]) == (mean, mass)
-        tail = prof.mean_tail_bound
+        assert (rows[0, 0, 0], rows[1, 0, 0]) == (mean, mass)
+        tail = envelope_tail_integral(a.envelope, 0.0, HOR)
         assert prof.mean_zero == (math.isfinite(tail) and abs(mean) <= 1e-6 * (1.0 + mass) + tail)
 
     def test_envelopes_non_increasing(self, mean_zero_profile):
         p = mean_zero_profile
-        for g in (p.B_star, p.C_star, p.E):
+        for g in (p.B_star, p.C_star):
             assert np.all(np.diff(g.values) <= 1e-15)
 
     def test_star_origin_equals_sup_norm(self, mean_zero_profile):
         p = mean_zero_profile
         assert p.C_star.values[0] == p.c_sup
-        assert p.E.values[0] == p.c_l2
         # for p <= 2 nothing bounds C past the horizon, so its sup reads inf
         # with its norms, and so does C* at the horizon
         slow = lemma1_profile(power_coeff("0.01 / (1+t)^1.5", 0.01, 1.5), AL,
@@ -413,18 +416,13 @@ class TestIntegrabilityProfile:
 
     def test_scalar_norms_finite_and_flags(self, mean_zero_profile):
         p = mean_zero_profile
+        # Lemma 1's intermediate conditions: these norms are finite
         for v in (p.c_l1, p.c_l2, p.c_sup, p.c_star_l1, p.e_l1):
             assert math.isfinite(v) and v > 0.0
-        assert p.intermed1 and p.intermed0 and p.intermed2
-
-    def test_bounded_integrable_implies_square_integrable(self, mean_zero_profile):
-        p = mean_zero_profile
-        assert math.isfinite(p.b_l1) and math.isfinite(p.b_sup)
-        assert math.isfinite(p.b_l2)
 
     def test_convolution_matches_quadrature(self, mean_zero_profile):
         p = mean_zero_profile
-        g = p.grid
+        g = p.C.grid
         cvals = p.C.pointwise_values()
         fn = lambda s: 0.01 * (1 - s) * np.exp(-s)
         for frac in (0.1, 0.45, 0.9):
@@ -440,21 +438,20 @@ class TestIntegrabilityProfile:
         a = power_coeff("0.001 * sin(t) * exp(-t)", 1.0, 6.0)
         p = lemma1_profile(a, AL)
         assert p.n_zeros > 1
-        assert math.isnan(p.t0) and math.isnan(p.T0)
+        assert math.isnan(p.t0)
 
     def test_zero_coefficient_profile(self, zero_coeff):
         p = lemma1_profile(zero_coeff, AL)
         assert p.c_l1 == 0.0 and p.c_sup == 0.0 and p.e_l1 == 0.0
-        assert p.intermed1 and p.intermed0 and p.intermed2
         assert p.mean_zero
 
     def test_json_reports_scalars(self, mean_zero_profile):
         d = json_ready(mean_zero_profile)
-        for key in ("alpha", "c_l1", "c_star_l1", "envelope",
-                    "e_l1", "intermed2", "mean_zero", "t0", "b_l1", "b_l2", "b_sup"):
+        for key in ("c_l1", "c_l2", "c_sup", "c_star_l1", "envelope",
+                    "e_l1", "mean_zero", "n_zeros", "t0"):
             assert key in d
-        # the grid and the profile's grid functions stay out
-        assert not {"grid", "B", "B_star", "C", "C_star", "E"} & set(d)
+        # the profile's grid functions stay out
+        assert not {"B_star", "C", "C_star"} & set(d)
 
 
 # --------------------------------------------------------------------------
@@ -465,13 +462,9 @@ def synthetic_profile(c_sup=0.3, c_star_l1=0.2, c_l1=0.1, c_l2=0.1, e_l1=0.1):
     g = make_graded_grid(t_max=10.0, n=16)
     z = GridFunction(g, np.zeros(g.n + 1))
     return Lemma1Profile(
-        alpha=AL, grid=g, envelope=TailModel("power", 0.0, 6.0, 1.0),
-        B=z, B_star=z, C=z, C_star=z, E=z,
+        envelope=TailModel("power", 0.0, 6.0, 1.0), B_star=z, C=z, C_star=z,
         c_l1=c_l1, c_l2=c_l2, c_sup=c_sup, c_star_l1=c_star_l1, e_l1=e_l1,
-        b_l1=0.0, b_l2=0.0, b_sup=0.0,
-        intermed1=True, intermed0=True, intermed2=True,
-        mean_value=0.0, mean_tail_bound=0.0, mean_zero=True,
-        n_zeros=1, t0=1.0, T0=1.0,
+        mean_zero=True, n_zeros=1, t0=1.0,
     )
 
 

@@ -45,6 +45,12 @@ def test_grid_validation():
         GradedGrid(t_max=1.0, n=8, grading=2.0)
     with pytest.raises(ValueError):
         GradedGrid(t_max=1.0, n=64, grading=0.5)
+    # 8e15 bytes lie past any address space, so numpy allocates nothing
+    with pytest.raises(ValueError, match="does not fit in memory"):
+        GradedGrid(t_max=100.0, n=10**15, grading=2.0)
+    # (j/n)^200 underflows to 0 for the first 98 nodes
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        GradedGrid(t_max=100.0, n=4096, grading=200.0)
 
 
 def test_grid_layout_and_lookup():

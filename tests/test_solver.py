@@ -71,6 +71,12 @@ class TestSolveSpecValidation:
             with pytest.raises(ValueError, match="not both vanish"):
                 SolveSpec(case, ALPHA, 0.0, 0.0, zero_coeff)
 
+    @pytest.mark.parametrize("case", ["thm1", "thm2"])
+    @pytest.mark.parametrize("a", [1e-200, 1e155])
+    def test_tiny_or_huge_scalar_pair_accepted(self, zero_coeff, case, a):
+        # a^2 + b^2 underflows to 0 at 1e-200 and overflows at 1e155
+        assert SolveSpec(case, ALPHA, a, 0.0, zero_coeff).a == a
+
     def test_linear_growth_needs_nonzero_slope(self, zero_coeff):
         with pytest.raises(ValueError, match="b != 0"):
             SolveSpec("thm3", ALPHA, 1.0, 0.0, zero_coeff)

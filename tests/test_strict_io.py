@@ -24,14 +24,14 @@ def _coeff_file(tmp_path, amplitude="0.01"):
 
 
 def test_profile_json_is_strict_with_two_sign_changes(tmp_path):
-    # two sign changes leave t0 and T0 undefined (nan)
+    # two sign changes leave t0 undefined (nan)
     coeff = Coefficient.from_expression(
         "0.01*(1-t)*exp(-t)*(2-t)", envelope=TailModel("power", 1.0, 3.0, 1.0))
     profile = lemma1_profile(coeff, 0.5, grid=make_graded_grid(n=512))
     write_json(tmp_path / "profile.json", profile)
     doc = json.loads((tmp_path / "profile.json").read_text(), parse_constant=_reject_constant)
     assert doc["n_zeros"] == 2
-    assert doc["t0"] == "nan" and doc["T0"] == "nan"
+    assert doc["t0"] == "nan"
 
 
 @pytest.mark.parametrize("payload", [{"nodes": "abc"}, {"sweep": 5}])
