@@ -299,7 +299,7 @@ def cmd_verify(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
     write_csv(os.path.join(cfg.out, f"verify_{case}.csv"), "t,x,head,weighted_remainder",
               [grid.node_texts[1:], v[1:], head_vals, weighted])
 
-    if res.sup_residual > cfg.residual_tolerance:
+    if not res.sup_residual <= cfg.residual_tolerance:  # a nan residual fails too
         print(
             f"residual {res.sup_residual!r} exceeds tolerance "
             f"{cfg.residual_tolerance!r}",

@@ -529,6 +529,13 @@ def coefficient_to_json_dict(coeff: Coefficient) -> dict:
     return d
 
 
+def _json_number(v) -> float:
+    """A JSON number, not a boolean, as a float; anything else is a TypeError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
 def coefficient_from_json_dict(d: dict, guard_t_max: float = 100.0) -> Coefficient:
     """The coefficient of a JSON document; a malformed shape is a ValueError."""
     if not isinstance(d, dict):
@@ -537,8 +544,9 @@ def coefficient_from_json_dict(d: dict, guard_t_max: float = 100.0) -> Coefficie
     if not isinstance(env, dict):
         raise ValueError("coefficient JSON needs an 'envelope' object")
     try:
-        A, p, valid_from = float(env["A"]), float(env["p"]), float(env.get("valid_from", 0.0))
-    except (KeyError, TypeError) as e:
+        A, p = _json_number(env["A"]), _json_number(env["p"])
+        valid_from = _json_number(env.get("valid_from", 0.0))
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"envelope needs numbers A, p and valid_from, got {env!r}") from e
     if not all(map(math.isfinite, (A, p, valid_from))):
         raise ValueError(f"envelope A, p and valid_from must be finite, got {env!r}")
@@ -550,7 +558,11 @@ def coefficient_from_json_dict(d: dict, guard_t_max: float = 100.0) -> Coefficie
         return Coefficient.from_expression(d["expr"], tail, alpha_context=ctx,
                                            guard_t_max=guard_t_max)
     if "samples" in d:
-        return Coefficient.from_samples(d["samples"], tail, alpha_context=ctx)
+        try:
+            table = [[_json_number(v) for v in row] for row in d["samples"]]
+        except (TypeError, OverflowError) as e:
+            raise ValueError(f"samples must be a table of [t, value] numbers: {e}") from e
+        return Coefficient.from_samples(table, tail, alpha_context=ctx)
     raise ValueError("coefficient JSON needs 'expr' or 'samples'")
 
 

@@ -1,15 +1,14 @@
 """Fractional integrals, derivatives, and the three operator factorizations.
 
 All weakly singular integrals reduce to one primitive: product integration
-of a piecewise-linear interpolant f_h against the kernel (c*t_n - s)^beta
-with beta > -1 and c >= 1, row n = 0..N. It runs as a treecode
-(_prodint_linear). Panels and rows are grouped in dyadic index boxes of
-16 * 2^level panels; a row's target box at a level holds the rows that
-end in its panels.
+of a piecewise-linear interpolant f_h against the kernel (t_n - s)^beta
+with beta > -1, row n = 0..N. It runs as a treecode (_prodint_linear).
+Panels and rows are grouped in dyadic index boxes of 16 * 2^level panels;
+a row's target box at a level holds the rows that end in its panels.
 
 - Near field: each row integrates the panels of its own leaf box and of
   the two leaf boxes before it exactly, one panel at a time, as
-  m0 (f_mid + slope D_m) - slope dQ/(beta+2) with D = c*t_n - s and D_m
+  m0 (f_mid + slope D_m) - slope dQ/(beta+2) with D = t_n - s and D_m
   its midpoint value. The panel differences m0 (of D^(beta+1)/(beta+1))
   and dQ (of D^(beta+2)) are formed as D0^p * -expm1(p*log1p(-h/D0))
   from the node differences h, so no difference of nearly equal powers
@@ -18,22 +17,22 @@ end in its panels.
 - Far field: every other panel lies in a source box at least two boxes
   before the row's target box. The kernel is expanded in a binomial
   series about the two box centres, admitted when (R + r)/(X - c) <= 0.45
-  (half-widths R, r, centres X in c*t and c in t). Exact moments of f_h
-  are formed at the leaves and shifted up the tree (M2M); each admitted
-  pair adds to the target box's local expansion (M2L), which is shifted
-  down (L2L), so each row evaluates one polynomial. Pairs that are not
-  admitted split into their children, down to the near field, so the
-  rule holds on any mesh; on grading-2 meshes every pair has ratio
-  <= 1/3, on grading 3 at most 0.42, for both kernel origins.
+  (half-widths R, r and centres X, c of the target and source boxes).
+  Exact moments of f_h are formed at the leaves and shifted up the tree
+  (M2M); each admitted pair adds to the target box's local expansion
+  (M2L), which is shifted down (L2L), so each row evaluates one
+  polynomial. Pairs that are not admitted split into their children,
+  down to the near field, so the rule holds on any mesh; on grading-2
+  meshes every pair has ratio <= 1/3, on grading 3 at most 0.42.
 - Truncation: the order K is the fewest terms whose dropped tail
   sum_(q>=K) |binom(beta, q)| rho^q, at the largest admitted ratio rho,
   stays below 1e-15 of the smallest kernel value on the pair, and so of
   the block's integral of |K| |f_h| (K = 30 at rho = 1/3, beta = -1/2).
   The moments and shifts sum terms bounded by the block's integral of
   |f_h|, so a row is accurate to a few ulps of max_n int |K| |f_h|.
-- Cost: everything but f depends on (nodes, beta, kernel_origin) alone:
-  the tree (levels, admitted pairs, order K, M2M/L2L shifts, per-pair
-  ratios) and the near field's transcendentals. A call without a plan
+- Cost: everything but f depends on (nodes, beta) alone: the tree
+  (levels, admitted pairs, order K, M2M/L2L shifts, per-pair ratios) and
+  the near field's transcendentals. A call without a plan
   forms them and sums the near field with f panel by panel: O(N K^2/16
   + 48 N) work, O(N) transient memory (1.8 MiB at N = 8192). A
   KernelPlan keeps them: the near field as node weights of the three
@@ -188,7 +187,7 @@ def _shift_locals(loc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Level:
     """The boxes of one tree level: box k holds panels [k M, (k+1) M) (source
     centre c, half-width r) and rows k M + 1 .. (k+1) M (target centre X,
-    half-width R in x = kernel_origin * t), M = _LEAF * 2^level."""
+    half-width R), M = _LEAF * 2^level."""
 
     c: np.ndarray
     r: np.ndarray
@@ -196,19 +195,19 @@ class _Level:
     R: np.ndarray
 
     @classmethod
-    def of(cls, t: np.ndarray, x: np.ndarray, size: int) -> "_Level":
+    def of(cls, t: np.ndarray, size: int) -> "_Level":
         n = t.shape[0] - 1
         lo = np.arange(0, n, size)
         hi = np.minimum(lo + size, n)
         return cls(0.5 * (t[lo] + t[hi]), 0.5 * (t[hi] - t[lo]),
-                   0.5 * (x[lo + 1] + x[hi]), 0.5 * (x[hi] - x[lo + 1]))
+                   0.5 * (t[lo + 1] + t[hi]), 0.5 * (t[hi] - t[lo + 1]))
 
 
-def _levels(t: np.ndarray, x: np.ndarray) -> list[_Level]:
+def _levels(t: np.ndarray) -> list[_Level]:
     """Leaf boxes of _LEAF panels, doubled until at most _TOP boxes remain."""
-    levels = [_Level.of(t, x, _LEAF)]
+    levels = [_Level.of(t, _LEAF)]
     while levels[-1].c.size > _TOP:
-        levels.append(_Level.of(t, x, _LEAF << len(levels)))
+        levels.append(_Level.of(t, _LEAF << len(levels)))
     return levels
 
 
@@ -329,7 +328,7 @@ class _FarField:
     v: np.ndarray
 
     @classmethod
-    def of(cls, t, x, beta, levels: list[_Level], lists, k: int) -> "_FarField":
+    def of(cls, t, beta, levels: list[_Level], lists, k: int) -> "_FarField":
         n = t.shape[0] - 1
         # (X + R v - s)^beta = sum_(p,q) C_pq Delta^beta (R v/Delta)^p (-r u/Delta)^q,
         # Delta = X - c, C_pq = binom(p+q, p) binom(beta, p+q); kept for p + q < k
@@ -359,7 +358,7 @@ class _FarField:
         ua[:n] = (t[:-1] - leaf.c[box]) / leaf.r[box]
         ub[:n] = (t[1:] - leaf.c[box]) / leaf.r[box]
         rows = np.minimum(np.arange(1, pad + 1), n).reshape(-1, _LEAF)
-        v = _divide(x[rows] - leaf.X[:, None], np.repeat(leaf.R[:, None], _LEAF, axis=1))
+        v = _divide(t[rows] - leaf.X[:, None], np.repeat(leaf.R[:, None], _LEAF, axis=1))
         return cls(k, C, tuple(out), ua, ub, np.diff(t), v)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
@@ -391,32 +390,32 @@ class _FarField:
         return acc.ravel()[: self.h.size]
 
 
-def _tree(t: np.ndarray, x: np.ndarray, beta: float):
+def _tree(t: np.ndarray, beta: float):
     """The far field's geometry (None when no level admits a pair) and the
     (target, source) leaf pairs that no level admits."""
-    levels = _levels(t, x)
+    levels = _levels(t)
     lists, rho, split = _interactions(levels)
     if not rho > 0.0:
         return None, split
-    return _FarField.of(t, x, beta, levels, lists, _expansion_order(beta, rho)), split
+    return _FarField.of(t, beta, levels, lists, _expansion_order(beta, rho)), split
 
 
-def _panel_terms(xr, tj, hj, bp1, bp2):
-    """The per-(row, panel) terms of the near field, from D0 = x_n - t_j and
+def _panel_terms(tr, tj, hj, bp1, bp2):
+    """The per-(row, panel) terms of the near field, from D0 = t_n - t_j and
     L = log1p(-h_j/D0) = log((D0 - h)/D0): D0, expm1((b+1) L) =
     -(b+1) m0 / D0^(b+1), expm1((b+2) L) = -dQ / D0^(b+2), and D0^(b+1)."""
-    d0 = xr - tj
+    d0 = tr - tj
     ratio = np.log1p(np.divide(-hj, d0))
     m0 = np.expm1(bp1 * ratio)
     dq = np.expm1(np.multiply(bp2, ratio, out=ratio), out=ratio)
     return d0, m0, dq, d0**bp1
 
 
-def _near_field(t, x, f, beta, T, S, own) -> np.ndarray:
+def _near_field(t, f, beta, T, S, own) -> np.ndarray:
     """Rows of the leaf boxes T over panels of the leaf boxes S, exactly:
     all of box S < T, or with own (S = T) the panels before each row.
 
-    Panel j of row n, with D = x_n - s from D0 = x_n - t_j down to
+    Panel j of row n, with D = t_n - s from D0 = t_n - t_j down to
     D0 - h_j and midpoint distance D_m = D0 - h_j/2, integrates to
     m0 (f_mid + slope D_m) - slope dQ/(b+2): m0 = int D^b ds and
     dQ = D0^(b+2) - (D0 - h)^(b+2), each formed as
@@ -436,7 +435,7 @@ def _near_field(t, x, f, beta, T, S, own) -> np.ndarray:
     rows = T[:, None] * _LEAF + np.arange(1, _LEAF + 1)
     live = rows <= n
     rows = np.minimum(rows, n)
-    xr = x[rows]
+    tr = t[rows]
     a = S * _LEAF
     acc = np.zeros(rows.shape)
     with np.errstate(divide="ignore"):  # log1p(-1) on the panel ending at t_n
@@ -444,7 +443,7 @@ def _near_field(t, x, f, beta, T, S, own) -> np.ndarray:
             # with own, panel a + i lies before the rows of column i and up
             cols = slice(i if own else 0, None)
             j = np.minimum(a + i, n - 1)[:, None]
-            d0, m0, dq, scale = _panel_terms(xr[:, cols], t[j], h[j], bp1, bp2)
+            d0, m0, dq, scale = _panel_terms(tr[:, cols], t[j], h[j], bp1, bp2)
             dq *= d0
             dq *= slope[j]  # -slope dQ/(b+2) / D0^(b+1)
             m0 *= line_slope[j] * d0 + line_at[j]
@@ -454,7 +453,7 @@ def _near_field(t, x, f, beta, T, S, own) -> np.ndarray:
     return np.bincount(rows[live], weights=acc[live], minlength=n + 1)
 
 
-def _near_weights(t, x, beta, T, S, own) -> np.ndarray:
+def _near_weights(t, beta, T, S, own) -> np.ndarray:
     """The near field of _near_field as node weights: W[p, i, r] multiplies
     f at node S_p * _LEAF + i in row T_p * _LEAF + r + 1 (rows past t_N
     and nodes past it are padding).
@@ -468,14 +467,14 @@ def _near_weights(t, x, beta, T, S, own) -> np.ndarray:
     bp2 = beta + 2.0
     n = t.shape[0] - 1
     h = np.diff(t)
-    xr = x[np.minimum(T[:, None] * _LEAF + np.arange(1, _LEAF + 1), n)]
+    tr = t[np.minimum(T[:, None] * _LEAF + np.arange(1, _LEAF + 1), n)]
     a = S * _LEAF
     W = np.zeros((T.size, _LEAF + 1, _LEAF))
     with np.errstate(divide="ignore"):
         for i in range(_LEAF):
             cols = slice(i if own else 0, None)
             j = np.minimum(a + i, n - 1)[:, None]
-            d0, lo, hi, scale = _panel_terms(xr[:, cols], t[j], h[j], bp1, bp2)
+            d0, lo, hi, scale = _panel_terms(tr[:, cols], t[j], h[j], bp1, bp2)
             lo /= -bp1
             hi /= bp2
             hi += lo
@@ -491,30 +490,28 @@ def _near_weights(t, x, beta, T, S, own) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Planned:
-    """_prodint_linear's geometry on the nodes t for one (beta,
-    kernel_origin): the far field's, and the near field as node weights
-    (_near_weights), one table per leaf group. A group is (targets,
-    sources, W): the rows' own leaf, then the d-th leaf before it for
-    d <= _GAP (slices), then the leaf pairs no level admits (index arrays,
-    whose targets repeat on meshes that grade faster than t^3)."""
+    """_prodint_linear's geometry on the nodes t for one beta: the far
+    field's, and the near field as node weights (_near_weights), one table
+    per leaf group. A group is (targets, sources, W): the rows' own leaf,
+    then the d-th leaf before it for d <= _GAP (slices), then the leaf
+    pairs no level admits (index arrays, whose targets repeat on meshes
+    that grade faster than t^3)."""
 
     t: np.ndarray
     beta: float
-    kernel_origin: float
     far: _FarField | None
     near: tuple[tuple, ...]
 
     @classmethod
-    def of(cls, t: np.ndarray, beta: float, kernel_origin: float) -> "_Planned":
-        x = kernel_origin * t
-        far, (ek, ej) = _tree(t, x, beta)
+    def of(cls, t: np.ndarray, beta: float) -> "_Planned":
+        far, (ek, ej) = _tree(t, beta)
         k = np.arange(-(-(t.shape[0] - 1) // _LEAF))
         near = [(slice(d, None), slice(0, k.size - d),
-                 _near_weights(t, x, beta, k[d:], k[: k.size - d], own=d == 0))
+                 _near_weights(t, beta, k[d:], k[: k.size - d], own=d == 0))
                 for d in range(min(_GAP + 1, k.size))]
         if ek.size:
-            near.append((ek, ej, _near_weights(t, x, beta, ek, ej, own=False)))
-        return cls(t, beta, kernel_origin, far, tuple(near))
+            near.append((ek, ej, _near_weights(t, beta, ek, ej, own=False)))
+        return cls(t, beta, far, tuple(near))
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """The kernel's rows for the node values f: the far field, plus one
@@ -540,34 +537,28 @@ class _Planned:
 
 class KernelPlan:
     """A slot for _prodint_linear's geometry, filled by the first call that
-    is given it and read by every later call on the same nodes, beta and
-    kernel origin (another triple rebuilds it). solve makes one for its
-    Picard steps and drops it on return; a call without a plan builds
-    nothing it does not use."""
+    is given it and read by every later call on the same nodes and beta
+    (another pair rebuilds it). solve makes one for its Picard steps and
+    drops it on return; a call without a plan builds nothing it does not
+    use."""
 
     def __init__(self) -> None:
         self._planned: _Planned | None = None
 
-    def geometry(self, t: np.ndarray, beta: float, kernel_origin: float) -> _Planned:
+    def geometry(self, t: np.ndarray, beta: float) -> _Planned:
         p = self._planned
-        if p is None or p.t is not t or (p.beta, p.kernel_origin) != (beta, kernel_origin):
-            p = self._planned = _Planned.of(t, beta, kernel_origin)
+        if p is None or p.t is not t or p.beta != beta:
+            p = self._planned = _Planned.of(t, beta)
         return p
 
 
-def _prodint_linear(
-    t: np.ndarray,
-    f: np.ndarray,
-    beta: float,
-    kernel_origin: float = 1.0,
-    plan: KernelPlan | None = None,
-) -> np.ndarray:
-    """out[n] = integral over [t_0, t_n] of (kernel_origin*t_n - s)^beta f_h(s) ds.
+def _prodint_linear(t: np.ndarray, f: np.ndarray, beta: float,
+                    plan: KernelPlan | None = None) -> np.ndarray:
+    """out[n] = integral over [t_0, t_n] of (t_n - s)^beta f_h(s) ds.
 
     f_h is the piecewise-linear interpolant of f on the nodes t (t_0 = 0 on
-    every grid here). kernel_origin >= 1; above 1 the kernel singularity
-    lies outside the domain (kernels like (2t - s)^beta). The tree reads
-    its geometry from t, so every mesh and both origins take one path.
+    every grid here). The tree reads its geometry from t: every mesh takes
+    one path.
 
     Treecode (see the module docstring): the near field is exact; the far
     field (_FarField) is a binomial expansion about box centres admitted
@@ -586,52 +577,37 @@ def _prodint_linear(
     if n == 0:
         return np.zeros(1)
     if plan is not None:
-        return plan.geometry(t, beta, kernel_origin).apply(f)
+        return plan.geometry(t, beta).apply(f)
     out = np.zeros(n + 1)
-    x = kernel_origin * t
-    far, (ek, ej) = _tree(t, x, beta)
+    far, (ek, ej) = _tree(t, beta)
     if far is not None:
         out[1:] = far.apply(f)
         far = None  # O(N) geometry: free before the near field's transients
     # the rows' own leaf, then the _GAP leaves before it and the leaf pairs
     # no level admitted
     k = np.arange(-(-n // _LEAF))
-    out += _near_field(t, x, f, beta, k, k, own=True)
+    out += _near_field(t, f, beta, k, k, own=True)
     T = np.concatenate([k[d:] for d in range(1, _GAP + 1)] + [ek])
     if T.size:
         S = np.concatenate([k[:-d] for d in range(1, _GAP + 1)] + [ej])
-        out += _near_field(t, x, f, beta, T, S, own=False)
+        out += _near_field(t, f, beta, T, S, own=False)
     return out
 
 
-def _conv_power_kernel(
-    f: GridFunction, beta: float, kernel_origin: float = 1.0, plan: KernelPlan | None = None
-) -> tuple[np.ndarray, float, float]:
-    """Head-peeled evaluation of int_0^t (o*t - s)^beta f(s) ds at the nodes.
+def _conv_power_kernel(f: GridFunction, beta: float,
+                       plan: KernelPlan | None = None) -> tuple[np.ndarray, float, float]:
+    """Head-peeled evaluation of int_0^t (t - s)^beta f(s) ds at the nodes.
 
     Returns (values, head_exponent_out, head_coefficient_out) where the
     analytic image of the head c*t^e is head_coefficient * t^(e + beta + 1).
-    Only kernel_origin = 1 admits the closed-form head; a shifted kernel is
-    smooth on the domain, so a continuous head is folded into the values
-    and only a genuinely singular head is refused. plan goes to the kernel.
+    plan goes to the kernel.
     """
-    t = f.grid.nodes
-    c = f.head_coefficient
-    e = f.head_exponent
-    if kernel_origin != 1.0 and c != 0.0:
-        if e < 0.0:
-            raise ValueError("shifted kernels cannot take singular integrands")
-        plain = f.values.copy()
-        plain[0] = c if e == 0.0 else 0.0
-        return _prodint_linear(t, plain, beta, kernel_origin=kernel_origin, plan=plan), 0.0, 0.0
-    r = f.regular_part()
-    quad = _prodint_linear(t, r, beta, kernel_origin=kernel_origin, plan=plan)
+    quad = _prodint_linear(f.grid.nodes, f.regular_part(), beta, plan=plan)
+    c, e = f.head_coefficient, f.head_exponent
     if c == 0.0:
         return quad, 0.0, 0.0
     # int_0^t s^e (t-s)^beta ds = B(1+e, 1+beta) t^(1+e+beta)
-    coef = c * beta_fn(1.0 + e, 1.0 + beta)
-    e_out = e + beta + 1.0
-    return quad, e_out, coef
+    return quad, e + beta + 1.0, c * beta_fn(1.0 + e, 1.0 + beta)
 
 
 def _assemble(grid: GradedGrid, reg_values: np.ndarray, e_out: float,
@@ -646,13 +622,12 @@ def _assemble(grid: GradedGrid, reg_values: np.ndarray, e_out: float,
     return GridFunction(grid, reg_values + c_out if c_out != 0.0 else reg_values.copy())
 
 
-def convolve(f: GridFunction, beta: float, kernel_origin: float = 1.0,
-             plan: KernelPlan | None = None) -> GridFunction:
-    """int_0^t (kernel_origin*t - s)^beta f(s) ds, head assembled in closed form.
+def convolve(f: GridFunction, beta: float, plan: KernelPlan | None = None) -> GridFunction:
+    """int_0^t (t - s)^beta f(s) ds, head assembled in closed form.
 
     A KernelPlan, passed by a caller that convolves on one grid with one
     exponent again and again, keeps the kernel's geometry between calls."""
-    return _assemble(f.grid, *_conv_power_kernel(f, beta, kernel_origin, plan))
+    return _assemble(f.grid, *_conv_power_kernel(f, beta, plan))
 
 
 def peeled_integral(f: GridFunction, order: float) -> tuple[np.ndarray, float, float]:

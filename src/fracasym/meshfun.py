@@ -105,7 +105,7 @@ class GradedGrid:
     t_max: float
     n: int
     grading: float
-    nodes: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.t_max > 0.0:
@@ -114,18 +114,17 @@ class GradedGrid:
             raise ValueError(f"need at least 16 panels, got n={self.n!r}")
         if not self.grading >= 1.0:
             raise ValueError(f"grading must be >= 1, got {self.grading!r}")
-        if self.nodes is None:
-            try:
-                j = np.arange(self.n + 1, dtype=np.float64)
-                t = self.t_max * (j / self.n) ** self.grading
-                t[-1] = self.t_max  # guard rounding at the right end
-                increasing = bool(np.all(t[1:] > t[:-1]))
-            except MemoryError:  # numpy refuses an array it cannot allocate, allocating nothing
-                raise ValueError(f"a grid of {self.n + 1} nodes does not fit in memory") from None
-            if not increasing:
-                raise ValueError(f"grading {self.grading!r} rounds the first of n={self.n} "
-                                 "nodes together: they are not strictly increasing")
-            object.__setattr__(self, "nodes", t)
+        try:
+            j = np.arange(self.n + 1, dtype=np.float64)
+            t = self.t_max * (j / self.n) ** self.grading
+            t[-1] = self.t_max  # guard rounding at the right end
+            increasing = bool(np.all(t[1:] > t[:-1]))
+        except MemoryError:  # numpy refuses an array it cannot allocate, allocating nothing
+            raise ValueError(f"a grid of {self.n + 1} nodes does not fit in memory") from None
+        if not increasing:
+            raise ValueError(f"grading {self.grading!r} rounds the first of n={self.n} "
+                             "nodes together: they are not strictly increasing")
+        object.__setattr__(self, "nodes", t)
 
     @cached_property
     def node_texts(self) -> list[str]:

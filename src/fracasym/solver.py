@@ -122,7 +122,7 @@ class SolveSpec:
             raise ValueError("need at least one iteration")
 
     # What a step reads of the coefficient does not change from one
-    # iterate to the next; each is sampled, and for thm3 convolved, once.
+    # iterate to the next; each is sampled once.
     @cached_property
     def a_nodes(self) -> np.ndarray:
         """a(t_j) at the positive nodes j >= 1."""
@@ -134,16 +134,14 @@ class SolveSpec:
         return float(self.coefficient(0.0))
 
     @cached_property
-    def thm3_source(self) -> tuple[np.ndarray, float, np.ndarray]:
-        """s a(s) at the nodes, its integral over the window and its
-        convolution with (t-s)^(alpha-1): the iterate-free part of step_thm3."""
+    def thm3_source(self) -> tuple[np.ndarray, float]:
+        """s a(s) at the nodes and its integral over the window: the
+        iterate-free part of step_thm3."""
         grid = self.grid
         sa = np.empty(grid.n + 1)
         sa[0] = 0.0
         sa[1:] = grid.nodes[1:] * self.a_nodes
-        sa_fun = GridFunction(grid, sa)
-        conv = convolve(sa_fun, self.alpha - 1.0).values
-        return _frozen(sa), integrate(sa_fun), _frozen(conv)
+        return _frozen(sa), integrate(GridFunction(grid, sa))
 
     @cached_property
     def head(self) -> GridFunction:
@@ -306,31 +304,31 @@ def _inverse_square_sweep(y: GridFunction) -> np.ndarray:
 def step_thm3(y: GridFunction, spec: SolveSpec, plan: KernelPlan | None = None) -> GridFunction:
     """One application of the linear-growth map in the t^(1-al)-weighted space.
 
-    Four pieces: the t^(al-1) head with analytic coefficient, the signed
-    convolution of s a(s), and the inverse-square tail coupling entering
-    once globally (through the head) and once under the convolution, which
-    takes plan as step_thm1's does.
+    The t^(al-1) head with analytic coefficient, plus the inverse-square
+    tail coupling w, entering once globally (through the head) and once
+    under the convolution. The convolution is linear, so it takes
+    w - b s a(s) in one call, with plan as step_thm1's does; sa[0] = 0
+    leaves node 0 at w's head coefficient.
     """
     _check_grid(y, spec)
     al = spec.alpha
     grid = y.grid
     t = grid.nodes
     ga = gamma(al)
-    sa, moment1, conv_sa = spec.thm3_source
+    sa, moment1 = spec.thm3_source
 
-    R = _inverse_square_sweep(y)
-    w = np.empty(grid.n + 1)
-    w[1:] = sa[1:] * R[1:]
+    w = sa * _inverse_square_sweep(y)  # node 0: 0 * 0, set below
     c_y = y.head_coefficient if y.head_exponent == al - 1.0 else 0.0
     c_w = spec.a_origin * c_y / (2.0 - al)
     w[0] = c_w
-    w_fun = GridFunction(grid, w, head_exponent=al - 1.0 if c_w != 0.0 else 0.0)
-    coupling_mass = integrate(w_fun)
-    conv_w = convolve(w_fun, al - 1.0, plan=plan).values
+    e_w = al - 1.0 if c_w != 0.0 else 0.0
+    coupling_mass = integrate(GridFunction(grid, w, head_exponent=e_w))
+    conv = convolve(GridFunction(grid, w - spec.b * sa, head_exponent=e_w), al - 1.0,
+                    plan=plan).values
 
     head = spec.a + (spec.b * moment1 - coupling_mass) / ga
     vals = np.empty(grid.n + 1)
-    vals[1:] = head * t[1:] ** (al - 1.0) + (conv_w[1:] - spec.b * conv_sa[1:]) / ga
+    vals[1:] = head * t[1:] ** (al - 1.0) + conv[1:] / ga
     vals[0] = head
     return GridFunction(grid, vals, head_exponent=al - 1.0)
 
@@ -498,9 +496,10 @@ class Chain:
     a refusal can say which hypothesis failed. requires is the (a, b)
     predicate with its error message; operand is the step map's second
     argument, and its third the KernelPlan that solve makes for the
-    iteration (a step that convolves passes it to convolve). head is the equation a thm chain solves: the operator case
-    and, at order alpha, the exponents e0, e1 of the solution head
-    a t^e0 + b t^e1 (SolveSpec.head builds it for the split-time steps,
+    iteration (a step that convolves passes it to convolve). head is the
+    equation a thm chain solves: the operator case and, at order alpha,
+    the exponents e0, e1 of the solution head a t^e0 + b t^e1
+    (SolveSpec.head builds it for the split-time steps,
     verify.chain_head derives the rest). A chain without one names in
     verify_as the (chain, a, b) whose head checks its solution.
     Entries call traced layers (constants, steps, reconstructions) by

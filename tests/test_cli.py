@@ -307,6 +307,22 @@ class TestVerify:
                              for f in ("verify_thm1.csv", "residual_thm1.csv")]
         assert written["e17"] == written["repr"]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_a_non_finite_solution_fails_verification(self, tmp_path, slow_file, solved_dir,
+                                                      cell):
+        # a nan residual is not above the tolerance, and not within it either;
+        # an inf cell meets inf - inf in the kernel, which numpy flags as invalid
+        lines = (solved_dir / "fixed_point_thm1.csv").read_text().splitlines()
+        mid = len(lines) // 2
+        lines[mid] = lines[mid].split(",")[0] + "," + cell
+        (tmp_path / "fixed_point_thm1.csv").write_text("\n".join(lines) + "\n")
+        with np.errstate(invalid="ignore"):
+            rc = main(["verify", "--coeff", slow_file, "--case", "thm1",
+                       "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 4
+        res = json.loads((tmp_path / "residual_thm1.json").read_text())
+        assert res["sup_residual"] in ("nan", "inf")
+
     def test_malformed_artifact_row_is_named(self, tmp_path):
         grid = make_graded_grid(n=16)
         path = tmp_path / "solution.csv"
@@ -594,7 +610,13 @@ class TestConfig:
     def test_malformed_coefficient_rejected(self, tmp_path, capsys):
         docs = ["{not json", "[1, 2]", '{"envelope": [1, 2], "expr": "0.01"}',
                 '{"envelope": {"A": 0.01, "p": 3.5}, "expr": 5}',
-                '{"envelope": {"A": null, "p": 3.5}, "expr": "0"}']
+                '{"envelope": {"A": null, "p": 3.5}, "expr": "0"}',
+                '{"envelope": {"A": true, "p": 3.5}, "expr": "0.01 / (1+t)^3.5"}',
+                '{"envelope": {"A": 0.01, "p": true}, "expr": "0.01 / (1+t)^3.5"}',
+                '{"envelope": {"A": 0.01, "p": 3.5, "valid_from": false}, "expr": "0"}',
+                '{"envelope": {"A": 0.01, "p": 3.5}, "samples": [[0, 0.01], [1, true]]}',
+                '{"envelope": {"A": "0.01", "p": 3.5}, "expr": "0.01 / (1+t)^3.5"}',
+                '{"envelope": {"A": 1' + '0' * 400 + ', "p": 3.5}, "expr": "0"}']
         bad, out = tmp_path / "bad.json", tmp_path / "out"
         for doc in docs:
             bad.write_text(doc)

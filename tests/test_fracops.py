@@ -176,22 +176,6 @@ def test_conv_matches_quadrature():
         assert C.values[j] == pytest.approx(want, rel=5e-5)
 
 
-def test_shifted_kernel_matches_quadrature():
-    from fracasym.fracops import _conv_power_kernel
-
-    g = grid10()
-    a = Coefficient.from_expression("0.01/(1+t)^3.5", ENV)
-    fa = GridFunction.from_callable(g, a)
-    alpha = 0.5
-    vals, e_out, c_out = _conv_power_kernel(fa, alpha - 1.0, kernel_origin=2.0)
-    assert e_out == 0.0 and c_out == 0.0
-    for target in (0.5, 3.0):
-        j = g.index_at_or_above(target)
-        tn = g.nodes[j]
-        want, _ = quad(lambda s: a(s) * (2 * tn - s) ** (alpha - 1.0), 0.0, tn)
-        assert vals[j] == pytest.approx(want, rel=5e-5)
-
-
 # -- composed operators --------------------------------------------------------
 
 

@@ -33,7 +33,7 @@ from conftest import ALPHA
 # --------------------------------------------------------------------------
 
 
-def _moment_loop(t, f, beta, kernel_origin=1.0, dtype=np.float64):
+def _moment_loop(t, f, beta, dtype=np.float64):
     t = np.asarray(t, dtype=dtype)
     f = np.asarray(f, dtype=dtype)
     bp1 = dtype(beta) + dtype(1.0)
@@ -41,7 +41,7 @@ def _moment_loop(t, f, beta, kernel_origin=1.0, dtype=np.float64):
     out = np.zeros(t.shape[0], dtype=dtype)
     slope = np.diff(f) / np.diff(t)
     for n in range(1, t.shape[0]):
-        d = dtype(kernel_origin) * t[n] - t[: n + 1]
+        d = t[n] - t[: n + 1]
         if dtype is np.float64:
             p1 = d**bp1
         else:
@@ -57,8 +57,8 @@ def _moment_loop(t, f, beta, kernel_origin=1.0, dtype=np.float64):
     return out
 
 
-def _extended(t, f, beta, kernel_origin=1.0):
-    return _moment_loop(t, f, beta, kernel_origin, dtype=np.longdouble)
+def _extended(t, f, beta):
+    return _moment_loop(t, f, beta, dtype=np.longdouble)
 
 
 needs_extended = pytest.mark.skipif(
@@ -66,9 +66,9 @@ needs_extended = pytest.mark.skipif(
     reason="long double is no wider than float64 on this platform")
 
 
-def _abs_scale(t, f, beta, kernel_origin=1.0):
+def _abs_scale(t, f, beta):
     """max_n of the integral of |kernel| |f_h|: the size of what a row sums."""
-    return float(np.max(_extended(t, np.abs(f), beta, kernel_origin)))
+    return float(np.max(_extended(t, np.abs(f), beta)))
 
 
 # --------------------------------------------------------------------------
@@ -76,12 +76,12 @@ def _abs_scale(t, f, beta, kernel_origin=1.0):
 # --------------------------------------------------------------------------
 
 
-def _planned(t, f, beta, kernel_origin=1.0):
+def _planned(t, f, beta):
     """The kernel through a plan that a call on another integrand built, so
     that what runs is the apply a solve's later steps make."""
     plan = KernelPlan()
-    _prodint_linear(t, np.ones_like(f), beta, kernel_origin, plan=plan)
-    return _prodint_linear(t, f, beta, kernel_origin, plan=plan)
+    _prodint_linear(t, np.ones_like(f), beta, plan=plan)
+    return _prodint_linear(t, f, beta, plan=plan)
 
 
 ROUTES = (_prodint_linear, _planned)
@@ -91,31 +91,28 @@ ROUTES = (_prodint_linear, _planned)
 # --------------------------------------------------------------------------
 
 
-def _linear_closed_form(t, c0, c1, beta, o):
-    # int_0^t (o t - s)^beta (c0 + c1 s) ds with D = o t - s
+def _linear_closed_form(t, c0, c1, beta):
+    # int_0^t (t - s)^beta (c0 + c1 s) ds with D = t - s
     bp1, bp2 = beta + 1.0, beta + 2.0
-    hi, lo = o * t, (o - 1.0) * t
-    return ((c0 + c1 * o * t) * (hi**bp1 - lo**bp1) / bp1
-            - c1 * (hi**bp2 - lo**bp2) / bp2)
+    return (c0 + c1 * t) * t**bp1 / bp1 - c1 * t**bp2 / bp2
 
 
 @settings(max_examples=80, deadline=None)
 @given(grading=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
        beta=st.floats(-0.99, 0.99),
-       origin=st.sampled_from([1.0, 2.0]),
        c0=st.floats(-10.0, 10.0, allow_subnormal=False),
        c1=st.floats(-10.0, 10.0, allow_subnormal=False),
        n=st.integers(16, 96),
        t_max=st.floats(0.5, 200.0))
-def test_exact_on_linear_integrands(grading, beta, origin, c0, c1, n, t_max):
+def test_exact_on_linear_integrands(grading, beta, c0, c1, n, t_max):
     # no subnormal coefficients: with c1 = 5e-324 the bound 1e-12 * scale
     # lies below the smallest positive float, and one unit of rounding fails it
     g = make_graded_grid(t_max, n, grading)
     t = g.nodes
-    want = _linear_closed_form(t, c0, c1, beta, origin)
-    scale = float(np.max(_linear_closed_form(t, abs(c0), abs(c1), beta, origin)))
+    want = _linear_closed_form(t, c0, c1, beta)
+    scale = float(np.max(_linear_closed_form(t, abs(c0), abs(c1), beta)))
     for kernel in ROUTES:
-        got = kernel(t, c0 + c1 * t, beta, origin)
+        got = kernel(t, c0 + c1 * t, beta)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
@@ -130,22 +127,19 @@ def test_exact_on_linear_integrands(grading, beta, origin, c0, c1, n, t_max):
        n=st.integers(16, 128),
        t_max=st.floats(0.5, 200.0),
        grading=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-       origin=st.sampled_from([1.0, 2.0]),
        c=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=4, max_size=4),
        rate=st.floats(0.01, 5.0),
        power=st.floats(0.5, 4.0))
-def test_factored_rows_match_extended_precision(beta, n, t_max, grading, origin, c, rate,
-                                                power):
-    # every mesh and both kernel origins; a fast-decaying f over a long
-    # horizon (beta=0, n=16, t_max=170, f=exp(-3t)) once broke the bound in
-    # the factored grading-2 rows, the doubled origin was 3e-12 to 5e-11 of
-    # the column max off in the power rows
+def test_factored_rows_match_extended_precision(beta, n, t_max, grading, c, rate, power):
+    # every mesh; a fast-decaying f over a long horizon (beta=0, n=16,
+    # t_max=170, f=exp(-3t)) once broke the bound in the factored grading-2
+    # rows
     t = make_graded_grid(t_max, n, grading).nodes
     f = c[0] + c[1] * np.exp(-rate * t) + c[2] * np.sin(rate * t) + c[3] / (1.0 + t) ** power
-    want = _extended(t, f, beta, origin)
-    bound = 1e-12 * _abs_scale(t, f, beta, origin)
+    want = _extended(t, f, beta)
+    bound = 1e-12 * _abs_scale(t, f, beta)
     for kernel in ROUTES:
-        assert np.max(np.abs(kernel(t, f, beta, origin) - want)) <= bound
+        assert np.max(np.abs(kernel(t, f, beta) - want)) <= bound
 
 
 # --------------------------------------------------------------------------
@@ -180,43 +174,42 @@ def test_factored_rows_match_the_moment_loop(name, grid_1024):
 
 
 @needs_extended
-@pytest.mark.parametrize("grading, origin", [(2.0, 2.0), (1.5, 1.0), (3.0, 2.0)])
-def test_power_rows_are_as_accurate_as_the_moment_loop(grading, origin):
-    # the doubled-argument kernel of lemma1_profile and meshes of other
-    # gradings, which the factored table did not cover, on a(t) (1 + t^alpha)
-    # with kernel exponents alpha - 1 and alpha, against extended precision
+@pytest.mark.parametrize("grading", [2.0, 1.5, 3.0])
+def test_power_rows_are_as_accurate_as_the_moment_loop(grading):
+    # meshes of other gradings, which the factored table did not cover, on
+    # a(t) (1 + t^alpha) with kernel exponents alpha - 1 and alpha, against
+    # extended precision
     g = make_graded_grid(n=128, grading=grading)
     t = g.nodes
     for coefficient in _CONFTEST_COEFFICIENTS.values():
         f = coefficient(t) * (1.0 + t**ALPHA)
         for beta in (ALPHA - 1.0, ALPHA):
-            exact = _extended(t, f, beta, origin)
+            exact = _extended(t, f, beta)
             scale = float(np.max(np.abs(exact)))
-            err_new = np.max(np.abs(_prodint_linear(t, f, beta, origin) - exact))
-            err_old = np.max(np.abs(_moment_loop(t, f, beta, origin) - exact))
+            err_new = np.max(np.abs(_prodint_linear(t, f, beta) - exact))
+            err_old = np.max(np.abs(_moment_loop(t, f, beta) - exact))
             assert err_new <= 2.0 * err_old + 1e-14 * scale
 
 
 # --------------------------------------------------------------------------
-# the tree at depth: partial boxes, both origins, split pairs, memory
+# the tree at depth: partial boxes, split pairs, memory
 # --------------------------------------------------------------------------
 
 
 @needs_extended
-@pytest.mark.parametrize("origin", [1.0, 2.0])
 @pytest.mark.parametrize("n", [1024, 1500])
-def test_tree_matches_extended_precision_at_depth(n, origin):
+def test_tree_matches_extended_precision_at_depth(n):
     # n = 1500 leaves partial boxes on every level; beta runs over the
     # exponents the chains use. The float64 moment loop is no oracle here:
-    # for beta = alpha and for origin 2 it is itself 1.5e-11 to 1.2e-10 of
-    # the column max off the extended one
+    # for beta = alpha it is itself 1.5e-11 to 1.8e-11 of the column max
+    # off the extended one
     t = make_graded_grid(n=n).nodes
     for coefficient in _CONFTEST_COEFFICIENTS.values():
         f = coefficient(t)
         for beta in sorted({ALPHA - 1.0, ALPHA, -ALPHA}):
-            want = _extended(t, f, beta, origin)
+            want = _extended(t, f, beta)
             for kernel in ROUTES:
-                got = kernel(t, f, beta, origin)
+                got = kernel(t, f, beta)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -227,23 +220,21 @@ def test_wide_pairs_split_down_to_the_near_field():
     # every panel is still counted once; the split leaf pairs repeat a
     # target box, which a plan must sum without dropping any
     t = make_graded_grid(100.0, 1024, 8.0).nodes
-    _, _, (split_t, _) = fracops._interactions(fracops._levels(t, t))
+    _, _, (split_t, _) = fracops._interactions(fracops._levels(t))
     assert split_t.size > np.unique(split_t).size
-    for origin in (1.0, 2.0):
-        want = _linear_closed_form(t, 2.0, -0.03, -0.7, origin)
-        scale = float(np.max(_linear_closed_form(t, 2.0, 0.03, -0.7, origin)))
-        for kernel in ROUTES:
-            got = kernel(t, 2.0 - 0.03 * t, -0.7, origin)
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    want = _linear_closed_form(t, 2.0, -0.03, -0.7)
+    scale = float(np.max(_linear_closed_form(t, 2.0, 0.03, -0.7)))
+    for kernel in ROUTES:
+        got = kernel(t, 2.0 - 0.03 * t, -0.7)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("origin", [1.0, 2.0])
-def test_one_call_stays_within_two_mebibytes(origin):
+def test_one_call_stays_within_two_mebibytes():
     t = make_graded_grid(n=8192).nodes
     f = _CONFTEST_COEFFICIENTS["slow_decay"](t)
     tracemalloc.start()
     try:
-        _prodint_linear(t, f, ALPHA - 1.0, origin)
+        _prodint_linear(t, f, ALPHA - 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -251,7 +242,7 @@ def test_one_call_stays_within_two_mebibytes(origin):
 
 
 # --------------------------------------------------------------------------
-# kernel calls per solve: the iterate-free convolution runs once
+# kernel calls per solve: one per Picard step
 # --------------------------------------------------------------------------
 
 
@@ -274,15 +265,11 @@ def test_lemma2_gate_convolves_once(kernel_calls, sign_change_coeff):
     assert len(kernel_calls) == 1
 
 
-def test_thm3_solve_convolves_the_source_once(kernel_calls, heavy_tail_coeff):
-    r = solve(SolveSpec("thm3", ALPHA, 0.3, 1.0, heavy_tail_coeff))
-    assert r.converged and r.iterations == 5
-    assert len(kernel_calls) == r.iterations + 1
-
-
 @pytest.mark.parametrize("case, coefficient", [("thm1", "slow_decay_coeff"),
-                                               ("thm2", "origin_quadratic_coeff")])
+                                               ("thm2", "origin_quadratic_coeff"),
+                                               ("thm3", "heavy_tail_coeff")])
 def test_split_time_solves_convolve_once_per_step(kernel_calls, case, coefficient, request):
+    # thm3's source s a(s) rides in the step's convolution of the coupling
     spec = SolveSpec(case, ALPHA, 1.0, 1.0, request.getfixturevalue(coefficient),
                      grid=make_graded_grid(n=512))
     r = solve(spec)
@@ -299,8 +286,7 @@ def test_split_time_solves_convolve_once_per_step(kernel_calls, case, coefficien
                                                   ("thm3", 0.3, "heavy_tail_coeff")])
 def test_a_solve_builds_one_plan_that_dies_with_it(monkeypatch, case, a, coefficient, request):
     # every step's kernel call gets the plan, only the first builds it, and
-    # nothing holds it once solve has returned (thm3's source convolution,
-    # made once, goes without)
+    # nothing holds it once solve has returned
     refs, builds = [], []
     inner, build = fracops._prodint_linear, fracops._Planned.of
 

@@ -51,6 +51,9 @@ def test_grid_validation():
     # (j/n)^200 underflows to 0 for the first 98 nodes
     with pytest.raises(ValueError, match="not strictly increasing"):
         GradedGrid(t_max=100.0, n=4096, grading=200.0)
+    # the nodes are always built from (t_max, n, grading), never passed in
+    with pytest.raises(TypeError):
+        GradedGrid(t_max=100.0, n=16, grading=2.0, nodes=np.zeros(3))
 
 
 def test_grid_layout_and_lookup():
