@@ -233,7 +233,7 @@ def cmd_solve(cfg: RunConfig, coeff: Coefficient, grid: GradedGrid) -> int:
 def _read_artifact_csv(path: str, grid: GradedGrid) -> np.ndarray:
     with open(path) as fh:
         rows = fh.read().strip().split("\n")
-    if not rows or rows[0] != "t,value":
+    if rows[0] != "t,value":
         raise ValueError(f"{path}: expected a 't,value' table")
     body = rows[1:]
     if len(body) != grid.n + 1:

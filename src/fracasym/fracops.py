@@ -7,13 +7,12 @@ Panels and rows are grouped in dyadic index boxes of 16 * 2^level panels;
 a row's target box at a level holds the rows that end in its panels.
 
 - Near field: each row integrates the panels of its own leaf box and of
-  the two leaf boxes before it exactly, one panel at a time, as
-  m0 (f_mid + slope D_m) - slope dQ/(beta+2) with D = t_n - s and D_m
-  its midpoint value. The panel differences m0 (of D^(beta+1)/(beta+1))
-  and dQ (of D^(beta+2)) are formed as D0^p * -expm1(p*log1p(-h/D0))
-  from the node differences h, so no difference of nearly equal powers
-  is taken. There is no boundary term: f_0 never meets the slopes, and
-  no term grows like 1/(beta+1) where the kernel is smooth.
+  the two leaf boxes before it exactly, one panel at a time, from terms
+  formed as expm1(p*log1p(-h/D0)) of the node differences h (D0 =
+  t_n - t_j), so no difference of nearly equal powers is taken. There is
+  no boundary term: f_0 never meets the slopes, and no term grows like
+  1/(beta+1) where the kernel is smooth. One generator derives the terms
+  (_near_terms); a call folds them with f, a plan keeps node weights.
 - Far field: every other panel lies in a source box at least two boxes
   before the row's target box. The kernel is expanded in a binomial
   series about the two box centres, admitted when (R + r)/(X - c) <= 0.45
@@ -32,18 +31,18 @@ a row's target box at a level holds the rows that end in its panels.
   |f_h|, so a row is accurate to a few ulps of max_n int |K| |f_h|.
 - Cost: everything but f depends on (nodes, beta) alone: the tree
   (levels, admitted pairs, order K, M2M/L2L shifts, per-pair ratios) and
-  the near field's transcendentals. A call without a plan
-  forms them and sums the near field with f panel by panel: O(N K^2/16
-  + 48 N) work, O(N) transient memory (1.8 MiB at N = 8192). A
-  KernelPlan keeps them: the near field as node weights of the three
-  leaf groups, (leaves x 17 nodes x 16 rows) each and one batched
-  matmul each per call, 1.7 MB at N = 4096 and 3.3 MB at 8192, and
-  0.2-0.4 MB of tree geometry. Its build and first apply cost about 1.3
-  direct calls, each later apply about half of one. Only solve's Picard
-  steps, which repeat one grid and exponent, carry a plan. A one-call
-  kernel (check, verify, lemma1's C, a sweep's cells) stays direct: it
-  would pay the build for one apply, stay no longer within 2 MiB, and a
-  sweep cell would no longer equal a check to the last digit.
+  the near field's panel terms. A call without a plan forms them and
+  folds the near terms with f as they are formed: O(N K^2/16 + 48 N)
+  work, O(N) transient memory (1.6 MiB at N = 8192, most of it the far
+  field's). A KernelPlan keeps them: the near field as node weights of
+  the three leaf groups, (leaves x 17 nodes x 16 rows) each and one
+  batched matmul each per call, 1.7 MB at N = 4096 and 3.3 MB at 8192,
+  and 0.2-0.4 MB of tree geometry. Its build and first apply cost about
+  1.3 direct calls, each later apply about half of one. Only solve's
+  Picard steps, which repeat one grid and exponent, carry a plan. A
+  one-call kernel (check, verify, lemma1's C, a sweep's cells) stays
+  direct: it would pay the build for one apply and no longer stay
+  within 2 MiB.
   Python loops run over tree levels, expansion orders and the panels of
   a leaf, never over rows.
 
@@ -400,68 +399,20 @@ def _tree(t: np.ndarray, beta: float):
     return _FarField.of(t, beta, levels, lists, _expansion_order(beta, rho)), split
 
 
-def _panel_terms(tr, tj, hj, bp1, bp2):
-    """The per-(row, panel) terms of the near field, from D0 = t_n - t_j and
-    L = log1p(-h_j/D0) = log((D0 - h)/D0): D0, expm1((b+1) L) =
-    -(b+1) m0 / D0^(b+1), expm1((b+2) L) = -dQ / D0^(b+2), and D0^(b+1)."""
-    d0 = tr - tj
-    ratio = np.log1p(np.divide(-hj, d0))
-    m0 = np.expm1(bp1 * ratio)
-    dq = np.expm1(np.multiply(bp2, ratio, out=ratio), out=ratio)
-    return d0, m0, dq, d0**bp1
-
-
-def _near_field(t, f, beta, T, S, own) -> np.ndarray:
-    """Rows of the leaf boxes T over panels of the leaf boxes S, exactly:
-    all of box S < T, or with own (S = T) the panels before each row.
+def _near_terms(t, beta, T, S, own):
+    """The near field's panel terms, the one place they are derived: rows
+    of the leaf boxes T over panels of the leaf boxes S, all of box S < T,
+    or with own (S = T) the panels before each row. Yields, per panel
+    column i of the boxes S, (cols, j, u, g, scale): the panels j
+    (T.size x 1), the row columns cols of the (T.size x _LEAF) rows (rows
+    past t_N are padding) and the terms.
 
     Panel j of row n, with D = t_n - s from D0 = t_n - t_j down to
-    D0 - h_j and midpoint distance D_m = D0 - h_j/2, integrates to
-    m0 (f_mid + slope D_m) - slope dQ/(b+2): m0 = int D^b ds and
-    dQ = D0^(b+2) - (D0 - h)^(b+2), each formed as
-    D0^p * -expm1(p log1p(-h/D0)) from the node difference h. No term
-    carries 1/(b+1) beyond the panel's own int D^b, and there is no
-    boundary term, so f_0 never meets the slopes.
-    """
-    bp1 = beta + 1.0
-    bp2 = beta + 2.0
-    n = t.shape[0] - 1
-    h = np.diff(t)
-    slope = np.diff(f) / h
-    # f_mid + slope D_m = f_j + slope D0, scaled by -1/(b+1)
-    line_at = -f[:-1] / bp1
-    line_slope = -slope / bp1
-    slope /= bp2
-    rows = T[:, None] * _LEAF + np.arange(1, _LEAF + 1)
-    live = rows <= n
-    rows = np.minimum(rows, n)
-    tr = t[rows]
-    a = S * _LEAF
-    acc = np.zeros(rows.shape)
-    with np.errstate(divide="ignore"):  # log1p(-1) on the panel ending at t_n
-        for i in range(_LEAF):
-            # with own, panel a + i lies before the rows of column i and up
-            cols = slice(i if own else 0, None)
-            j = np.minimum(a + i, n - 1)[:, None]
-            d0, m0, dq, scale = _panel_terms(tr[:, cols], t[j], h[j], bp1, bp2)
-            dq *= d0
-            dq *= slope[j]  # -slope dQ/(b+2) / D0^(b+1)
-            m0 *= line_slope[j] * d0 + line_at[j]
-            m0 += dq
-            m0 *= scale
-            acc[:, cols] += m0
-    return np.bincount(rows[live], weights=acc[live], minlength=n + 1)
-
-
-def _near_weights(t, beta, T, S, own) -> np.ndarray:
-    """The near field of _near_field as node weights: W[p, i, r] multiplies
-    f at node S_p * _LEAF + i in row T_p * _LEAF + r + 1 (rows past t_N
-    and nodes past it are padding).
-
-    Per unit D0^(b+1), panel j gives f_(j+1) the weight
-    g = (D0/h)(expm1((b+2) L)/(b+2) - expm1((b+1) L)/(b+1)) and f_j the
-    weight -expm1((b+1) L)/(b+1) - g: _near_field's terms with f_mid +
-    slope D_m = f_j + slope D0 expanded in f_j and f_(j+1).
+    D0 - h_j and L = log1p(-h_j/D0), integrates f_h to
+    (u f_j + g (f_(j+1) - f_j)) scale with scale = D0^(b+1),
+    u = -expm1((b+1) L)/(b+1) = int D^b ds / scale and
+    g = (D0/h)(expm1((b+2) L)/(b+2) + u) = int D^b (s - t_j)/h ds / scale.
+    No term carries 1/(b+1) beyond the panel's own int D^b.
     """
     bp1 = beta + 1.0
     bp2 = beta + 2.0
@@ -469,41 +420,74 @@ def _near_weights(t, beta, T, S, own) -> np.ndarray:
     h = np.diff(t)
     tr = t[np.minimum(T[:, None] * _LEAF + np.arange(1, _LEAF + 1), n)]
     a = S * _LEAF
-    W = np.zeros((T.size, _LEAF + 1, _LEAF))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # log1p(-1) on the panel ending at t_n
         for i in range(_LEAF):
+            # with own, panel a + i lies before the rows of column i and up
             cols = slice(i if own else 0, None)
             j = np.minimum(a + i, n - 1)[:, None]
-            d0, lo, hi, scale = _panel_terms(tr[:, cols], t[j], h[j], bp1, bp2)
-            lo /= -bp1
-            hi /= bp2
-            hi += lo
+            d0 = tr[:, cols] - t[j]
+            ratio = np.log1p(np.divide(-h[j], d0))
+            u = np.expm1(bp1 * ratio)
+            g = np.expm1(np.multiply(bp2, ratio, out=ratio), out=ratio)
+            scale = d0**bp1
+            u /= -bp1
+            g /= bp2
+            g += u
             d0 /= h[j]
-            hi *= d0  # g
-            lo -= hi
-            lo *= scale
-            hi *= scale
-            W[:, i, cols] += lo
-            W[:, i + 1, cols] += hi
+            g *= d0
+            yield cols, j, u, g, scale
+
+
+def _near_weights(t, beta, T, S, own) -> np.ndarray:
+    """The near field's terms as a plan keeps them, node weights:
+    W[p, i, r] multiplies f at node S_p * _LEAF + i in row
+    T_p * _LEAF + r + 1 (rows past t_N and nodes past it are padding).
+    Panel i gives f_j the weight (u - g) scale and f_(j+1) g scale."""
+    W = np.zeros((T.size, _LEAF + 1, _LEAF))
+    for i, (cols, _, u, g, scale) in enumerate(_near_terms(t, beta, T, S, own)):
+        u -= g
+        u *= scale
+        g *= scale
+        W[:, i, cols] += u
+        W[:, i + 1, cols] += g
     return W
 
 
-@dataclass(frozen=True)
-class _Planned:
-    """_prodint_linear's geometry on the nodes t for one beta: the far
-    field's, and the near field as node weights (_near_weights), one table
-    per leaf group. A group is (targets, sources, W): the rows' own leaf,
+def _near_rows(t, f, beta, T, S, own) -> np.ndarray:
+    """The near field's terms as a one-call kernel uses them: the rows of
+    the leaf boxes T over S for the node values f, each panel's terms
+    folded with f as they are formed, so no table is kept."""
+    n = t.shape[0] - 1
+    df = np.diff(f)
+    rows = T[:, None] * _LEAF + np.arange(1, _LEAF + 1)
+    acc = np.zeros(rows.shape)
+    for cols, j, u, g, scale in _near_terms(t, beta, T, S, own):
+        u *= f[j]
+        g *= df[j]
+        u += g
+        u *= scale
+        acc[:, cols] += u
+    live = rows <= n
+    return np.bincount(rows[live], weights=acc[live], minlength=n + 1)
+
+
+class KernelPlan:
+    """Everything of _prodint_linear but f, kept between calls on the
+    nodes t with one beta: the far field's geometry (far) and the near
+    field's terms as node weights (_near_weights), one table per leaf
+    group (near). A group is (targets, sources, W): the rows' own leaf,
     then the d-th leaf before it for d <= _GAP (slices), then the leaf
     pairs no level admits (index arrays, whose targets repeat on meshes
-    that grade faster than t^3)."""
+    that grade faster than t^3). The first call given the plan builds it,
+    every later call on the same nodes and beta applies it, and another
+    pair rebuilds it. solve makes one for its Picard steps and drops it
+    on return."""
 
-    t: np.ndarray
-    beta: float
-    far: _FarField | None
-    near: tuple[tuple, ...]
+    def __init__(self) -> None:
+        self.t = self.beta = self.far = None
+        self.near: tuple[tuple, ...] = ()
 
-    @classmethod
-    def of(cls, t: np.ndarray, beta: float) -> "_Planned":
+    def build(self, t: np.ndarray, beta: float) -> None:
         far, (ek, ej) = _tree(t, beta)
         k = np.arange(-(-(t.shape[0] - 1) // _LEAF))
         near = [(slice(d, None), slice(0, k.size - d),
@@ -511,12 +495,16 @@ class _Planned:
                 for d in range(min(_GAP + 1, k.size))]
         if ek.size:
             near.append((ek, ej, _near_weights(t, beta, ek, ej, own=False)))
-        return cls(t, beta, far, tuple(near))
+        self.t, self.beta, self.far, self.near = t, beta, far, tuple(near)
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """The kernel's rows for the node values f: the far field, plus one
-        batched matmul per near group on f's leaf windows of _LEAF + 1 nodes."""
-        n = self.t.shape[0] - 1
+    def apply(self, t: np.ndarray, f: np.ndarray, beta: float) -> np.ndarray:
+        """The kernel's rows for the node values f on the nodes t, after a
+        build if the plan holds other nodes or another beta: the far field,
+        plus one batched matmul per near group on f's leaf windows of
+        _LEAF + 1 nodes."""
+        if self.t is not t or self.beta != beta:
+            self.build(t, beta)
+        n = t.shape[0] - 1
         out = np.zeros(n + 1)
         if self.far is not None:
             out[1:] = self.far.apply(f)
@@ -535,23 +523,6 @@ class _Planned:
         return out
 
 
-class KernelPlan:
-    """A slot for _prodint_linear's geometry, filled by the first call that
-    is given it and read by every later call on the same nodes and beta
-    (another pair rebuilds it). solve makes one for its Picard steps and
-    drops it on return; a call without a plan builds nothing it does not
-    use."""
-
-    def __init__(self) -> None:
-        self._planned: _Planned | None = None
-
-    def geometry(self, t: np.ndarray, beta: float) -> _Planned:
-        p = self._planned
-        if p is None or p.t is not t or p.beta != beta:
-            p = self._planned = _Planned.of(t, beta)
-        return p
-
-
 def _prodint_linear(t: np.ndarray, f: np.ndarray, beta: float,
                     plan: KernelPlan | None = None) -> np.ndarray:
     """out[n] = integral over [t_0, t_n] of (t_n - s)^beta f_h(s) ds.
@@ -565,9 +536,11 @@ def _prodint_linear(t: np.ndarray, f: np.ndarray, beta: float,
     at (R + r)/(X - c) <= _RHO, truncated at the order that keeps the
     dropped tail below _TRUNCATION of each block's int |K| |f_h|. The rule
     is exact whenever f is piecewise linear, up to that tail and rounding.
-    Without a plan the near field is summed panel by panel with f
-    (_near_field): work O(N), transient memory O(N). With one, the
-    geometry is built once into the plan and each call is its apply.
+    The near field's terms have one derivation (_near_terms) and two
+    consumers. Without a plan they are folded with f as they are formed
+    (_near_rows), in two groups, the rows' own leaf and all other near
+    pairs: work O(N), transient memory O(N). With one, the plan keeps them
+    as node weights (_near_weights) and each call is its apply.
     """
     if not beta > -1.0:
         raise ValueError(f"kernel exponent must exceed -1, got {beta!r}")
@@ -577,7 +550,7 @@ def _prodint_linear(t: np.ndarray, f: np.ndarray, beta: float,
     if n == 0:
         return np.zeros(1)
     if plan is not None:
-        return plan.geometry(t, beta).apply(f)
+        return plan.apply(t, f, beta)
     out = np.zeros(n + 1)
     far, (ek, ej) = _tree(t, beta)
     if far is not None:
@@ -586,11 +559,11 @@ def _prodint_linear(t: np.ndarray, f: np.ndarray, beta: float,
     # the rows' own leaf, then the _GAP leaves before it and the leaf pairs
     # no level admitted
     k = np.arange(-(-n // _LEAF))
-    out += _near_field(t, f, beta, k, k, own=True)
+    out += _near_rows(t, f, beta, k, k, own=True)
     T = np.concatenate([k[d:] for d in range(1, _GAP + 1)] + [ek])
     if T.size:
         S = np.concatenate([k[:-d] for d in range(1, _GAP + 1)] + [ej])
-        out += _near_field(t, f, beta, T, S, own=False)
+        out += _near_rows(t, f, beta, T, S, own=False)
     return out
 
 

@@ -354,6 +354,15 @@ class TestVerify:
                    "--nodes", NODES, "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_empty_artifact_rejected(self, tmp_path, slow_file):
+        # an empty file splits into one empty row, which is no header
+        (tmp_path / "fixed_point_thm1.csv").write_text("")
+        with pytest.raises(ValueError, match="expected a 't,value' table"):
+            _read_artifact_csv(str(tmp_path / "fixed_point_thm1.csv"), make_graded_grid(n=16))
+        rc = main(["verify", "--coeff", slow_file, "--case", "thm1",
+                   "--nodes", NODES, "--out", str(tmp_path)])
+        assert rc == 2
+
     def test_corrupted_artifact_rejected(self, tmp_path, slow_file, solved_dir):
         shutil.copy(solved_dir / "fixed_point_thm1.csv",
                     tmp_path / "fixed_point_thm1.csv")

@@ -7,8 +7,11 @@ the kernel, a loop that formed the panel moments m0 and m1 row by row,
 is kept below as a test-local oracle, in float64 and in extended
 precision. The test names still say "factored rows" and "power rows"
 after the two row kinds the treecode replaced; both now run the same
-code. The properties run each of the kernel's two routes (ROUTES): the
-direct call, and the apply of a KernelPlan that an earlier call built.
+code. The kernel has two routes (ROUTES) over one derivation of the
+near field's panel terms: a one-call kernel folds the terms with f as
+they are formed, and a KernelPlan that an earlier call built keeps them
+as node weights and applies them. The oracle properties run both routes,
+and one property checks that the two agree to rounding.
 """
 
 import json
@@ -121,6 +124,10 @@ def test_exact_on_linear_integrands(grading, beta, c0, c1, n, t_max):
 # --------------------------------------------------------------------------
 
 
+def _smooth(t, c, rate, power):
+    return c[0] + c[1] * np.exp(-rate * t) + c[2] * np.sin(rate * t) + c[3] / (1.0 + t) ** power
+
+
 @needs_extended
 @settings(max_examples=40, deadline=None)
 @given(beta=st.floats(-0.99, 0.99),
@@ -135,11 +142,31 @@ def test_factored_rows_match_extended_precision(beta, n, t_max, grading, c, rate
     # t_max=170, f=exp(-3t)) once broke the bound in the factored grading-2
     # rows
     t = make_graded_grid(t_max, n, grading).nodes
-    f = c[0] + c[1] * np.exp(-rate * t) + c[2] * np.sin(rate * t) + c[3] / (1.0 + t) ** power
+    f = _smooth(t, c, rate, power)
     want = _extended(t, f, beta)
     bound = 1e-12 * _abs_scale(t, f, beta)
     for kernel in ROUTES:
         assert np.max(np.abs(kernel(t, f, beta) - want)) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(-0.99, 0.99),
+       n=st.integers(16, 1500),
+       t_max=st.floats(0.5, 200.0),
+       grading=st.sampled_from([1.0, 1.5, 2.0, 3.0, 8.0]),
+       c=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=4, max_size=4),
+       rate=st.floats(0.01, 5.0),
+       power=st.floats(0.5, 4.0))
+def test_one_call_and_planned_routes_agree(beta, n, t_max, grading, c, rate, power):
+    # both routes take the near field's panel integrals from one derivation:
+    # a one-call kernel folds them with f as they are formed, a plan keeps
+    # them as node weights. They differ by rounding only, on every tree
+    # depth, including grading 8, whose split leaf pairs repeat a target
+    t = make_graded_grid(t_max, n, grading).nodes
+    f = _smooth(t, c, rate, power)
+    scale = float(np.max(_prodint_linear(t, np.abs(f), beta)))
+    gap = np.max(np.abs(_prodint_linear(t, f, beta) - _planned(t, f, beta)))
+    assert gap <= 1e-14 * scale
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +257,7 @@ def test_wide_pairs_split_down_to_the_near_field():
 
 
 def test_one_call_stays_within_two_mebibytes():
+    # one call at n = 8192 peaks at 1.6 MiB, most of it the far field's
     t = make_graded_grid(n=8192).nodes
     f = _CONFTEST_COEFFICIENTS["slow_decay"](t)
     tracemalloc.start()
@@ -288,7 +316,7 @@ def test_a_solve_builds_one_plan_that_dies_with_it(monkeypatch, case, a, coeffic
     # every step's kernel call gets the plan, only the first builds it, and
     # nothing holds it once solve has returned
     refs, builds = [], []
-    inner, build = fracops._prodint_linear, fracops._Planned.of
+    inner, build = fracops._prodint_linear, KernelPlan.build
 
     def watching(t, *args, plan=None, **kwargs):
         if plan is not None:
@@ -296,8 +324,8 @@ def test_a_solve_builds_one_plan_that_dies_with_it(monkeypatch, case, a, coeffic
         return inner(t, *args, plan=plan, **kwargs)
 
     monkeypatch.setattr(fracops, "_prodint_linear", watching)
-    monkeypatch.setattr(fracops._Planned, "of",
-                        classmethod(lambda cls, *args: builds.append(args) or build(*args)))
+    monkeypatch.setattr(KernelPlan, "build",
+                        lambda self, *args: builds.append(args) or build(self, *args))
     r = solve(SolveSpec(case, ALPHA, a, 1.0, request.getfixturevalue(coefficient),
                         grid=make_graded_grid(n=512)))
     assert len(refs) == r.iterations and len(builds) == 1
@@ -324,8 +352,8 @@ def test_planned_solves_match_the_direct_path(monkeypatch, case, a, coefficient,
 
 def test_a_solve_at_8192_nodes_holds_one_plan(slow_decay_coeff):
     # the plan's near-field weights take 3.3 MB at n = 8192 and its tree
-    # geometry 0.2 MB; the solve peaked at 1.9 MiB with direct steps and
-    # reads 5.0 MiB with the plan. A plan that also kept the leaf-moment
+    # geometry 0.4 MB; the solve peaks at 1.9 MiB with direct steps and
+    # at 5.0 MiB with the plan. A plan that also kept the leaf-moment
     # polynomials (2.1 MB) or the per-pair power tables (1.3 MB) fails
     solve(SolveSpec("thm1", ALPHA, 1.0, 1.0, slow_decay_coeff,
                     grid=make_graded_grid(n=512)))  # the modules a solve imports lazily
