@@ -20,9 +20,12 @@ a row's target box at a level holds the rows that end in its panels.
   Exact moments of f_h are formed at the leaves and shifted up the tree
   (M2M); each admitted pair adds to the target box's local expansion
   (M2L), which is shifted down (L2L), so each row evaluates one
-  polynomial. Pairs that are not admitted split into their children,
-  down to the near field, so the rule holds on any mesh; on grading-2
-  meshes every pair has ratio <= 1/3, on grading 3 at most 0.42.
+  polynomial. A level's shift is one matmul with the table of binom(q, j)
+  between two diagonal power scalings; a column whose offset a is 0 or
+  too small for the float range keeps the per-order binomial sum. Pairs
+  that are not admitted split into their children, down to the near
+  field, so the rule holds on any mesh; on grading-2 meshes every pair
+  has ratio <= 1/3, on grading 3 at most 0.42.
 - Truncation: the order K is the fewest terms whose dropped tail
   sum_(q>=K) |binom(beta, q)| rho^q, at the largest admitted ratio rho,
   stays below 1e-15 of the smallest kernel value on the pair, and so of
@@ -38,13 +41,15 @@ a row's target box at a level holds the rows that end in its panels.
   the three leaf groups, (leaves x 17 nodes x 16 rows) each and one
   batched matmul each per call, 1.7 MB at N = 4096 and 3.3 MB at 8192,
   and 0.2-0.4 MB of tree geometry. Its build and first apply cost about
-  1.3 direct calls, each later apply about half of one. Only solve's
+  1.3 direct calls, each later apply about 0.4 of one. Only solve's
   Picard steps, which repeat one grid and exponent, carry a plan. A
   one-call kernel (check, verify, lemma1's C, a sweep's cells) stays
   direct: it would pay the build for one apply and no longer stay
   within 2 MiB.
-  Python loops run over tree levels, expansion orders and the panels of
-  a leaf, never over rows.
+  Python loops run over tree levels, over expansion orders in the power
+  tables, the leaf moments and the rows' polynomials, and over the panels
+  of a leaf, never over rows or pairs: the shifts and M2L are one matmul
+  per level.
 
 Power heads c * t^e of the integrand are never interpolated; they are
 integrated analytically through the beta function and only the remainder
@@ -112,9 +117,9 @@ _TOP = 32            # at most this many boxes on the coarsest level
 _RHO = 0.45          # largest admitted (R + r) / (X - c); wider pairs split
 _TRUNCATION = 1e-15  # expansion tail bound, relative to the block's int |K| |f_h|
 _KMAX = 80           # expansion orders never exceed this
-_FACTORIAL = np.cumprod(np.r_[1.0, np.arange(1.0, 2 * _KMAX)])
-_PASCAL = _FACTORIAL[np.add.outer(np.arange(_KMAX), np.arange(_KMAX))] / np.multiply.outer(
-    _FACTORIAL[:_KMAX], _FACTORIAL[:_KMAX])
+_BINOM = np.array([[math.comb(q, j) for j in range(_KMAX)] for q in range(_KMAX)],
+                  dtype=float)  # binom(q, j), exact integers rounded once
+_SHIFT_FLOOR = 2.0**-700  # least |a|^(k-1) that a shift takes as one matmul
 
 
 def _binomials(beta: float, k: int) -> np.ndarray:
@@ -148,37 +153,56 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
+def _shift_split(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """a with 1 in the columns that keep the per-order sum, and those
+    columns: a = 0 (a parent's only child, a target box of a single row)
+    and |a|^(k-1) < _SHIFT_FLOOR. Above the floor a^q stays normal and,
+    with |b| <= 1, the matmul's sums stay below 2^700 max |c|, so they
+    are finite for any |c| < 2^323."""
+    narrow = np.flatnonzero(np.abs(a) < _SHIFT_FLOOR ** (1.0 / max(k - 1, 1)))
+    s = a.copy()
+    s[narrow] = 1.0
+    return s, narrow
+
+
+def _shift_maps(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """M[q, j, i] = binom(q, j) a_i^(q-j) b_i^j for j <= q, else 0: the M2M
+    map of column i as a (k, k) matrix; L2L takes its transpose."""
+    q, j = np.indices((k, k))
+    return _BINOM[:k, :k, None] * _powers(a, k)[np.maximum(q - j, 0)] * _powers(b, k)[j]
+
+
 def _shift_moments(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Moments about a parent centre (M2M), one column per child box.
 
-    With u_parent = a + b u_child, out_q = sum_k binom(q, k) a^(q-k) b^k m_k,
-    summed as q! sum_j (a^j / j!) (b^(q-j) m_(q-j) / (q-j)!). |a| + |b| <= 1,
-    so no term exceeds the child's int |f_h|.
+    With u_parent = a + b u_child, out_q = sum_j binom(q, j) a^(q-j) b^j m_j,
+    a level as one matmul between two power scalings,
+    a^q (B ((b/a)^j m))_q with the binomial table B. Every term is a term
+    of the sum, and |a| + |b| <= 1, so none exceeds the child's int |f_h|.
+    The columns _shift_split names keep the per-order sum (_shift_maps).
     """
     k = m.shape[0]
-    inv = 1.0 / _FACTORIAL[:k, None]
-    w = m * _powers(b, k) * inv
-    e = _powers(a, k) * inv
-    out = e * w[0]
-    for j in range(1, k):
-        out[j:] += e[: k - j] * w[j]
-    out *= _FACTORIAL[:k, None]
+    s, narrow = _shift_split(a, k)
+    out = _powers(s, k) * (_BINOM[:k, :k] @ (_powers(b / s, k) * m))
+    if narrow.size:
+        out[:, narrow] = np.einsum("qji,ji->qi", _shift_maps(a[narrow], b[narrow], k),
+                                   m[:, narrow])
     return out
 
 
 def _shift_locals(loc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Local coefficients about a child centre (L2L), one column per child.
 
-    With v_parent = a + b v_child, out_k = sum_p binom(p, k) a^(p-k) b^k L_p.
+    With v_parent = a + b v_child, out_j = sum_q binom(q, j) a^(q-j) b^j L_q,
+    the transpose of the M2M map: (b/a)^j (B^T (a^q L))_j, one matmul per
+    level. The columns _shift_split names keep the per-order sum.
     """
     k = loc.shape[0]
-    inv = 1.0 / _FACTORIAL[:k, None]
-    g = loc * _FACTORIAL[:k, None]
-    e = _powers(a, k) * inv
-    out = g * e[0]
-    for j in range(1, k):
-        out[: k - j] += e[j] * g[j:]
-    out *= _powers(b, k) * inv
+    s, narrow = _shift_split(a, k)
+    out = _powers(b / s, k) * (_BINOM[:k, :k].T @ (_powers(s, k) * loc))
+    if narrow.size:
+        out[:, narrow] = np.einsum("qji,qi->ji", _shift_maps(a[narrow], b[narrow], k),
+                                   loc[:, narrow])
     return out
 
 
@@ -296,8 +320,8 @@ class _FarLevel:
     """One tree level of the far field, without f: up and down are the
     (a, b) of the M2M shift into the parent boxes and of the L2L shift
     from them (None on the top level). Each admitted pair keeps its source
-    box, -r/Delta, R/Delta and Delta^beta (Delta = X - c); order sorts the
-    pairs stably by target box, and first starts each target's run."""
+    box, -r/Delta, R/Delta and Delta^beta (Delta = X - c), sorted stably by
+    target box; first starts each target's run."""
 
     size: int
     up: tuple[np.ndarray, np.ndarray] | None
@@ -306,7 +330,6 @@ class _FarLevel:
     source_ratio: np.ndarray
     target_ratio: np.ndarray
     scale: np.ndarray
-    order: np.ndarray
     first: np.ndarray
     targets: np.ndarray
 
@@ -331,9 +354,10 @@ class _FarField:
         n = t.shape[0] - 1
         # (X + R v - s)^beta = sum_(p,q) C_pq Delta^beta (R v/Delta)^p (-r u/Delta)^q,
         # Delta = X - c, C_pq = binom(p+q, p) binom(beta, p+q); kept for p + q < k
-        pq = np.add.outer(np.arange(k), np.arange(k))
-        C = _PASCAL[:k, :k] * _binomials(beta, 2 * k)[pq]
-        C[pq >= k] = 0.0
+        p, q = np.indices((k, k))
+        live = p + q < k
+        C = np.zeros((k, k))
+        C[live] = _BINOM[(p + q)[live], p[live]] * _binomials(beta, k)[(p + q)[live]]
         out = []
         for lev, box in enumerate(levels):
             up = down = None
@@ -343,13 +367,12 @@ class _FarField:
                 up = ((box.c - parent.c[i]) / parent.r[i], box.r / parent.r[i])
                 down = (_divide(box.X - parent.X[i], parent.R[i]), _divide(box.R, parent.R[i]))
             tk, sj = lists[lev]
-            delta = box.X[tk] - box.c[sj]
             order = np.argsort(tk, kind="stable")
-            sorted_tk = tk[order]
-            first = np.flatnonzero(np.r_[True, sorted_tk[1:] != sorted_tk[:-1]])
+            tk, sj = tk[order], sj[order]
+            delta = box.X[tk] - box.c[sj]
+            first = np.flatnonzero(np.r_[True, tk[1:] != tk[:-1]])
             out.append(_FarLevel(box.c.size, up, down, sj, -box.r[sj] / delta,
-                                 box.R[tk] / delta, delta**beta, order, first,
-                                 sorted_tk[first]))
+                                 box.R[tk] / delta, delta**beta, first, tk[first]))
         leaf = levels[0]
         pad = leaf.c.size * _LEAF
         box = np.arange(n) // _LEAF
@@ -363,7 +386,9 @@ class _FarField:
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Rows 1..N: moments up the tree (M2M), one local expansion per
         target box (M2L), shifted down (L2L) and summed at the rows as one
-        polynomial of degree k - 1."""
+        polynomial of degree k - 1. Each level's M2M, M2L and L2L is one
+        matmul; its pairs lie in target order, so one reduceat sums each
+        target's run."""
         k = self.k
         moments = [_leaf_moments(self.ua, self.ub, self.h, f, k)]
         for box in self.levels[:-1]:
@@ -380,7 +405,7 @@ class _FarField:
                 z = self.C @ (moments[lev][:, box.source] * _powers(box.source_ratio, k))
                 z *= _powers(box.target_ratio, k)
                 z *= box.scale
-                loc[:, box.targets] += np.add.reduceat(z[:, box.order], box.first, axis=1)
+                loc[:, box.targets] += np.add.reduceat(z, box.first, axis=1)
             moments[lev] = None
         acc = np.repeat(loc[k - 1][:, None], _LEAF, axis=1)
         for p in range(k - 2, -1, -1):

@@ -15,6 +15,7 @@ and one property checks that the two agree to rounding.
 """
 
 import json
+import math
 import tracemalloc
 import weakref
 
@@ -167,6 +168,53 @@ def test_one_call_and_planned_routes_agree(beta, n, t_max, grading, c, rate, pow
     scale = float(np.max(_prodint_linear(t, np.abs(f), beta)))
     gap = np.max(np.abs(_prodint_linear(t, f, beta) - _planned(t, f, beta)))
     assert gap <= 1e-14 * scale
+
+
+# --------------------------------------------------------------------------
+# the far field's shifts against their binomial sums in extended precision
+# --------------------------------------------------------------------------
+
+
+def _shift_sums(c, a, b, up):
+    """M2M (up) out_q = sum_j binom(q, j) a^(q-j) b^j c_j, or L2L
+    out_j = sum_q binom(q, j) a^(q-j) b^j c_q, one column per (a, b), in long
+    double; and the same sums of |terms|, the size of what a column sums."""
+    k = c.shape[0]
+    ld = np.longdouble
+    q, j = np.indices((k, k))
+    binom = np.array([[ld(str(math.comb(p, i))) for i in range(k)] for p in range(k)])
+    powers = np.arange(k, dtype=ld)[:, None]
+    a_q, b_q = a.astype(ld) ** powers, b.astype(ld) ** powers
+    maps = np.where((j <= q)[..., None], binom[..., None] * a_q[np.maximum(q - j, 0)] * b_q[j], 0)
+    terms = maps * (c.astype(ld)[None, :, :] if up else c.astype(ld)[:, None, :])
+    axis = 1 if up else 0
+    return terms.sum(axis), np.abs(terms).sum(axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([30, fracops._KMAX]),
+       columns=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_shifts_match_their_binomial_sums(k, columns, seed):
+    # random columns with |a| + b <= 1, then the edges: a parent's only
+    # child (a = 0, b = 1), a target box of one row (a = b = 0), the
+    # smallest |a| of the tested meshes (1/256, n = 1023 at grading 8), and
+    # an |a| below the floor, whose a^(k-1) underflows and whose (b/a)^(k-1)
+    # overflows: only the per-order sum gets that column right
+    below = 1e-9
+    assert below ** (k - 1) < fracops._SHIFT_FLOOR <= (1 / 256) ** (fracops._KMAX - 1)
+    a = np.array([x for x, _ in columns] + [0.0, 0.0, 1 / 256, -1 / 256, below])
+    b = np.array([y * (1.0 - abs(x)) for x, y in columns] + [1.0, 0.0, 255 / 256, 0.5, 1.0 - below])
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, a.size))
+    # each term takes at most 3k roundings; a power that falls below the
+    # normal range is off by a few units of the smallest subnormal, which a
+    # binomial coefficient (< 2^k) and |c| <= 1 multiply
+    eps, subnormal = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    for shift, up in ((fracops._shift_moments, True), (fracops._shift_locals, False)):
+        want, size = _shift_sums(c, a, b, up)
+        err = np.abs(shift(c, a, b) - want)
+        assert np.all(err <= 3 * k * eps * size + 2.0 ** (k + 2) * subnormal)
 
 
 # --------------------------------------------------------------------------
