@@ -176,10 +176,10 @@ def _shift_moments(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Moments about a parent centre (M2M), one column per child box.
 
     With u_parent = a + b u_child, out_q = sum_j binom(q, j) a^(q-j) b^j m_j,
-    a level as one matmul between two power scalings,
-    a^q (B ((b/a)^j m))_q with the binomial table B. Every term is a term
-    of the sum, and |a| + |b| <= 1, so none exceeds the child's int |f_h|.
-    The columns _shift_split names keep the per-order sum (_shift_maps).
+    a level as one matmul between two power scalings: a^q (B ((b/a)^j m))_q
+    with the binomial table B. Every term is a term of the sum, and
+    |a| + |b| <= 1, so none exceeds the child's int |f_h|. The columns
+    _shift_split names keep the per-order sum (_shift_maps).
     """
     k = m.shape[0]
     s, narrow = _shift_split(a, k)
@@ -356,8 +356,9 @@ class _FarField:
         # Delta = X - c, C_pq = binom(p+q, p) binom(beta, p+q); kept for p + q < k
         p, q = np.indices((k, k))
         live = p + q < k
+        p, pq = p[live], (p + q)[live]
         C = np.zeros((k, k))
-        C[live] = _BINOM[(p + q)[live], p[live]] * _binomials(beta, k)[(p + q)[live]]
+        C[live] = _BINOM[pq, p] * _binomials(beta, k)[pq]
         out = []
         for lev, box in enumerate(levels):
             up = down = None
